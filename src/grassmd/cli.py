@@ -147,12 +147,12 @@ def _cmd_rank(args) -> int:
         M = incidence_matrix(fam)
         r = exact_rank(M)
         certified = r == required
+        m, N = M.m, M.N
     elif args.family:
         ctx, n, k, fam = _read_family_arg(args.family)
-        M = incidence_matrix(fam)
-        required = gaussian_binomial(n, 1, ctx.q)
         cert = certify_resolving_by_rank(fam)
-        r, certified = cert.rank, cert.certified
+        r, certified, required = cert.rank, cert.certified, cert.required
+        m, N = len(fam), required
     else:
         print("rank: need -f FILE or --all q n k", file=sys.stderr)
         return 2
@@ -160,11 +160,11 @@ def _cmd_rank(args) -> int:
         print(json.dumps({
             "command": "rank", "mode": "all" if args.all else "family",
             "rank": r, "required": required, "certified": certified,
-            "m": M.m, "N": M.N,
+            "m": m, "N": N,
         }))
     else:
         status = "CERTIFIED" if certified else "INCONCLUSIVE"
-        print(f"{status} rank={r} required={required} shape={M.m}x{M.N}")
+        print(f"{status} rank={r} required={required} shape={m}x{N}")
     return 0 if certified else 1
 
 

@@ -28,12 +28,14 @@ from .gfq import ExtensionField, FieldCtx
 from .linalg import MatGFq, mat_mul
 from .rank import BareissEliminator
 from .subspaces import (
-    PointIndex,
     Subspace,
     SubspaceFamily,
     enumerate_k_subspaces,
     gaussian_binomial,
+    incidence_block,
 )
+
+GREEDY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -207,12 +209,14 @@ def resolving_greedy_rank(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     the exact rational rank; stops at full rank [n 1]_q."""
     if not (2 <= k and 2 * k <= n):
         raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
-    idx = PointIndex(ctx, n)
     target = gaussian_binomial(n, 1, ctx.q)
-    elim = BareissEliminator(len(idx))
+    elim = BareissEliminator(target)
+    subs = enumerate_k_subspaces(ctx, n, k)
+    # incidence rows built a block at a time, only as far as the scan goes
+    rows = (bits for lo in range(0, len(subs), GREEDY_BLOCK)
+            for bits in incidence_block(subs[lo:lo + GREEDY_BLOCK]).tolist())
     out = []
-    for sub in enumerate_k_subspaces(ctx, n, k):
-        bits = [1 if sub.contains(p) else 0 for p in idx.points]
+    for sub, bits in zip(subs, rows):
         if elim.try_add(bits):
             out.append(sub)
             if elim.rank == target:

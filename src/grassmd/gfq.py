@@ -159,9 +159,10 @@ class FieldCtx:
     """GF(p^e) with table-driven arithmetic.  Immutable after construction."""
 
     def __init__(self, q: int, max_order: int = DEFAULT_MAX_ORDER):
-        p, e = factor_prime_power(q)
+        # the ceiling first: factoring a huge q by trial division would hang
         if q > max_order:
             raise TooLarge(f"field order {q} exceeds ceiling {max_order}")
+        p, e = factor_prime_power(q)
         self.p = p
         self.e = e
         self.q = q

@@ -5,12 +5,14 @@ dimension k-1, and the graph distance is k minus the intersection
 dimension.  A family S is resolving when no two vertices have the same
 distance vector ("code") against S.
 
-Verification computes intersection dimensions directly from stacked RREF
-ranks rather than through incidence vectors, so it shares no machinery
-with the integer-rank certificate and the two certification routes stay
-independent.  Three interchangeable inner loops produce the code table:
-a bitmask path for q = 2, a vectorized path for prime q with k = 2, and
-a table-arithmetic fallback for everything else.
+One kernel produces every code table, and with the family set to all
+vertices the all-pairs distance table: two k-subspaces meeting in
+dimension j share exactly [j 1]_q projective points, so the table is one
+0/1 product of point incidences followed by a lookup.  The incidence rows
+come from `subspaces.point_ordinals`, the builder the rank certificate
+also uses.  The independent oracles live apart from it: `code_of` and
+`distance` compute intersection dimensions from stacked RREF ranks, and
+`bfs_distances_from` walks the adjacency lists.
 """
 
 from __future__ import annotations
@@ -20,10 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidArgs
+from .errors import BudgetExceeded, DimensionMismatch, GrassmdError, InvalidArgs, TooLarge
 from .gfq import FieldCtx
 from .linalg import intersect_dim
-from .subspaces import Subspace, SubspaceFamily, enumerate_k_subspaces, enumeration_budget
+from .subspaces import (
+    Subspace,
+    SubspaceFamily,
+    enumerate_k_subspaces,
+    enumeration_budget,
+    gaussian_binomial,
+    incidence_block,
+)
+
+
+# Cells of the all-pairs table per unit of enumeration budget: 10^7 by
+# default, a 10 MB table and an 80 MB int64 copy in the greedy search.
+DISTANCE_TABLE_FACTOR = 10
 
 
 class GrassmannGraph:
@@ -60,6 +74,9 @@ class GrassmannGraph:
     def distance_rows(self) -> list:
         """All-pairs distance table: row i = bytes of distances from vertex i."""
         if self._dist_rows is None:
+            cells, ceiling = len(self) ** 2, DISTANCE_TABLE_FACTOR * enumeration_budget()
+            if cells > ceiling:
+                raise BudgetExceeded(f"{len(self)}^2 distance cells exceed ceiling {ceiling}")
             fam = SubspaceFamily(self.vertices)
             object.__setattr__(self, "_dist_rows", codes_table(self.vertices, fam))
         return self._dist_rows
@@ -103,120 +120,40 @@ def code_of(w: Subspace, family: SubspaceFamily) -> Code:
     return Code(tuple(distance(w, u) for u in family))
 
 
-# --- code-table inner loops -------------------------------------------------
-#
-# All three produce, for each vertex A, the byte string of distances to each
-# family member U.  They share one identity: reducing U's basis rows against
-# A's RREF (subtract row i of A scaled by the entry at A's i-th pivot) leaves
-# rows whose rank is exactly d(A, U) when dim A = dim U.
-
-
-def _mask(row) -> int:
-    m = 0
-    for c, x in enumerate(row):
-        if x:
-            m |= 1 << c
-    return m
-
-
-def _codes_q2(vertices, family) -> list:
-    fam = [tuple(_mask(r) for r in u.basis.data) for u in family]
-    out = []
-    for a in vertices:
-        pv = tuple(zip(a.pivots, (_mask(r) for r in a.basis.data)))
-        row_out = bytearray(len(fam))
-        for j, urows in enumerate(fam):
-            basis = []
-            r = 0
-            for u in urows:
-                for p, vm in pv:
-                    if (u >> p) & 1:
-                        u ^= vm
-                while u:
-                    hb = u.bit_length()
-                    for b in basis:
-                        if b.bit_length() == hb:
-                            u ^= b
-                            break
-                    else:
-                        basis.append(u)
-                        r += 1
-                        break
-            row_out[j] = r
-        out.append(bytes(row_out))
-    return out
-
-
-def _codes_numpy_prime_k2(vertices, family, q: int, n: int) -> list:
-    """Vectorized over vertices, grouped by pivot pattern; prime q, k = 2."""
-    nv, m = len(vertices), len(family)
-    groups = {}
-    for i, s in enumerate(vertices):
-        groups.setdefault(s.pivots, []).append(i)
-    prepped = []
-    for piv, idxs in groups.items():
-        arr = np.array([vertices[i].basis.data for i in idxs], dtype=np.int64)
-        prepped.append((piv, np.array(idxs), arr[:, 0, :], arr[:, 1, :]))
-    codes = np.empty((nv, m), dtype=np.uint8)
-    for j, u_sub in enumerate(family):
-        u = np.array(u_sub.basis.data, dtype=np.int64)
-        for (p0, p1), idxs, a0, a1 in prepped:
-            r1 = (u[0] - a0 * u[0][p0] - a1 * u[0][p1]) % q
-            r2 = (u[1] - a0 * u[1][p0] - a1 * u[1][p1]) % q
-            nz1 = r1.any(axis=1)
-            nz2 = r2.any(axis=1)
-            # proportionality <=> every 2x2 minor of the two rows vanishes
-            prop = np.ones(len(idxs), dtype=bool)
-            for c1 in range(n):
-                for c2 in range(c1 + 1, n):
-                    prop &= (r1[:, c1] * r2[:, c2] - r1[:, c2] * r2[:, c1]) % q == 0
-            rank = np.where(~(nz1 | nz2), 0, np.where(nz1 & nz2 & ~prop, 2, 1))
-            codes[idxs, j] = rank.astype(np.uint8)
-    return [codes[i].tobytes() for i in range(nv)]
-
-
-def _codes_general(vertices, family, ctx: FieldCtx) -> list:
-    add_t, mul_t, neg_t, inv_t = ctx.add_table, ctx.mul_table, ctx.neg_table, ctx.inv_table
-    fam = [u.basis.data for u in family]
-    out = []
-    for a in vertices:
-        pv = tuple(zip(a.pivots, a.basis.data))
-        row_out = bytearray(len(fam))
-        for j, urows in enumerate(fam):
-            basis = []  # (lead column, row normalized to 1 at lead)
-            r = 0
-            for u in urows:
-                for p, arow in pv:
-                    f = u[p]
-                    if f:
-                        mrow = mul_t[neg_t[f]]
-                        u = [add_t[x][mrow[y]] for x, y in zip(u, arow)]
-                for lead, brow in basis:
-                    f = u[lead]
-                    if f:
-                        mrow = mul_t[neg_t[f]]
-                        u = [add_t[x][mrow[y]] for x, y in zip(u, brow)]
-                for c, x in enumerate(u):
-                    if x:
-                        if x != 1:
-                            mrow = mul_t[inv_t[x]]
-                            u = [mrow[y] for y in u]
-                        basis.append((c, u))
-                        r += 1
-                        break
-            row_out[j] = r
-        out.append(bytes(row_out))
-    return out
+# Floats per product block (incidence rows plus counts), about 256 KB: larger
+# blocks ran no faster and grew peak RSS through BLAS buffers and temporaries.
+BLOCK_FLOATS = 2**16
 
 
 def codes_table(vertices, family) -> list:
-    """Distances of every vertex to every family member, one bytes row each."""
-    ctx = vertices[0].ctx
-    if ctx.q == 2:
-        return _codes_q2(vertices, family)
-    if ctx.e == 1 and all(s.dim == 2 for s in vertices) and all(u.dim == 2 for u in family):
-        return _codes_numpy_prime_k2(vertices, family, ctx.q, vertices[0].n)
-    return _codes_general(vertices, family, ctx)
+    """Distances of every vertex to every family member, one bytes row each.
+
+    A and U share [dim(A∩U) 1]_q projective points, so one 0/1 product of
+    point incidences, Inc(vertices) · Inc(family)^T, counts the shared
+    points of every pair, and a lookup turns each count into k - dim(A∩U).
+    """
+    first = vertices[0]
+    q, n, k = first.ctx.q, first.n, first.dim
+    members = list(family)
+    if any(u.ctx != first.ctx or u.n != n or u.dim != k for u in members):
+        raise DimensionMismatch("family members and vertices differ in shape")
+    points = gaussian_binomial(n, 1, q)
+    # float32 counts are exact while every partial sum, at most N, is < 2^24
+    if points >= 2**24:
+        raise TooLarge(f"[{n} 1]_{q} = {points} points: shared-point counts would not be exact")
+    lut = np.full(points + 1, 255, dtype=np.uint8)  # a count never exceeds N
+    for j in range(k + 1):
+        lut[gaussian_binomial(j, 1, q) if j else 0] = k - j
+    fam_t = np.ascontiguousarray(incidence_block(members, np.float32).T)
+    step = max(1, BLOCK_FLOATS // (points + len(members)))
+    out = []
+    for lo in range(0, len(vertices), step):
+        counts = incidence_block(vertices[lo:lo + step], np.float32) @ fam_t
+        dists = lut[counts.astype(np.int32)]
+        if (dists == 255).any():
+            raise GrassmdError("shared-point count is not a q-number [j 1]_q")
+        out.extend(row.tobytes() for row in dists)
+    return out
 
 
 def is_resolving(family: SubspaceFamily, g: GrassmannGraph) -> ResolvingVerdict:

@@ -15,6 +15,12 @@ The closed-form certificate: for the full incidence matrix M of all
 k-subspaces against all points, M^T M = a·J + b·I with a = [n-2 k-2]_q
 and b = [n-1 k-1]_q - a, whose determinant b^(N-1)·(b + N·a) is positive,
 so M has full column rank N = [n 1]_q.
+
+Incidence rows come from `subspaces.point_ordinals`, the builder the code
+tables in `grassmann` also use; integer rank here and a shared-point lookup
+there keep the routes apart after it.  Tests check the builder against the
+membership-test `incidence_vector`, and the code tables against the
+RREF-based `grassmann.code_of`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgs
+from .errors import ContextMismatch, InvalidArgs
 from .gfq import FieldCtx
 from .subspaces import (
     IncidenceVector,
@@ -31,7 +37,7 @@ from .subspaces import (
     SubspaceFamily,
     enumerate_k_subspaces,
     gaussian_binomial,
-    incidence_vector,
+    incidence_block,
 )
 
 MODULAR_PRIME = 2**61 - 1
@@ -120,18 +126,17 @@ class IncidenceMatrix:
     rows: tuple
     provenance: SubspaceFamily
 
-    def row_bits(self, i: int) -> tuple:
-        return self.rows[i].bits
-
 
 def incidence_matrix(family: SubspaceFamily, idx: PointIndex | None = None) -> IncidenceMatrix:
+    """Rows over the points in PointIndex order; idx, if given, must match."""
     if len(family) == 0:
         raise InvalidArgs("family is empty")
     first = family[0]
-    if idx is None:
-        idx = PointIndex(first.ctx, first.n)
-    rows = tuple(incidence_vector(u, idx) for u in family)
-    return IncidenceMatrix(len(family), len(idx), rows, family)
+    if idx is not None and (idx.ctx != first.ctx or idx.n != first.n):
+        raise ContextMismatch("family and point index disagree on (q, n)")
+    block = incidence_block(family)
+    rows = tuple(IncidenceVector(tuple(r)) for r in block.tolist())
+    return IncidenceMatrix(len(family), block.shape[1], rows, family)
 
 
 def _full_rank_target(M: IncidenceMatrix) -> int:
@@ -171,12 +176,9 @@ def verify_gram(ctx: FieldCtx, n: int, k: int) -> bool:
     full incidence matrix, plus nonvanishing of the closed-form determinant
     b^(N-1) * (b + N*a)."""
     diag, offdiag = gram_closed_form(ctx, n, k)
-    subs = enumerate_k_subspaces(ctx, n, k)
-    idx = PointIndex(ctx, n)
-    M = incidence_matrix(SubspaceFamily(subs), idx)
-    a_np = np.array([iv.bits for iv in M.rows], dtype=np.int64)
+    a_np = incidence_block(enumerate_k_subspaces(ctx, n, k), np.int64)
     gram = a_np.T @ a_np
-    N = len(idx)
+    N = a_np.shape[1]
     expected = np.full((N, N), offdiag, dtype=np.int64)
     np.fill_diagonal(expected, diag)
     if not np.array_equal(gram, expected):
@@ -202,9 +204,9 @@ def certify_resolving_by_rank(family: SubspaceFamily) -> RankCertificate:
 
     One-directional: "inconclusive" does not mean "not resolving".
     """
+    M = incidence_matrix(family)
     first = family[0]
     required = gaussian_binomial(first.n, 1, first.ctx.q)
-    M = incidence_matrix(family)
     r = exact_rank(M)
     return RankCertificate(r == required, r, required)
 

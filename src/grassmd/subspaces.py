@@ -8,7 +8,9 @@ the flattened basis encoding so the order is a stable public contract.
 
 Projective points (1-subspaces) get their own index: each is stored as its
 normalized representative (first nonzero coordinate scaled to 1), ordered
-by the representative's big-endian integer encoding.
+by the representative's big-endian integer encoding.  `point_ordinals`,
+the one production incidence builder, lists the points of many subspaces
+at once; `incidence_vector` is its membership-test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import BudgetExceeded, ContextMismatch, InvalidArgs
+import numpy as np
+
+from .errors import BudgetExceeded, ContextMismatch, DimensionMismatch, InvalidArgs
 from .gfq import FieldCtx
 from .linalg import MatGFq, rref_rows
 
@@ -255,6 +259,48 @@ class PointIndex:
 
     def index_of(self, v) -> int:
         return self._pos[self.normalize(v)]
+
+
+def point_ordinals(subspaces) -> np.ndarray:
+    """(S, [d 1]_q) array: row s holds the PointIndex ordinals of the points
+    of subspaces[s], for same-shape d-subspaces of V(n,q).
+
+    The points of a subspace with RREF basis B are c·B for the normalized
+    coefficient vectors c of PG(d-1,q).  B has the identity in its pivot
+    columns, so c·B is normalized too, and its ordinal follows in closed
+    form from its big-endian encoding and its leading column.
+    """
+    if len(subspaces) == 0:
+        raise InvalidArgs("no subspaces to list points of")
+    first = subspaces[0]
+    ctx, n, d, q = first.ctx, first.n, first.dim, first.ctx.q
+    if any(s.ctx != ctx or s.n != n or s.dim != d for s in subspaces):
+        raise DimensionMismatch("subspaces differ in field, ambient space or dimension")
+    points = gaussian_binomial(n, 1, q)
+    budget = enumeration_budget()
+    if points > budget:
+        raise BudgetExceeded(f"[{n} 1]_{q} = {points} points exceed budget {budget}")
+    add = np.array(ctx.add_table, dtype=np.uint8)
+    mul = np.array(ctx.mul_table, dtype=np.uint8)
+    coeffs = np.array(PointIndex(ctx, d).points, dtype=np.uint8)  # (P, d)
+    basis = np.array([s.basis.data for s in subspaces], dtype=np.uint8)  # (S, d, n)
+    vecs = np.zeros((len(subspaces), len(coeffs), n), dtype=np.uint8)
+    for i in range(d):
+        vecs = add[vecs, mul[coeffs[None, :, i, None], basis[:, None, i, :]]]
+    # the points led by column f come after the (q^(n-1-f) - 1)/(q - 1) led
+    # further right, and sit among themselves in encoding order
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    lead = weights[(vecs != 0).argmax(axis=2)]
+    return vecs @ weights - lead + (lead - 1) // (q - 1)
+
+
+def incidence_block(subspaces, dtype=np.uint8) -> np.ndarray:
+    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in PointIndex order."""
+    ords = point_ordinals(subspaces)
+    first = subspaces[0]
+    out = np.zeros((len(subspaces), gaussian_binomial(first.n, 1, first.ctx.q)), dtype=dtype)
+    np.put_along_axis(out, ords, 1, axis=1)
+    return out
 
 
 @dataclass(frozen=True)

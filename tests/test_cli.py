@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from importlib.resources import files
 
 import jsonschema
@@ -134,6 +135,16 @@ def test_construct_malformed_file_round_trip(tmp_path):
     assert rc == 2 and "error:" in err
 
 
+def test_verify_huge_field_order_exits_promptly(tmp_path):
+    # the order ceiling is checked before q is factored by trial division
+    target = tmp_path / "fam.txt"
+    target.write_text("1000000000000000003 4 2 0\n")
+    t0 = time.perf_counter()
+    rc, _, err = run(["verify", "2", "4", "2", "-f", str(target)])
+    assert rc == 2 and "exceeds ceiling" in err
+    assert time.perf_counter() - t0 < 5
+
+
 # --- rank / gram ----------------------------------------------------------
 
 
@@ -152,7 +163,7 @@ def test_rank_from_file_inconclusive():
     two = "2 4 2 2\n" + "\n".join(famtext.splitlines()[2:6]) + "\n"
     rc, out, _ = run(["rank", "-f", "-"], stdin_text=two)
     assert rc == 1
-    assert out.startswith("INCONCLUSIVE rank=2 required=15")
+    assert out == "INCONCLUSIVE rank=2 required=15 shape=2x15\n"
 
 
 def test_rank_certified_from_file():
@@ -246,6 +257,15 @@ def test_graph_export(tmp_path):
     target = tmp_path / "graph.txt"
     assert run(["graph", "export", "2", "4", "2", "-o", str(target)])[0] == 0
     assert target.read_text() == out
+
+
+def test_distance_table_budget_exits_2(monkeypatch):
+    # G_2(4,2) has 35 vertices, within a budget of 100, but its 35^2-cell
+    # distance table is over the 10 * 100 ceiling
+    monkeypatch.setenv("GRASSMANN_BUDGET", "100")
+    for argv in (["graph", "export", "2", "4", "2"], ["metricdim", "greedy", "2", "4", "2"]):
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "" and "exceed" in err
 
 
 # --- spread / partition export -------------------------------------------

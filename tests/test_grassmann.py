@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from grassmd.errors import BudgetExceeded, DimensionMismatch, InvalidArgs
+from grassmd import subspaces as subspaces_mod
+from grassmd.errors import BudgetExceeded, DimensionMismatch, GrassmdError, InvalidArgs
 from grassmd.gfq import field_new
 from grassmd.grassmann import (
     GrassmannGraph,
@@ -17,7 +18,7 @@ from grassmd.grassmann import (
     is_resolving,
 )
 from grassmd.linalg import intersect_dim
-from grassmd.subspaces import Subspace, SubspaceFamily, gaussian_binomial
+from grassmd.subspaces import Subspace, SubspaceFamily, gaussian_binomial, point_ordinals
 
 
 def graph(q, n, k):
@@ -85,17 +86,39 @@ def test_distance_agrees_with_intersection_dim():
         assert distance(a, b) == 2 - intersect_dim(a.basis, b.basis)
 
 
-@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 6, 3)])
+@pytest.mark.parametrize(
+    "q,n,k", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (5, 4, 2), (7, 4, 2), (8, 4, 2), (9, 4, 2), (2, 6, 3)]
+)
 def test_codes_table_matches_per_vertex_codes(q, n, k):
-    # codes_table picks a specialized inner loop depending on (q, k); the
-    # element-by-element route through distance() is the reference
+    # every cell of the shared-point kernel against the RREF route through
+    # distance(), over prime and prime-power fields
     g = graph(q, n, k)
-    fam = SubspaceFamily(list(g.vertices[:7]))
+    fam = SubspaceFamily(random.Random(q * 100 + n).sample(g.vertices, 7))
     rows = codes_table(g.vertices, fam)
-    rng = random.Random(q * 100 + n)
-    picks = [rng.randrange(len(g.vertices)) for _ in range(25)]
-    for i in picks:
-        assert tuple(rows[i]) == code_of(g.vertices[i], fam).dists
+    assert len(rows) == len(g.vertices)
+    for v, row in zip(g.vertices, rows):
+        assert tuple(row) == code_of(v, fam).dists
+
+
+def test_codes_table_rejects_impossible_counts(monkeypatch):
+    # every subspace loses one of its 3 points, so each vertex shares 2
+    # points with itself; for q = 2, k = 2 only 0, 1 and 3 = [j 1]_2 occur
+    def doubled(subspaces):
+        ords = point_ordinals(subspaces)
+        ords[:, 1] = ords[:, 0]
+        return ords
+
+    g = graph(2, 4, 2)
+    fam = SubspaceFamily(list(g.vertices))
+    monkeypatch.setattr(subspaces_mod, "point_ordinals", doubled)
+    with pytest.raises(GrassmdError, match=r"\[j 1\]_q"):
+        codes_table(g.vertices, fam)
+
+
+def test_codes_table_rejects_empty_family():
+    g = graph(2, 4, 2)
+    with pytest.raises(InvalidArgs):
+        codes_table(g.vertices, SubspaceFamily([]))
 
 
 def test_code_of_matches_distance():
@@ -182,6 +205,16 @@ def test_graph_budget(monkeypatch):
     monkeypatch.setenv("GRASSMANN_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
         graph(2, 6, 3)
+
+
+def test_distance_rows_budget(monkeypatch):
+    # 35 vertices fit a budget of 100, but 35^2 cells exceed 10 * 100
+    monkeypatch.setenv("GRASSMANN_BUDGET", "100")
+    g = graph(2, 4, 2)
+    with pytest.raises(BudgetExceeded):
+        g.distance_rows()
+    monkeypatch.setenv("GRASSMANN_BUDGET", "123")
+    assert len(g.distance_rows()) == 35
 
 
 def test_bfs_matches_algebraic_distance():

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassmd.errors import BudgetExceeded, ContextMismatch, InvalidArgs
 from grassmd.gfq import field_new
@@ -16,6 +18,7 @@ from grassmd.subspaces import (
     enumeration_budget,
     gaussian_binomial,
     gaussian_binomial_pascal,
+    incidence_block,
     incidence_vector,
 )
 
@@ -243,3 +246,31 @@ def test_incidence_vector_context_mismatch():
         incidence_vector(s, PointIndex(field_new(3), 4))
     with pytest.raises(ContextMismatch):
         incidence_vector(s, PointIndex(field_new(2), 5))
+
+
+@st.composite
+def rref_families(draw):
+    """1-5 random d-subspaces of V(n,q), each written directly in RREF."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    n = draw(st.integers(1, {2: 6, 3: 5, 4: 4, 5: 4}.get(q, 3)))
+    d = draw(st.integers(1, n))
+    ctx = field_new(q)
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        pivots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=d, max_size=d)))
+        rows = [[0] * n for _ in range(d)]
+        for i, p in enumerate(pivots):
+            rows[i][p] = 1
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    rows[i][c] = draw(st.integers(0, q - 1))
+        members.append(Subspace.from_rows(ctx, n, rows))
+    return members
+
+
+@settings(max_examples=80, deadline=None)
+@given(rref_families())
+def test_incidence_block_matches_incidence_vector(members):
+    idx = PointIndex(members[0].ctx, members[0].n)
+    rows = [tuple(r) for r in incidence_block(members).tolist()]
+    assert rows == [incidence_vector(s, idx).bits for s in members]
