@@ -53,7 +53,7 @@ from .grassmann import (
     edge_list,
     is_resolving,
 )
-from .linalg import MatGFq, extend_basis, intersect_dim, mat, rank, rref
+from .linalg import MatGFq, intersect_dim, mat, rank, rref
 from .rank import (
     IncidenceMatrix,
     RankCertificate,
@@ -122,7 +122,6 @@ __all__ = [
     "edge_list",
     "enumerate_k_subspaces",
     "exact_rank",
-    "extend_basis",
     "factor_prime_power",
     "field_new",
     "format_family",

@@ -221,13 +221,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_metricdim(args) -> int:
     ctx = field_new(args.q)
     g = GrassmannGraph(ctx, args.n, args.k)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.method == "exact":
         mu, fam = metric_dimension_exact(g, args.limit)
     else:
         fam = metric_dimension_greedy(g)
         mu = None
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if args.json:
         print(json.dumps({
             "command": "metricdim", "method": args.method,

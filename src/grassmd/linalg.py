@@ -9,7 +9,7 @@ are immutable; operations return fresh objects.  Instances are desk-scale
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, InvalidArgs, NotSubspace
+from .errors import DimensionMismatch, InvalidArgs
 from .gfq import FieldCtx
 
 
@@ -108,10 +108,6 @@ def rank(m: MatGFq) -> int:
     return rref(m)[1]
 
 
-def transpose(m: MatGFq) -> MatGFq:
-    return MatGFq(m.ctx, m.cols, m.rows, tuple(zip(*m.data)) if m.rows else ((),) * m.cols)
-
-
 def stack(a: MatGFq, b: MatGFq) -> MatGFq:
     _check_compatible(a, b)
     return MatGFq(a.ctx, a.rows + b.rows, a.cols, a.data + b.data)
@@ -153,69 +149,3 @@ def intersect_dim(a: MatGFq, b: MatGFq) -> int:
     """
     _check_compatible(a, b)
     return a.rows + b.rows - rank(stack(a, b))
-
-
-def sum_space(a: MatGFq, b: MatGFq) -> MatGFq:
-    """RREF basis of rowspace(a) + rowspace(b)."""
-    _check_compatible(a, b)
-    return rref(stack(a, b))[0]
-
-
-class _Echelonizer:
-    """Incremental row-echelon basis over GF(q) for independence testing."""
-
-    def __init__(self, ctx: FieldCtx, cols: int):
-        self.ctx = ctx
-        self.cols = cols
-        self.pivots: list[int] = []
-        self.rows: list[list[int]] = []
-
-    def reduce(self, row) -> list[int]:
-        ctx = self.ctx
-        add_t, mul_t, neg_t = ctx.add_table, ctx.mul_table, ctx.neg_table
-        row = list(row)
-        for p, er in zip(self.pivots, self.rows):
-            f = row[p]
-            if f:
-                mrow = mul_t[neg_t[f]]
-                row = [add_t[x][mrow[y]] for x, y in zip(row, er)]
-        return row
-
-    def try_add(self, row) -> bool:
-        """Insert row if independent of the current basis; report success."""
-        ctx = self.ctx
-        red = self.reduce(row)
-        for c, x in enumerate(red):
-            if x:
-                if x != 1:
-                    mrow = ctx.mul_table[ctx.inv_table[x]]
-                    red = [mrow[y] for y in red]
-                self.pivots.append(c)
-                self.rows.append(red)
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def extend_basis(independent: MatGFq, ambient: MatGFq) -> MatGFq:
-    """Rows of ambient, first-fit in row order, completing independent to a
-    basis of rowspace(ambient).  Returns only the added rows."""
-    _check_compatible(independent, ambient)
-    target = rank(ambient)
-    ech = _Echelonizer(independent.ctx, independent.cols)
-    for row in independent.data:
-        if not ech.try_add(row):
-            raise InvalidArgs("rows of `independent` are linearly dependent")
-    if intersect_dim(rref(independent)[0], rref(ambient)[0]) != independent.rows:
-        raise NotSubspace("independent rows do not lie in rowspace(ambient)")
-    added = []
-    for row in ambient.data:
-        if ech.rank == target:
-            break
-        if ech.try_add(row):
-            added.append(row)
-    assert ech.rank == target
-    return MatGFq(ambient.ctx, len(added), ambient.cols, added)

@@ -209,10 +209,3 @@ def certify_resolving_by_rank(family: SubspaceFamily) -> RankCertificate:
     required = gaussian_binomial(first.n, 1, first.ctx.q)
     r = exact_rank(M)
     return RankCertificate(r == required, r, required)
-
-
-def dump_incidence(M: IncidenceMatrix) -> str:
-    """Text dump for external cross-checking: `m N` header, then 0/1 rows."""
-    lines = [f"{M.m} {M.N}"]
-    lines.extend("".join(map(str, iv.bits)) for iv in M.rows)
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,20 @@ branching always expands the uncovered set with the fewest candidates
 as Python int bitmasks; everything is deterministic, smallest ordinal
 first.
 
+On a Grassmann graph the exact search fixes two landmarks first.  The
+graph is distance-transitive (Brouwer–Cohen–Neumaier, *Distance-Regular
+Graphs*, §9.3): any two vertex pairs at the same distance j are swapped
+by an automorphism.  With 2 <= k <= n/2 the diameter is k and no single
+vertex resolves (two adjacent vertices lie on a clique of q+1 >= 3
+vertices, and a lone landmark sees two of them at the same distance), so
+a minimum resolving set has two members s, t with d(s,t) = j for some
+j in 1..k, and an automorphism carries them to vertex 0 and r_j, the
+smallest ordinal at distance j from vertex 0.  So mu is 2 plus the
+smallest hitting set, over j, of the pairs {0, r_j} leave unseparated;
+ties go to the smallest j.  `metric_dimension_from_distances`, for an
+arbitrary distance table, stays the unreduced search and serves as the
+oracle for the reduction.
+
 The greedy variant is partition refinement: repeatedly add the vertex
 whose distance classes split the most currently-unresolved pairs.  It
 needs only the distance table and scales to a few thousand vertices.
@@ -107,11 +121,15 @@ def minimum_hitting_set(sets: list, nv: int) -> tuple:
     return best_size, sorted(best)
 
 
+def _check_limit(nv: int, limit: int):
+    if nv > limit:
+        raise BudgetExceeded(f"{nv} vertices exceed exact-search limit {limit}")
+
+
 def metric_dimension_from_distances(dist_rows, limit: int = DEFAULT_EXACT_LIMIT) -> tuple:
     """Exact metric dimension of any graph given its distance table."""
     nv = len(dist_rows)
-    if nv > limit:
-        raise BudgetExceeded(f"{nv} vertices exceed exact-search limit {limit}")
+    _check_limit(nv, limit)
     if nv <= 1:
         return 0, []
     sets = pair_distinguishers(dist_rows)
@@ -119,9 +137,35 @@ def metric_dimension_from_distances(dist_rows, limit: int = DEFAULT_EXACT_LIMIT)
     return minimum_hitting_set(sets, nv)
 
 
+def _two_landmark_dimension(dist_rows) -> tuple:
+    """Exact (mu, sorted ordinals) of a distance-transitive graph that no
+    single vertex resolves: landmarks 0 and r_j fixed, one branch and bound
+    per distance class j of row 0 (see the module docstring)."""
+    nv, row0 = len(dist_rows), list(dist_rows[0])
+    sets = pair_distinguishers(dist_rows)
+    assert all(sets), "some pair is indistinguishable by every vertex"
+    best = None
+    for j in sorted(set(row0) - {0}):
+        r = row0.index(j)
+        fixed = 1 | 1 << r
+        size, picks = minimum_hitting_set([m for m in sets if not m & fixed], nv)
+        if best is None or size + 2 < best[0]:
+            best = (size + 2, sorted([0, r, *picks]))
+    return best
+
+
 def metric_dimension_exact(g: GrassmannGraph, limit: int = DEFAULT_EXACT_LIMIT) -> tuple:
-    """(mu, witness family) by exhaustive branch and bound."""
-    mu, ords = metric_dimension_from_distances(g.distance_rows(), limit)
+    """(mu, witness family), exact.
+
+    Branch and bound runs once per distance class j = 1..k, with vertex 0
+    and r_j (the smallest ordinal at distance j from it) fixed as landmarks.
+    That loses nothing: G_q(n,k) is distance-transitive and no single vertex
+    resolves it, so an automorphism carries two members of any minimum
+    resolving set onto some {0, r_j}.  Ties go to the smallest j, so the
+    witness is deterministic.  `metric_dimension_from_distances` stays the
+    unreduced search for arbitrary graphs."""
+    _check_limit(len(g), limit)
+    mu, ords = _two_landmark_dimension(g.distance_rows())
     return mu, SubspaceFamily(g.vertices[i] for i in ords)
 
 

@@ -106,6 +106,7 @@ def test_criterion_09_exact_metric_dimension_in_range():
     assert lo == 5 and hi == 15  # ceil(log2 35) - 1 and the greedy cap
     assert lo <= details["mu"] <= hi
     assert details["mu"] == 6
+    assert details["mu_unreduced"] == 6  # the unreduced search agrees
     assert details["witness_resolving"] is True
     assert details["witness_minimal"] is True
     assert len(details["witness_ordinals"]) == details["mu"]

@@ -1,12 +1,15 @@
 """Family file format: round-trips and line-precise parse errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grassmd.errors import InvalidArgs, NotPrimePower
+from grassmd.errors import GrassmdError, InvalidArgs, NotPrimePower
 from grassmd.famfile import format_family, parse_family
 from grassmd.gfq import field_new
 from grassmd.constructions import resolving_from_partition
 from grassmd.subspaces import SubspaceFamily, enumerate_k_subspaces
+from strategies import rref_families
 
 
 def test_round_trip():
@@ -58,3 +61,51 @@ def test_parse_errors(text, fragment):
 def test_parse_rejects_non_prime_power_field():
     with pytest.raises(NotPrimePower):
         parse_family("6 3 2 1\n1 0 0\n0 1 0\n")
+
+
+@st.composite
+def family_texts(draw):
+    """A valid family file: random distinct RREF members of one shape."""
+    members = list({m.key: m for m in draw(rref_families())}.values())
+    first = members[0]
+    return format_family(first.ctx.q, first.n, first.dim, SubspaceFamily(members))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_texts())
+def test_format_parse_round_trip_property(text):
+    ctx, n, k, fam = parse_family(text)
+    assert text.startswith(f"{ctx.q} {n} {k} {len(fam)}\n")
+    assert format_family(ctx.q, n, k, fam) == text
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid family file with one to three line-level mutations."""
+    lines = draw(family_texts()).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "drop", "repeat", "junk"]))
+        toks = lines[i].split()
+        if kind == "token" and toks:
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[j] = draw(st.one_of(st.integers(-2, 20).map(str), st.text(max_size=3)))
+            lines[i] = " ".join(toks)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = draw(st.text(max_size=20))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=200), mutated_texts()))
+def test_parse_fuzz_raises_only_grassmd_errors(text):
+    try:
+        parse_family(text)
+    except GrassmdError:
+        pass

