@@ -14,14 +14,13 @@ Three formulas are compared against the constructive bound [n 1]_q:
 is switchable and recorded in every report, since qualitative comparisons
 can flip for borderline instances.  Evaluation goes through exact big
 integers and 96-bit floating point, so double rounding on huge Gaussian
-binomials is not a concern.
+binomials is not a concern.  mpmath is imported inside the functions that
+use it, so importing the package does not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import mpmath
 
 from .errors import DegenerateBound, InvalidArgs
 from .subspaces import gaussian_binomial
@@ -31,6 +30,8 @@ _PRECISION_BITS = 96
 
 
 def _log(x, base: str = "e"):
+    import mpmath
+
     v = mpmath.log(mpmath.mpf(x))
     if base == "e":
         return v
@@ -43,6 +44,8 @@ def lower_bound(q: int, n: int, k: int) -> float:
     """log base k of [n k]_q; approximate, not rounded up here."""
     if k < 2:
         raise InvalidArgs(f"need k >= 2, got {k}")
+    import mpmath
+
     nv = gaussian_binomial(n, k, q)
     with mpmath.workprec(_PRECISION_BITS):
         return float(mpmath.log(mpmath.mpf(nv)) / mpmath.log(k))
@@ -50,6 +53,8 @@ def lower_bound(q: int, n: int, k: int) -> float:
 
 def babai_general(q: int, n: int, k: int, log_base: str = "e") -> float:
     """4 * sqrt(N) * log N with N = [n k]_q."""
+    import mpmath
+
     nv = gaussian_binomial(n, k, q)
     with mpmath.workprec(_PRECISION_BITS):
         return float(4 * mpmath.sqrt(mpmath.mpf(nv)) * _log(nv, log_base))
@@ -73,6 +78,8 @@ def babai_strong(q: int, n: int, k: int, log_base: str = "e") -> tuple:
             big_m, arg = term, j
     if big_m >= nv:
         raise DegenerateBound(f"M={big_m} >= N={nv}")
+    import mpmath
+
     with mpmath.workprec(_PRECISION_BITS):
         bound = float(
             2 * k * mpmath.mpf(nv) / mpmath.mpf(nv - big_m) * _log(nv, log_base)

@@ -13,7 +13,6 @@ import json
 import sys
 import time
 
-from . import acceptance as acceptance_mod
 from .bounds import CSV_HEADER, babai_strong, compare, csv_row, lower_bound
 from .constructions import (
     build_mixed_partition,
@@ -246,7 +245,9 @@ def _cmd_metricdim(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    results = acceptance_mod.run_all()
+    from .acceptance import run_all
+
+    results = run_all()
     if args.json:
         print(json.dumps({
             "command": "accept",
@@ -322,10 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("rank", help="incidence rank and the rank certificate")
-    sp.add_argument("-f", "--family", default=None,
-                    help="family file path, or - for stdin")
-    sp.add_argument("--all", nargs=3, type=int, metavar=("q", "n", "k"),
-                    help="use all k-subspaces as the family")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("-f", "--family", default=None,
+                        help="family file path, or - for stdin")
+    source.add_argument("--all", nargs=3, type=int, metavar=("q", "n", "k"),
+                        help="use all k-subspaces as the family")
     add_json(sp)
     sp.set_defaults(fn=_cmd_rank)
 

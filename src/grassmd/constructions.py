@@ -12,7 +12,9 @@ Three constructions, all deterministic (no randomness, fixed tie-breaks):
   every X_j + Z, deduplicated.
 * ``resolving_greedy_rank`` — scan all k-subspaces in canonical order and
   keep those whose incidence vector raises the exact rational rank, until
-  the rank hits [n 1]_q.
+  the rank hits [n 1]_q.  The kept rows are the row rank profile of the
+  full incidence matrix, certified by the multi-modular argument in
+  `rank.row_rank_profile`.
 
 Field reduction: V(n,q) is GF(q^t)^(n/t) coordinate-wise, so the points of
 the big-field space expand to a t-spread; the expansion writes each big
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .errors import InvalidArgs, InvalidShape, NotDivisor
 from .gfq import ExtensionField, FieldCtx
 from .linalg import MatGFq, mat_mul
-from .rank import BareissEliminator
+from .rank import row_rank_profile
 from .subspaces import (
     Subspace,
     SubspaceFamily,
@@ -34,8 +36,6 @@ from .subspaces import (
     gaussian_binomial,
     incidence_block,
 )
-
-GREEDY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -210,16 +210,7 @@ def resolving_greedy_rank(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     if not (2 <= k and 2 * k <= n):
         raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
     target = gaussian_binomial(n, 1, ctx.q)
-    elim = BareissEliminator(target)
     subs = enumerate_k_subspaces(ctx, n, k)
-    # incidence rows built a block at a time, only as far as the scan goes
-    rows = (bits for lo in range(0, len(subs), GREEDY_BLOCK)
-            for bits in incidence_block(subs[lo:lo + GREEDY_BLOCK]).tolist())
-    out = []
-    for sub, bits in zip(subs, rows):
-        if elim.try_add(bits):
-            out.append(sub)
-            if elim.rank == target:
-                break
-    assert elim.rank == target  # the full incidence matrix has rank [n 1]_q
-    return SubspaceFamily(out)
+    keep = row_rank_profile(incidence_block(subs))
+    assert len(keep) == target  # the full incidence matrix has rank [n 1]_q
+    return SubspaceFamily(subs[i] for i in keep)

@@ -26,6 +26,7 @@ from .errors import BudgetExceeded, DimensionMismatch, GrassmdError, InvalidArgs
 from .gfq import FieldCtx
 from .linalg import intersect_dim
 from .subspaces import (
+    DISTANCE_TABLE_FACTOR,
     Subspace,
     SubspaceFamily,
     enumerate_k_subspaces,
@@ -33,11 +34,6 @@ from .subspaces import (
     gaussian_binomial,
     incidence_block,
 )
-
-
-# Cells of the all-pairs table per unit of enumeration budget: 10^7 by
-# default, a 10 MB table and an 80 MB int64 copy in the greedy search.
-DISTANCE_TABLE_FACTOR = 10
 
 
 class GrassmannGraph:

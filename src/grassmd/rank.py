@@ -1,15 +1,21 @@
 """Exact rational rank of incidence matrices, plus the rank certificates.
 
-Ground truth is fraction-free Bareiss elimination on arbitrary-precision
-integers: every intermediate entry is a minor of the input, so divisions
-are exact and there is no rational blow-up.  A modular fast path reduces
-mod a fixed 61-bit Mersenne prime; modular rank never exceeds rational
-rank, so reaching full rank mod p certifies full rational rank, and any
-shortfall falls back to Bareiss.
+One numpy kernel, `_pivot_columns`, row-reduces a 0/1 matrix mod a prime
+p < 2^31 (so every product of two residues fits in int64) and lists its
+pivot columns.  Rank mod p never exceeds rational rank, and the
+multi-modular certificate closes the gap exactly.  Let R be the largest
+rank mod p over the primes used and w the largest row weight.  A nonzero
+(R+1)-minor would be divisible by every prime used, yet Hadamard's
+inequality bounds it by w^((R+1)/2); so once the product of the primes
+squared exceeds w^(R+1), the rational rank is R.  The comparison is one
+exact integer comparison.  A matrix that reaches min(rows, cols) mod the
+first prime needs no second one.
 
-Both eliminators are incremental (rows are fed one at a time and either
-absorbed or rejected), which also serves the greedy construction that
-keeps exactly the rows raising the rank.
+`exact_rank` runs the kernel on the matrix; `row_rank_profile` runs it on
+the transpose, whose pivot columns are the rows that raise the rank, and
+serves the greedy construction that keeps exactly those rows.  Fraction-free
+Bareiss elimination on arbitrary-precision integers stays as the oracle,
+behind `exact_rank(M, use_fast_path=False)`.
 
 The closed-form certificate: for the full incidence matrix M of all
 k-subspaces against all points, M^T M = a·J + b·I with a = [n-2 k-2]_q
@@ -32,15 +38,12 @@ import numpy as np
 from .errors import ContextMismatch, InvalidArgs
 from .gfq import FieldCtx
 from .subspaces import (
-    IncidenceVector,
     PointIndex,
     SubspaceFamily,
     enumerate_k_subspaces,
     gaussian_binomial,
     incidence_block,
 )
-
-MODULAR_PRIME = 2**61 - 1
 
 
 class BareissEliminator:
@@ -85,45 +88,75 @@ class BareissEliminator:
         return len(self.pivot_rows)
 
 
-class ModularEliminator:
-    """Incremental row reduction mod a fixed prime; rank is a lower bound
-    on the rational rank, exact when it reaches min(rows, cols)."""
-
-    def __init__(self, cols: int, p: int = MODULAR_PRIME):
-        self.cols = cols
-        self.p = p
-        self.pivot_cols: list[int] = []
-        self.pivot_rows: list[list[int]] = []  # normalized: 1 at pivot column
-
-    def try_add(self, row) -> bool:
-        p = self.p
-        r = [x % p for x in row]
-        for c, prow in zip(self.pivot_cols, self.pivot_rows):
-            f = r[c]
-            if f:
-                r = [(x - f * y) % p for x, y in zip(r, prow)]
-        for c, x in enumerate(r):
-            if x:
-                if x != 1:
-                    inv = pow(x, p - 2, p)
-                    r = [(inv * y) % p for y in r]
-                self.pivot_cols.append(c)
-                self.pivot_rows.append(r)
-                return True
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 7, 61 are exact below 4759123141."""
+    if n < 2:
         return False
+    for b in (2, 7, 61):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 7, 61):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+
+def modular_primes():
+    """The primes below 2^31, largest first."""
+    n = 2**31 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
 
 
-@dataclass(frozen=True)
+def _pivot_columns(a: np.ndarray, p: int) -> list:
+    """Pivot columns of the row echelon form of the 0/1 matrix a mod p:
+    column c is one iff it is independent mod p of the columns before it."""
+    a = a.astype(np.int64)
+    rows, cols = a.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + nz[0]
+        # rows above r are finished, so the pivot row is moved out of the
+        # way rather than swapped, and column c is never read again
+        prow = a[i, c + 1:] * pow(int(a[i, c]), -1, p) % p
+        a[i, c:] = a[r, c:]
+        below = r + 1 + np.flatnonzero(a[r + 1:, c])
+        if below.size:
+            a[below, c + 1:] = (a[below, c + 1:] - a[below, c, None] * prow) % p
+        pivots.append(c)
+    return pivots
+
+
+def _max_row_weight(rows: np.ndarray) -> int:
+    return int(rows.sum(axis=1, dtype=np.int64).max()) if rows.size else 0
+
+
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
-    """0/1 rows: member i of the family against every projective point."""
+    """0/1 rows, an (m, N) uint8 array: member i of the family against
+    every projective point."""
 
     m: int
     N: int
-    rows: tuple
+    rows: np.ndarray
     provenance: SubspaceFamily
 
 
@@ -135,31 +168,55 @@ def incidence_matrix(family: SubspaceFamily, idx: PointIndex | None = None) -> I
     if idx is not None and (idx.ctx != first.ctx or idx.n != first.n):
         raise ContextMismatch("family and point index disagree on (q, n)")
     block = incidence_block(family)
-    rows = tuple(IncidenceVector(tuple(r)) for r in block.tolist())
-    return IncidenceMatrix(len(family), block.shape[1], rows, family)
-
-
-def _full_rank_target(M: IncidenceMatrix) -> int:
-    return min(M.m, M.N)
+    block.flags.writeable = False
+    return IncidenceMatrix(block.shape[0], block.shape[1], block, family)
 
 
 def exact_rank(M: IncidenceMatrix, use_fast_path: bool = True) -> int:
     """Rank over the rationals.
 
-    The modular pass runs first (when enabled) and is conclusive exactly
-    when it reaches min(m, N); otherwise Bareiss decides.
+    Multi-modular by default: primes are added until one reaches
+    min(m, N) or the Hadamard bound rules out a larger rational rank.
+    With use_fast_path=False, Bareiss elimination decides alone.
     """
-    target = _full_rank_target(M)
-    if use_fast_path:
-        mod = ModularEliminator(M.N)
-        for iv in M.rows:
-            if mod.try_add(iv.bits) and mod.rank == target:
-                return target
-    bar = BareissEliminator(M.N)
-    for iv in M.rows:
-        if bar.try_add(iv.bits) and bar.rank == target:
-            return target
-    return bar.rank
+    target = min(M.m, M.N)
+    if not use_fast_path:
+        bar = BareissEliminator(M.N)
+        for row in M.rows.tolist():
+            if bar.try_add(row) and bar.rank == target:
+                break
+        return bar.rank
+    w = _max_row_weight(M.rows)
+    best, modulus = 0, 1
+    for p in modular_primes():
+        best = max(best, len(_pivot_columns(M.rows, p)))
+        modulus *= p
+        if best == target or modulus * modulus > w ** (best + 1):
+            return best
+
+
+def row_rank_profile(rows: np.ndarray) -> list:
+    """Indices of the 0/1 rows that raise the rational rank, scanning in
+    order: row i is listed iff it is outside the span of rows 0..i-1.
+
+    The prefix ranks mod p come from the pivot columns of the transpose.
+    Each prefix's rational rank is the largest of its ranks over the primes
+    once their product squared exceeds w^e, e = min(R + 1, m, N) with R the
+    largest final rank: a prefix whose largest rank R_j is short of its
+    full rank needs w^(R_j + 1), and R_j + 1 <= e.
+    """
+    m, N = rows.shape
+    w = _max_row_weight(rows)
+    prefix = np.zeros(m, dtype=np.int64)
+    modulus = 1
+    for p in modular_primes():
+        grows = np.zeros(m, dtype=np.int64)
+        grows[_pivot_columns(rows.T, p)] = 1
+        prefix = np.maximum(prefix, np.cumsum(grows))
+        modulus *= p
+        final = int(prefix[-1]) if m else 0
+        if modulus * modulus > w ** min(final + 1, m, N):
+            return np.flatnonzero(np.diff(prefix, prepend=0)).tolist()
 
 
 def gram_closed_form(ctx: FieldCtx, n: int, k: int) -> tuple:

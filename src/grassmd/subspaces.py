@@ -27,6 +27,10 @@ from .linalg import MatGFq, rref_rows
 
 DEFAULT_ENUM_BUDGET = 10**6
 
+# Cells of a dense table (incidence block, all-pairs distances) per unit of
+# enumeration budget: 10^7 by default, a 10 MB table and an 80 MB int64 copy.
+DISTANCE_TABLE_FACTOR = 10
+
 
 def enumeration_budget() -> int:
     """Enumeration ceiling; GRASSMANN_BUDGET overrides the default 10^6."""
@@ -261,6 +265,19 @@ class PointIndex:
         return self._pos[self.normalize(v)]
 
 
+def _point_count(subspaces) -> int:
+    """[n 1]_q for the ambient space of subspaces, refusing an empty list
+    and more points than the enumeration budget."""
+    if len(subspaces) == 0:
+        raise InvalidArgs("no subspaces to list points of")
+    first = subspaces[0]
+    points = gaussian_binomial(first.n, 1, first.ctx.q)
+    budget = enumeration_budget()
+    if points > budget:
+        raise BudgetExceeded(f"[{first.n} 1]_{first.ctx.q} = {points} points exceed budget {budget}")
+    return points
+
+
 def point_ordinals(subspaces) -> np.ndarray:
     """(S, [d 1]_q) array: row s holds the PointIndex ordinals of the points
     of subspaces[s], for same-shape d-subspaces of V(n,q).
@@ -270,16 +287,11 @@ def point_ordinals(subspaces) -> np.ndarray:
     columns, so c·B is normalized too, and its ordinal follows in closed
     form from its big-endian encoding and its leading column.
     """
-    if len(subspaces) == 0:
-        raise InvalidArgs("no subspaces to list points of")
+    _point_count(subspaces)
     first = subspaces[0]
     ctx, n, d, q = first.ctx, first.n, first.dim, first.ctx.q
     if any(s.ctx != ctx or s.n != n or s.dim != d for s in subspaces):
         raise DimensionMismatch("subspaces differ in field, ambient space or dimension")
-    points = gaussian_binomial(n, 1, q)
-    budget = enumeration_budget()
-    if points > budget:
-        raise BudgetExceeded(f"[{n} 1]_{q} = {points} points exceed budget {budget}")
     add = np.array(ctx.add_table, dtype=np.uint8)
     mul = np.array(ctx.mul_table, dtype=np.uint8)
     coeffs = np.array(PointIndex(ctx, d).points, dtype=np.uint8)  # (P, d)
@@ -295,10 +307,16 @@ def point_ordinals(subspaces) -> np.ndarray:
 
 
 def incidence_block(subspaces, dtype=np.uint8) -> np.ndarray:
-    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in PointIndex order."""
+    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in PointIndex order;
+    refuses more than DISTANCE_TABLE_FACTOR × the enumeration budget cells
+    before allocating any."""
+    points = _point_count(subspaces)
+    cells, ceiling = len(subspaces) * points, DISTANCE_TABLE_FACTOR * enumeration_budget()
+    if cells > ceiling:
+        raise BudgetExceeded(
+            f"{len(subspaces)} x {points} incidence cells exceed ceiling {ceiling}")
     ords = point_ordinals(subspaces)
-    first = subspaces[0]
-    out = np.zeros((len(subspaces), gaussian_binomial(first.n, 1, first.ctx.q)), dtype=dtype)
+    out = np.zeros((len(subspaces), points), dtype=dtype)
     np.put_along_axis(out, ords, 1, axis=1)
     return out
 

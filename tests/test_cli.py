@@ -11,6 +11,9 @@ import jsonschema
 import pytest
 
 from grassmd import cli
+from grassmd.famfile import format_family
+from grassmd.gfq import field_new
+from grassmd.subspaces import enumerate_k_subspaces
 
 
 SCHEMA = json.loads(files("grassmd").joinpath("schema.json").read_text())
@@ -171,6 +174,26 @@ def test_rank_certified_from_file():
     rc, out, _ = run(["rank", "-f", "-"], stdin_text=famtext)
     assert rc == 0
     assert out.startswith("CERTIFIED rank=63 required=63")
+
+
+def test_rank_source_options_are_exclusive():
+    rc, out, err = run(["rank", "-f", "/nonexistent", "--all", "2", "4", "2"])
+    assert rc == 2 and out == "" and "not allowed" in err
+    rc, out, err = run(["rank"])
+    assert rc == 2 and out == "" and "need -f FILE or --all" in err
+
+
+def test_incidence_cell_ceiling_exits_2(monkeypatch, tmp_path):
+    # all 35 vertices of G_2(4,2) fit a budget of 50, but their incidence
+    # block, 35 x 15 = 525 cells, is over the 10 * 50 ceiling
+    target = tmp_path / "fam.txt"
+    subs = enumerate_k_subspaces(field_new(2), 4, 2)
+    target.write_text(format_family(2, 4, 2, subs))
+    monkeypatch.setenv("GRASSMANN_BUDGET", "50")
+    for argv in (["rank", "-f", str(target)], ["rank", "--all", "2", "4", "2"],
+                 ["verify", "2", "4", "2", "-f", str(target)]):
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "" and "incidence cells exceed" in err
 
 
 def test_gram_plain_and_json():

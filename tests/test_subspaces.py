@@ -1,5 +1,6 @@
 """Gaussian binomials, k-subspace enumeration, projective point index."""
 
+import importlib
 import itertools
 import math
 
@@ -254,3 +255,19 @@ def test_incidence_block_matches_incidence_vector(members):
     idx = PointIndex(members[0].ctx, members[0].n)
     rows = [tuple(r) for r in incidence_block(members).tolist()]
     assert rows == [incidence_vector(s, idx).bits for s in members]
+
+
+def test_incidence_block_refuses_too_many_cells_before_building(monkeypatch):
+    members = enumerate_k_subspaces(field_new(2), 5, 2)  # 155 x 31 = 4805 cells
+    monkeypatch.setenv("GRASSMANN_BUDGET", "400")  # ceiling 10 * 400 cells
+    subspaces_mod = importlib.import_module("grassmd.subspaces")
+
+    def unreachable(subs):
+        raise AssertionError("points listed before the cell check")
+
+    monkeypatch.setattr(subspaces_mod, "point_ordinals", unreachable)
+    with pytest.raises(BudgetExceeded, match="incidence cells"):
+        incidence_block(members)
+    monkeypatch.undo()
+    monkeypatch.setenv("GRASSMANN_BUDGET", "481")
+    assert incidence_block(members).shape == (155, 31)
