@@ -42,7 +42,6 @@ from .errors import (
 from .famfile import format_family, parse_family
 from .gfq import ExtensionField, FieldCtx, factor_prime_power, field_new
 from .grassmann import (
-    Code,
     GrassmannGraph,
     ResolvingVerdict,
     bfs_distance,
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport",
     "BudgetExceeded",
-    "Code",
     "ContextMismatch",
     "DegenerateBound",
     "DimensionMismatch",

@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .bounds import CSV_HEADER, babai_strong, compare, csv_row, lower_bound
+from .bounds import CSV_HEADER, compare, csv_row
 from .constructions import (
     build_mixed_partition,
     build_spread,
@@ -21,12 +21,11 @@ from .constructions import (
     resolving_from_spread,
     resolving_greedy_rank,
 )
-from .errors import BudgetExceeded, GrassmdError
+from .errors import GrassmdError, InvalidArgs
 from .famfile import format_family, parse_family
 from .gfq import field_new
 from .grassmann import GrassmannGraph, edge_list, is_resolving
-from .rank import certify_resolving_by_rank, exact_rank, incidence_matrix
-from .rank import verify_gram as rank_verify_gram
+from .rank import certify_resolving_by_rank, gram_closed_form, verify_gram
 from .search import DEFAULT_EXACT_LIMIT, metric_dimension_exact, metric_dimension_greedy
 from .subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
 
@@ -40,10 +39,15 @@ def _emit(text: str, path: str | None):
 
 
 def _read_family_arg(path: str):
-    if path == "-":
-        return parse_family(sys.stdin.read())
-    with open(path) as fh:
-        return parse_family(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InvalidArgs(f"family file {path} is not text: {e}")
+    return parse_family(text)
 
 
 def _cmd_binom(args) -> int:
@@ -140,38 +144,29 @@ def _cmd_verify(args) -> int:
 def _cmd_rank(args) -> int:
     if args.all is not None:
         q, n, k = args.all
-        ctx = field_new(q)
-        fam = SubspaceFamily(enumerate_k_subspaces(ctx, n, k))
-        required = gaussian_binomial(n, 1, q)
-        M = incidence_matrix(fam)
-        r = exact_rank(M)
-        certified = r == required
-        m, N = M.m, M.N
+        fam = SubspaceFamily(enumerate_k_subspaces(field_new(q), n, k))
     elif args.family:
-        ctx, n, k, fam = _read_family_arg(args.family)
-        cert = certify_resolving_by_rank(fam)
-        r, certified, required = cert.rank, cert.certified, cert.required
-        m, N = len(fam), required
+        fam = _read_family_arg(args.family)[3]
     else:
         print("rank: need -f FILE or --all q n k", file=sys.stderr)
         return 2
+    cert = certify_resolving_by_rank(fam)
+    m, N = len(fam), cert.required
     if args.json:
         print(json.dumps({
             "command": "rank", "mode": "all" if args.all else "family",
-            "rank": r, "required": required, "certified": certified,
+            "rank": cert.rank, "required": cert.required, "certified": cert.certified,
             "m": m, "N": N,
         }))
     else:
-        status = "CERTIFIED" if certified else "INCONCLUSIVE"
-        print(f"{status} rank={r} required={required} shape={m}x{N}")
-    return 0 if certified else 1
+        status = "CERTIFIED" if cert.certified else "INCONCLUSIVE"
+        print(f"{status} rank={cert.rank} required={cert.required} shape={m}x{N}")
+    return 0 if cert.certified else 1
 
 
 def _cmd_gram(args) -> int:
-    from .rank import gram_closed_form
-
     ctx = field_new(args.q)
-    ok = rank_verify_gram(ctx, args.n, args.k)
+    ok = verify_gram(ctx, args.n, args.k)
     diag, offdiag = gram_closed_form(ctx, args.n, args.k)
     if args.json:
         print(json.dumps({"command": "gram", "q": args.q, "n": args.n,
@@ -374,13 +369,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except GrassmdError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (GrassmdError, OSError) as e:  # BudgetExceeded is a GrassmdError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgs, InvalidShape, NotDivisor
+from .errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from .gfq import ExtensionField, FieldCtx
 from .linalg import MatGFq, mat_mul
 from .rank import row_rank_profile
@@ -33,8 +33,10 @@ from .subspaces import (
     Subspace,
     SubspaceFamily,
     enumerate_k_subspaces,
+    enumeration_budget,
     gaussian_binomial,
     incidence_block,
+    point_reps,
 )
 
 
@@ -68,26 +70,21 @@ class MixedPartition:
     Z: Subspace
 
 
-def _bigfield_point_reps(order: int, m: int):
-    """Normalized reps of the 1-subspaces of V(m, GF(order)), ascending by
-    big-endian integer encoding (first nonzero entry = 1)."""
-    from itertools import product
-
-    for f in range(m - 1, -1, -1):
-        head = (0,) * f + (1,)
-        for tail in product(range(order), repeat=m - f - 1):
-            yield head + tail
+def _check_budget(count: int, what: str):
+    budget = enumeration_budget()
+    if count > budget:
+        raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
 
 
 def build_spread(ctx: FieldCtx, n: int, t: int) -> Spread:
     """Field-reduction t-spread of V(n,q); exists iff t divides n."""
     if n % t != 0:
         raise NotDivisor(f"t={t} does not divide n={n}")
-    m = n // t
+    count = (ctx.q**n - 1) // (ctx.q**t - 1)
+    _check_budget(count, f"members of a {t}-spread of V({n},{ctx.q})")
     ext = ExtensionField(ctx, t)
-    order = ext.order
     members = []
-    for rep in _bigfield_point_reps(order, m):
+    for rep in point_reps(ext.order, n // t):
         rows = []
         for j in range(t):
             lam = ext.from_coords([0] * j + [1])  # j-th power basis element
@@ -99,7 +96,7 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> Spread:
         assert sub.dim == t
         members.append(sub)
     fam = SubspaceFamily(members)
-    assert len(fam) == (ctx.q**n - 1) // (ctx.q**t - 1)
+    assert len(fam) == count
     return Spread(ctx, n, t, fam)
 
 
@@ -119,6 +116,8 @@ def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
         raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
     if n % (k + 1) != 0:
         raise NotDivisor(f"k+1={k + 1} does not divide n={n}")
+    # [k+1 k]_q k-subspaces in each of the [n 1]_q / [k+1 1]_q members
+    _check_budget(gaussian_binomial(n, 1, ctx.q), f"{k}-subspaces")
     spread = build_spread(ctx, n, k + 1)
     coeff_subs = enumerate_k_subspaces(ctx, k + 1, k)
     members = []
@@ -136,6 +135,17 @@ def _embed_leading(sub: Subspace, n: int) -> Subspace:
     return Subspace(sub.ctx, n, MatGFq(sub.ctx, sub.dim, n, rows), sub.pivots)
 
 
+def _partition_shape(n: int, k: int) -> tuple:
+    """(s, t) with n = s + t, (k+1) | s and 0 < t < k+1; s > 0 because
+    n >= 2k >= k+2."""
+    if not (2 <= k and 2 * k <= n):
+        raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
+    t = n % (k + 1)
+    if t == 0:
+        raise InvalidShape(f"k+1={k + 1} divides n={n}; use the spread construction")
+    return n - t, t
+
+
 def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
     """Partition for n = r(k+1) + t with 0 < t < k+1.
 
@@ -146,18 +156,10 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
     a give subspaces meeting only at 0, and every vector with a nonzero
     tail lies in exactly one X_a.
     """
-    if not (2 <= k and 2 * k <= n):
-        raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
-    t = n % (k + 1)
-    r = n // (k + 1)
-    if t == 0:
-        raise InvalidShape(f"k+1={k + 1} divides n={n}; use the spread construction")
-    if r == 0:
-        raise InvalidShape(f"need n >= k+1, got n={n} k={k}")
-    s = n - t
+    s, t = _partition_shape(n, k)
+    ext_s = ExtensionField(ctx, s)
     spread_s = build_spread(ctx, s, k + 1)
     w_members = SubspaceFamily(_embed_leading(w, n) for w in spread_s.members)
-    ext_s = ExtensionField(ctx, s)
     tail = []
     for a in range(ext_s.order):
         rows = []
@@ -178,6 +180,10 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
 def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     """k-subspaces of every W_i and every X_j + Z, deduplicated in first-seen
     order; for t = 1 the size is exactly [n 1]_q + q^(n-k) [k-1 1]_q."""
+    q, s = ctx.q, _partition_shape(n, k)[0]
+    # [k+1 k]_q k-subspaces in each W_i and each X_j + Z, before dedup
+    blocks = (q**s - 1) // (q ** (k + 1) - 1) + q**s
+    _check_budget(blocks * gaussian_binomial(k + 1, 1, q), f"{k}-subspaces before dedup")
     part = build_mixed_partition(ctx, n, k)
     coeff_subs = enumerate_k_subspaces(ctx, k + 1, k)
     seen = set()
@@ -198,7 +204,6 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
             add(sub)
     fam = SubspaceFamily(out)
     if part.t == 1:
-        q = ctx.q
         expected = gaussian_binomial(n, 1, q) + q ** (n - k) * gaussian_binomial(k - 1, 1, q)
         assert len(fam) == expected
     return fam

@@ -17,7 +17,12 @@ degenerates to the polynomial x, i.e. plain mod-p arithmetic.
 degree-t power-basis extension of an existing GF(q), with elements encoded
 base q.  It is the workhorse behind field-reduction spreads, where
 V(n, q) is read as V(n/t, q^t) and the power basis 1, y, ..., y^{t-1}
-supplies the GF(q)-coordinates.
+supplies the GF(q)-coordinates.  Its products are polynomial products
+reduced on the fly: the constructions make about order x t of them, far
+fewer than an order x order table would cost to fill.
+
+The ceilings DEFAULT_MAX_ORDER (for GF(q)) and EXTENSION_MAX_ORDER (for
+GF(q^t)) are fixed; larger orders raise TooLarge.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ FieldElement = int
 
 DEFAULT_MAX_ORDER = 16
 EXTENSION_MAX_ORDER = 4096
-_TABLE_LIMIT = 512  # largest order for which op tables are materialized
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -158,10 +162,10 @@ def _smallest_irreducible(field, deg: int):
 class FieldCtx:
     """GF(p^e) with table-driven arithmetic.  Immutable after construction."""
 
-    def __init__(self, q: int, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, q: int):
         # the ceiling first: factoring a huge q by trial division would hang
-        if q > max_order:
-            raise TooLarge(f"field order {q} exceeds ceiling {max_order}")
+        if q > DEFAULT_MAX_ORDER:
+            raise TooLarge(f"field order {q} exceeds ceiling {DEFAULT_MAX_ORDER}")
         p, e = factor_prime_power(q)
         self.p = p
         self.e = e
@@ -239,9 +243,9 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def field_new(q: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldCtx:
-    """Context for GF(q) with the canonical modulus.  Cached per (q, ceiling)."""
-    return FieldCtx(q, max_order=max_order)
+def field_new(q: int) -> FieldCtx:
+    """Context for GF(q) with the canonical modulus.  Cached per q."""
+    return FieldCtx(q)
 
 
 class ExtensionField:
@@ -253,32 +257,17 @@ class ExtensionField:
     FieldCtx, one level up.
     """
 
-    def __init__(self, base: FieldCtx, t: int, max_order: int = EXTENSION_MAX_ORDER):
+    def __init__(self, base: FieldCtx, t: int):
         if t < 1:
             raise NotPrimePower(f"extension degree must be >= 1, got {t}")
         self.base = base
         self.t = t
         self.order = base.q**t
-        if self.order > max_order:
+        if self.order > EXTENSION_MAX_ORDER:
             raise TooLarge(
-                f"extension order {base.q}^{t} exceeds ceiling {max_order}"
+                f"extension order {base.q}^{t} exceeds ceiling {EXTENSION_MAX_ORDER}"
             )
         self.modulus = _smallest_irreducible(base, t)
-        self._tables = self.order <= _TABLE_LIMIT
-        if self._tables:
-            n = self.order
-            mul = [[0] * n for _ in range(n)]
-            inv = [0] * n
-            for a in range(n):
-                ca = self.coords(a)
-                for b in range(a, n):
-                    prod = _poly_rem(base, _poly_mul(base, ca, self.coords(b)), self.modulus)
-                    m = self.from_coords(prod + (0,) * (t - len(prod)))
-                    mul[a][b] = mul[b][a] = m
-                    if m == 1:
-                        inv[a], inv[b] = b, a
-            self._mul = tuple(tuple(r) for r in mul)
-            self._inv = tuple(inv)
 
     def coords(self, a: int) -> tuple[FieldElement, ...]:
         """Base-field coordinates of a over the power basis (length t)."""
@@ -297,16 +286,12 @@ class ExtensionField:
         )
 
     def mul(self, a: int, b: int) -> int:
-        if self._tables:
-            return self._mul[a][b]
         prod = _poly_rem(self.base, _poly_mul(self.base, self.coords(a), self.coords(b)), self.modulus)
         return self.from_coords(prod + (0,) * (self.t - len(prod)))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self._tables:
-            return self._inv[a]
         # a^(order-2) by square and multiply
         result, power, k = 1, a, self.order - 2
         while k:

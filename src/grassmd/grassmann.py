@@ -87,13 +87,6 @@ class GrassmannGraph:
 
 
 @dataclass(frozen=True)
-class Code:
-    """Distance list of one vertex against a family, in family order."""
-
-    dists: tuple
-
-
-@dataclass(frozen=True)
 class ResolvingVerdict:
     resolving: bool
     ordinals: tuple | None = None  # colliding (i, j), i < j, lexicographically first
@@ -112,8 +105,9 @@ def distance(a: Subspace, b: Subspace) -> int:
     return a.dim - intersect_dim(a.basis, b.basis)
 
 
-def code_of(w: Subspace, family: SubspaceFamily) -> Code:
-    return Code(tuple(distance(w, u) for u in family))
+def code_of(w: Subspace, family: SubspaceFamily) -> tuple:
+    """Distances of w to the family members, in family order."""
+    return tuple(distance(w, u) for u in family)
 
 
 # Floats per product block (incidence rows plus counts), about 256 KB: larger

@@ -14,8 +14,8 @@ first prime needs no second one.
 `exact_rank` runs the kernel on the matrix; `row_rank_profile` runs it on
 the transpose, whose pivot columns are the rows that raise the rank, and
 serves the greedy construction that keeps exactly those rows.  Fraction-free
-Bareiss elimination on arbitrary-precision integers stays as the oracle,
-behind `exact_rank(M, use_fast_path=False)`.
+Bareiss elimination on arbitrary-precision integers, `BareissEliminator`,
+stays as the oracle that tests and `accept` run by name.
 
 The closed-form certificate: for the full incidence matrix M of all
 k-subspaces against all points, M^T M = a·J + b·I with a = [n-2 k-2]_q
@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContextMismatch, InvalidArgs
+from .errors import InvalidArgs, TooLarge
 from .gfq import FieldCtx
 from .subspaces import (
-    PointIndex,
     SubspaceFamily,
     enumerate_k_subspaces,
     gaussian_binomial,
@@ -157,35 +156,21 @@ class IncidenceMatrix:
     m: int
     N: int
     rows: np.ndarray
-    provenance: SubspaceFamily
 
 
-def incidence_matrix(family: SubspaceFamily, idx: PointIndex | None = None) -> IncidenceMatrix:
-    """Rows over the points in PointIndex order; idx, if given, must match."""
+def incidence_matrix(family: SubspaceFamily) -> IncidenceMatrix:
+    """Rows over the points in PointIndex order."""
     if len(family) == 0:
         raise InvalidArgs("family is empty")
-    first = family[0]
-    if idx is not None and (idx.ctx != first.ctx or idx.n != first.n):
-        raise ContextMismatch("family and point index disagree on (q, n)")
     block = incidence_block(family)
     block.flags.writeable = False
-    return IncidenceMatrix(block.shape[0], block.shape[1], block, family)
+    return IncidenceMatrix(block.shape[0], block.shape[1], block)
 
 
-def exact_rank(M: IncidenceMatrix, use_fast_path: bool = True) -> int:
-    """Rank over the rationals.
-
-    Multi-modular by default: primes are added until one reaches
-    min(m, N) or the Hadamard bound rules out a larger rational rank.
-    With use_fast_path=False, Bareiss elimination decides alone.
-    """
+def exact_rank(M: IncidenceMatrix) -> int:
+    """Rank over the rationals: primes are added until one reaches
+    min(m, N) or the Hadamard bound rules out a larger rational rank."""
     target = min(M.m, M.N)
-    if not use_fast_path:
-        bar = BareissEliminator(M.N)
-        for row in M.rows.tolist():
-            if bar.try_add(row) and bar.rank == target:
-                break
-        return bar.rank
     w = _max_row_weight(M.rows)
     best, modulus = 0, 1
     for p in modular_primes():
@@ -231,12 +216,18 @@ def gram_closed_form(ctx: FieldCtx, n: int, k: int) -> tuple:
 def verify_gram(ctx: FieldCtx, n: int, k: int) -> bool:
     """Entrywise check that M^T M = offdiag*J + (diag-offdiag)*I for the
     full incidence matrix, plus nonvanishing of the closed-form determinant
-    b^(N-1) * (b + N*a)."""
+    b^(N-1) * (b + N*a).
+
+    The product is a float64 BLAS product, exact because every entry is a
+    count of at most V vertices, and V < 2^53 is checked first."""
     diag, offdiag = gram_closed_form(ctx, n, k)
-    a_np = incidence_block(enumerate_k_subspaces(ctx, n, k), np.int64)
+    vertices = gaussian_binomial(n, k, ctx.q)
+    if vertices >= 2**53:
+        raise TooLarge(f"[{n} {k}]_{ctx.q} = {vertices} vertices: Gram entries would not be exact")
+    a_np = incidence_block(enumerate_k_subspaces(ctx, n, k), np.float64)
     gram = a_np.T @ a_np
     N = a_np.shape[1]
-    expected = np.full((N, N), offdiag, dtype=np.int64)
+    expected = np.full((N, N), offdiag, dtype=np.float64)
     np.fill_diagonal(expected, diag)
     if not np.array_equal(gram, expected):
         return False

@@ -5,6 +5,8 @@ equality and deduplication are tuple comparisons.  Enumeration generates
 RREF matrices directly from pivot-column patterns — every matrix produced
 is a distinct subspace, no rejection or hashing needed — and then sorts by
 the flattened basis encoding so the order is a stable public contract.
+(Bases of one shape compare row by row exactly as their flattenings do,
+so the sort compares the row tuples themselves.)
 
 Projective points (1-subspaces) get their own index: each is stored as its
 normalized representative (first nonzero coordinate scaled to 1), ordered
@@ -16,7 +18,6 @@ at once; `incidence_vector` is its membership-test oracle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -216,33 +217,33 @@ def enumerate_k_subspaces(ctx: FieldCtx, n: int, k: int) -> list:
             m = MatGFq(ctx, k, n, rows)
             out.append(Subspace(ctx, n, m, pivots))
     assert len(out) == count
-    out.sort(key=lambda s: s.key)
+    out.sort(key=lambda s: s.basis.data)
     return out
 
 
-class PointIndex:
-    """The N = [n 1]_q projective points of V(n,q), in a fixed order.
+def point_reps(q: int, n: int):
+    """Normalized representatives (first nonzero coordinate 1) of the
+    projective points of V(n,q), ascending by big-endian integer encoding:
+    a later leading column means a smaller encoding."""
+    for f in range(n - 1, -1, -1):
+        head = (0,) * f + (1,)
+        for tail in product(range(q), repeat=n - f - 1):
+            yield head + tail
 
-    Point i is stored as its normalized representative (first nonzero
-    coordinate = 1); the list is sorted by big-endian integer encoding of
-    the representative, i.e. coordinate 0 is the most significant digit.
-    """
+
+class PointIndex:
+    """The N = [n 1]_q projective points of V(n,q) in `point_reps` order,
+    with a lookup from any nonzero vector to its point's ordinal."""
 
     __slots__ = ("ctx", "n", "points", "_pos")
 
     def __init__(self, ctx: FieldCtx, n: int):
-        q = ctx.q
-        reps = []
-        # first-nonzero-at-f reps, smallest encodings first (later f = smaller)
-        for f in range(n - 1, -1, -1):
-            head = (0,) * f + (1,)
-            for tail in product(range(q), repeat=n - f - 1):
-                reps.append(head + tail)
+        reps = tuple(point_reps(ctx.q, n))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", tuple(reps))
+        object.__setattr__(self, "points", reps)
         object.__setattr__(self, "_pos", {v: i for i, v in enumerate(reps)})
-        assert len(reps) == gaussian_binomial(n, 1, q)
+        assert len(reps) == gaussian_binomial(n, 1, ctx.q)
 
     def __setattr__(self, name, value):
         raise AttributeError("PointIndex is immutable")
@@ -294,7 +295,7 @@ def point_ordinals(subspaces) -> np.ndarray:
         raise DimensionMismatch("subspaces differ in field, ambient space or dimension")
     add = np.array(ctx.add_table, dtype=np.uint8)
     mul = np.array(ctx.mul_table, dtype=np.uint8)
-    coeffs = np.array(PointIndex(ctx, d).points, dtype=np.uint8)  # (P, d)
+    coeffs = np.array(list(point_reps(q, d)), dtype=np.uint8)  # (P, d)
     basis = np.array([s.basis.data for s in subspaces], dtype=np.uint8)  # (S, d, n)
     vecs = np.zeros((len(subspaces), len(coeffs), n), dtype=np.uint8)
     for i in range(d):
@@ -321,20 +322,9 @@ def incidence_block(subspaces, dtype=np.uint8) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class IncidenceVector:
-    """0/1 membership pattern of a subspace over a PointIndex."""
-
-    bits: tuple
-
-    @property
-    def popcount(self) -> int:
-        return sum(self.bits)
-
-
-def incidence_vector(u: Subspace, idx: PointIndex) -> IncidenceVector:
-    """bit i = 1 iff point i lies in u; popcount = [dim(u) 1]_q."""
+def incidence_vector(u: Subspace, idx: PointIndex) -> tuple:
+    """0/1 membership of the points of idx in u: entry i = 1 iff point i
+    lies in u, so the entries sum to [dim(u) 1]_q."""
     if u.ctx != idx.ctx or u.n != idx.n:
         raise ContextMismatch("subspace and point index disagree on (q, n)")
-    bits = tuple(1 if u.contains(p) else 0 for p in idx.points)
-    return IncidenceVector(bits)
+    return tuple(1 if u.contains(p) else 0 for p in idx.points)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, JSON schema conformance."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -136,6 +137,22 @@ def test_construct_malformed_file_round_trip(tmp_path):
     broken = "\n".join(lines) + "\n"
     rc, _, err = run(["verify", "2", "4", "2", "-f", "-"], stdin_text=broken)
     assert rc == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("case", ["verify-dir", "rank-binary", "construct-to-dir"])
+def test_unusable_paths_exit_2_with_an_error_line(tmp_path, case):
+    # OS and decoding failures are usage errors (exit 2), not the exit 1
+    # of a negative verdict, and print one line instead of a traceback
+    binary = tmp_path / "fam.bin"
+    binary.write_bytes(b"\xff\xfe 2 4 2 1\n")
+    argv = {
+        "verify-dir": ["verify", "2", "4", "2", "-f", str(tmp_path)],
+        "rank-binary": ["rank", "-f", str(binary)],
+        "construct-to-dir": ["construct", "spread", "2", "6", "2", "-o", str(tmp_path)],
+    }[case]
+    rc, out, err = run(argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_huge_field_order_exits_promptly(tmp_path):
@@ -292,6 +309,28 @@ def test_distance_table_budget_exits_2(monkeypatch):
 
 
 # --- spread / partition export -------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["spread", "2", "40", "2"],
+    ["construct", "spread", "2", "30", "2"],
+    ["partition", "2", "31", "2"],
+    ["construct", "partition", "2", "31", "2"],
+])
+def test_oversized_constructions_exit_2_promptly(argv):
+    t0 = time.perf_counter()
+    rc, out, err = run(argv)
+    assert rc == 2 and out == "" and "exceed" in err
+    assert time.perf_counter() - t0 < 5
+
+
+def test_construct_partition_2_10_2_is_pinned():
+    # 1279 = [10 1]_2 + 2^8 [1 1]_2 members, built over GF(2^9) and GF(2^3)
+    rc, out, _ = run(["construct", "partition", "2", "10", "2"])
+    assert rc == 0
+    assert out.splitlines()[1] == "2 10 2 1279"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8d19552944254366db2a52f4978c21cd9f273db9c4ae4c541792f56a3b574198")
 
 
 def test_spread_command():

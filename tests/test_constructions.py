@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from grassmd.errors import InvalidArgs, InvalidShape, NotDivisor
+from grassmd.errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
 from grassmd.linalg import intersect_dim, rank, stack
@@ -159,3 +159,24 @@ def test_constructions_are_vertices_of_the_right_graph():
     for fam in (resolving_from_spread(ctx, 6, 2), resolving_greedy_rank(ctx, 6, 2)):
         for m in fam.members:
             assert g.ordinal(m) >= 0
+
+
+@pytest.mark.parametrize(
+    "build,n,count",
+    [
+        # 21 members of the 2-spread of V(6,2)
+        (lambda ctx: build_spread(ctx, 6, 2), 6, 21),
+        # [6 1]_2 = 63 2-subspaces, 7 in each of the 9 3-spread members
+        (lambda ctx: resolving_from_spread(ctx, 6, 2), 6, 63),
+        # (1 W_i + 2^3 X_j) x 7 = 63 2-subspaces before dedup
+        (lambda ctx: resolving_from_partition(ctx, 4, 2), 4, 63),
+    ],
+)
+def test_constructions_refuse_counts_over_budget(monkeypatch, build, n, count):
+    # the exact count is the threshold: one less is refused, before anything is built
+    ctx = field_new(2)
+    monkeypatch.setenv("GRASSMANN_BUDGET", str(count - 1))
+    with pytest.raises(BudgetExceeded, match=f"^{count} "):
+        build(ctx)
+    monkeypatch.setenv("GRASSMANN_BUDGET", str(count))
+    build(ctx)

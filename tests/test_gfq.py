@@ -6,7 +6,14 @@ import random
 import pytest
 
 from grassmd.errors import DivisionByZero, NotPrimePower, TooLarge
-from grassmd.gfq import ExtensionField, FieldCtx, factor_prime_power, field_new
+from grassmd.gfq import (
+    DEFAULT_MAX_ORDER,
+    EXTENSION_MAX_ORDER,
+    ExtensionField,
+    FieldCtx,
+    factor_prime_power,
+    field_new,
+)
 
 
 def field_pow(ctx, a, e):
@@ -42,7 +49,9 @@ def test_factor_rejects_non_prime_powers(q):
 def test_order_ceiling():
     with pytest.raises(TooLarge):
         FieldCtx(32)
-    assert FieldCtx(32, max_order=32).q == 32
+    assert FieldCtx(DEFAULT_MAX_ORDER).q == DEFAULT_MAX_ORDER
+    with pytest.raises(TooLarge):
+        field_new(DEFAULT_MAX_ORDER + 1)
 
 
 def test_field_new_is_cached():
@@ -193,3 +202,40 @@ def test_extension_coords_are_base_digits():
 def test_extension_order_ceiling():
     with pytest.raises(TooLarge):
         ExtensionField(field_new(16), 4)
+    assert ExtensionField(field_new(16), 3).order == EXTENSION_MAX_ORDER
+
+
+def ext_pow(ext, a, e):
+    r = 1
+    for bit in bin(e)[2:]:
+        r = ext.mul(r, r)
+        if bit == "1":
+            r = ext.mul(r, a)
+    return r
+
+
+@pytest.mark.parametrize("q,t,seed", [(2, 10, 1), (3, 6, 2)])
+def test_extension_axioms_on_large_orders(q, t, seed):
+    # GF(2^10) and GF(3^6) are past any order whose full product table
+    # would be cheap, so this samples the polynomial path directly
+    ext = ExtensionField(field_new(q), t)
+    order = ext.order
+    assert order == q**t
+    rng = random.Random(seed)
+    for _ in range(150):
+        a, b, c = (rng.randrange(order) for _ in range(3))
+        assert ext.add(a, 0) == a and ext.mul(a, 1) == a and ext.mul(a, 0) == 0
+        assert ext.add(a, b) == ext.add(b, a)
+        assert ext.mul(a, b) == ext.mul(b, a)
+        assert ext.add(ext.add(a, b), c) == ext.add(a, ext.add(b, c))
+        assert ext.mul(ext.mul(a, b), c) == ext.mul(a, ext.mul(b, c))
+        assert ext.mul(a, ext.add(b, c)) == ext.add(ext.mul(a, b), ext.mul(a, c))
+        assert ext_pow(ext, a, order) == a  # Fermat: a^(q^t) = a
+        if a:
+            assert ext.mul(a, ext.inv(a)) == 1
+    # no zero divisors among the products of sampled nonzero elements
+    for _ in range(150):
+        a, b = rng.randrange(1, order), rng.randrange(1, order)
+        assert ext.mul(a, b) != 0
+    with pytest.raises(DivisionByZero):
+        ext.inv(0)

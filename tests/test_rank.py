@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grassmd.errors import InvalidArgs
+from grassmd.errors import InvalidArgs, TooLarge
 from grassmd.gfq import field_new
 from grassmd.rank import (
     BareissEliminator,
@@ -113,7 +113,15 @@ def test_modular_primes_are_distinct_primes_below_2_31():
 
 def as_matrix(rows):
     block = np.array(rows, dtype=np.uint8)
-    return IncidenceMatrix(block.shape[0], block.shape[1], block, None)
+    return IncidenceMatrix(block.shape[0], block.shape[1], block)
+
+
+def bareiss_rank(M):
+    """Rational rank by the BareissEliminator oracle alone."""
+    bar = BareissEliminator(M.N)
+    for row in M.rows.tolist():
+        bar.try_add(row)
+    return bar.rank
 
 
 def random_01_rows(rng, deficient):
@@ -150,7 +158,7 @@ def test_exact_rank_and_profile_match_fraction_oracle(seed, deficient):
         if deficient:
             assert expected < min(len(rows), len(rows[0]))
         assert exact_rank(as_matrix(rows)) == expected
-        assert exact_rank(as_matrix(rows), use_fast_path=False) == expected
+        assert bareiss_rank(as_matrix(rows)) == expected
         assert row_rank_profile(np.array(rows, dtype=np.uint8)) == fraction_row_profile(rows)
 
 
@@ -214,7 +222,7 @@ def test_exact_rank_full_family():
     M = incidence_matrix(fam)
     assert (M.m, M.N) == (35, 15)
     assert exact_rank(M) == 15
-    assert exact_rank(M, use_fast_path=False) == 15
+    assert bareiss_rank(M) == 15
 
 
 def test_exact_rank_small_cases():
@@ -223,14 +231,14 @@ def test_exact_rank_small_cases():
     one = incidence_matrix(SubspaceFamily(subs[:1]))
     assert exact_rank(one) == 1
     few = incidence_matrix(SubspaceFamily(subs[:4]))
-    assert exact_rank(few) == exact_rank(few, use_fast_path=False)
+    assert exact_rank(few) == bareiss_rank(few)
 
 
 def test_incidence_rows_match_subspace_membership():
     ctx = field_new(3)
     fam = SubspaceFamily(enumerate_k_subspaces(ctx, 4, 2)[:6])
     idx = PointIndex(ctx, 4)
-    M = incidence_matrix(fam, idx)
+    M = incidence_matrix(fam)
     assert M.rows.shape == (6, len(idx)) and M.rows.dtype == np.uint8
     for sub, row in zip(fam.members, M.rows.tolist()):
         for p, bit in zip(idx.points, row):
@@ -260,6 +268,17 @@ def test_verify_gram(q, n, k):
     assert verify_gram(field_new(q), n, k)
 
 
+def test_verify_gram_refuses_inexact_float_products(monkeypatch):
+    # from 2^53 vertices on, float64 Gram entries would not be exact
+    def unreachable(*args):
+        raise AssertionError("enumerated before the exactness check")
+
+    monkeypatch.setattr(rank_mod, "gaussian_binomial", lambda n, k, q: 2**53)
+    monkeypatch.setattr(rank_mod, "enumerate_k_subspaces", unreachable)
+    with pytest.raises(TooLarge, match="not be exact"):
+        verify_gram(field_new(2), 4, 2)
+
+
 def test_gram_closed_form_rejects_bad_k():
     with pytest.raises(InvalidArgs):
         gram_closed_form(field_new(2), 4, 1)
@@ -284,7 +303,7 @@ def bareiss_greedy(ctx, n, k):
     elim = BareissEliminator(len(idx))
     out = []
     for sub in enumerate_k_subspaces(ctx, n, k):
-        if elim.try_add(incidence_vector(sub, idx).bits):
+        if elim.try_add(incidence_vector(sub, idx)):
             out.append(sub)
             if elim.rank == len(idx):
                 break
