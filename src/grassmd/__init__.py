@@ -71,6 +71,7 @@ from .subspaces import (
     PointIndex,
     Subspace,
     SubspaceFamily,
+    enumerate_bases,
     enumerate_k_subspaces,
     gaussian_binomial,
     gaussian_binomial_pascal,
@@ -118,6 +119,7 @@ __all__ = [
     "distance",
     "distance_class_size",
     "edge_list",
+    "enumerate_bases",
     "enumerate_k_subspaces",
     "exact_rank",
     "factor_prime_power",

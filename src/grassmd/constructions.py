@@ -32,11 +32,13 @@ from .rank import row_rank_profile
 from .subspaces import (
     Subspace,
     SubspaceFamily,
+    bases_incidence_block,
+    enumerate_bases,
     enumerate_k_subspaces,
     enumeration_budget,
     gaussian_binomial,
-    incidence_block,
     point_reps,
+    subspaces_from_bases,
 )
 
 
@@ -215,7 +217,7 @@ def resolving_greedy_rank(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     if not (2 <= k and 2 * k <= n):
         raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
     target = gaussian_binomial(n, 1, ctx.q)
-    subs = enumerate_k_subspaces(ctx, n, k)
-    keep = row_rank_profile(incidence_block(subs))
+    bases = enumerate_bases(ctx, n, k)
+    keep = row_rank_profile(bases_incidence_block(ctx, bases))
     assert len(keep) == target  # the full incidence matrix has rank [n 1]_q
-    return SubspaceFamily(subs[i] for i in keep)
+    return SubspaceFamily(subspaces_from_bases(ctx, bases[keep]))

@@ -22,9 +22,9 @@ k-subspaces against all points, M^T M = a·J + b·I with a = [n-2 k-2]_q
 and b = [n-1 k-1]_q - a, whose determinant b^(N-1)·(b + N·a) is positive,
 so M has full column rank N = [n 1]_q.
 
-Incidence rows come from `subspaces.point_ordinals`, the builder the code
-tables in `grassmann` also use; integer rank here and a shared-point lookup
-there keep the routes apart after it.  Tests check the builder against the
+Incidence rows come from `subspaces.bases_point_ordinals`, the builder the
+code tables in `grassmann` also use; integer rank here and a shared-point
+lookup there keep the routes apart after it.  Tests check the builder against the
 membership-test `incidence_vector`, and the code tables against the
 RREF-based `grassmann.code_of`.
 """
@@ -39,7 +39,9 @@ from .errors import InvalidArgs, TooLarge
 from .gfq import FieldCtx
 from .subspaces import (
     SubspaceFamily,
-    enumerate_k_subspaces,
+    bases_incidence_block,
+    enumerate_bases,
+    enumerate_k_subspaces,  # noqa: F401  perfbench/trace_child.py wraps rank.enumerate_k_subspaces
     gaussian_binomial,
     incidence_block,
 )
@@ -224,7 +226,7 @@ def verify_gram(ctx: FieldCtx, n: int, k: int) -> bool:
     vertices = gaussian_binomial(n, k, ctx.q)
     if vertices >= 2**53:
         raise TooLarge(f"[{n} {k}]_{ctx.q} = {vertices} vertices: Gram entries would not be exact")
-    a_np = incidence_block(enumerate_k_subspaces(ctx, n, k), np.float64)
+    a_np = bases_incidence_block(ctx, enumerate_bases(ctx, n, k), np.float64)
     gram = a_np.T @ a_np
     N = a_np.shape[1]
     expected = np.full((N, N), offdiag, dtype=np.float64)

@@ -166,7 +166,7 @@ def metric_dimension_exact(g: GrassmannGraph, limit: int = DEFAULT_EXACT_LIMIT) 
     unreduced search for arbitrary graphs."""
     _check_limit(len(g), limit)
     mu, ords = _two_landmark_dimension(g.distance_rows())
-    return mu, SubspaceFamily(g.vertices[i] for i in ords)
+    return mu, SubspaceFamily(g.vertex(i) for i in ords)
 
 
 def metric_dimension_greedy(g: GrassmannGraph) -> SubspaceFamily:
@@ -193,4 +193,4 @@ def metric_dimension_greedy(g: GrassmannGraph) -> SubspaceFamily:
         assert best_pairs < unsplit_pairs(class_ids)  # v inside a pair always splits it
         chosen.append(best_v)
         class_ids = best_ids
-    return SubspaceFamily(g.vertices[i] for i in chosen)
+    return SubspaceFamily(g.vertex(i) for i in chosen)

@@ -1,28 +1,34 @@
 """Subspaces of V(n,q): canonical forms, enumeration, counting, incidence.
 
 A subspace is identified with the unique RREF basis of its row space, so
-equality and deduplication are tuple comparisons.  Enumeration generates
-RREF matrices directly from pivot-column patterns — every matrix produced
-is a distinct subspace, no rejection or hashing needed — and then sorts by
-the flattened basis encoding so the order is a stable public contract.
-(Bases of one shape compare row by row exactly as their flattenings do,
-so the sort compares the row tuples themselves.)
+equality and deduplication are tuple comparisons.  `enumerate_bases` is
+the one enumerator: it writes every RREF basis of every pivot pattern into
+one (V, k, n) uint8 array, the free slots filled with the base-q digits of
+a counter, and sorts the flattened rows, so the order (lexicographic in the
+flattened basis) is a stable public contract.  Every array row is a
+distinct subspace, so no rejection or hashing is needed.  `Subspace`
+objects are built from array rows only where a caller asks for them
+(`enumerate_k_subspaces`, `subspaces_from_bases`).
 
 Projective points (1-subspaces) get their own index: each is stored as its
 normalized representative (first nonzero coordinate scaled to 1), ordered
-by the representative's big-endian integer encoding.  `point_ordinals`,
-the one production incidence builder, lists the points of many subspaces
-at once; `incidence_vector` is its membership-test oracle.
+by the representative's big-endian integer encoding.  The one production
+incidence builder, `bases_point_ordinals`, lists the points of a whole
+array of bases at once; `bases_incidence_block` scatters them into dense
+0/1 rows, `incidence_block` does the same for a list of `Subspace`
+objects, and `incidence_vector` is the membership-test oracle.
 """
 
 from __future__ import annotations
 
+import gc
+import math
 import os
 from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetExceeded, ContextMismatch, DimensionMismatch, InvalidArgs
+from .errors import BudgetExceeded, ContextMismatch, DimensionMismatch, InvalidArgs, TooLarge
 from .gfq import FieldCtx
 from .linalg import MatGFq, rref_rows
 
@@ -31,6 +37,12 @@ DEFAULT_ENUM_BUDGET = 10**6
 # Cells of a dense table (incidence block, all-pairs distances) per unit of
 # enumeration budget: 10^7 by default, a 10 MB table and an 80 MB int64 copy.
 DISTANCE_TABLE_FACTOR = 10
+
+# Decimal digits a Gaussian binomial may have.  [n k]_q lies between
+# q^(k(n-k)) and 3.47 q^(k(n-k)), so it has at most two digits more than
+# the estimate k(n-k) log10 q, and 4000 digits stay below Python's
+# 4300-digit limit for printing an int.
+BINOMIAL_MAX_DIGITS = 4000
 
 
 def enumeration_budget() -> int:
@@ -53,6 +65,10 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise InvalidArgs(f"need 0 <= k <= n, got n={n} k={k}")
     if q < 2:
         raise InvalidArgs(f"need q >= 2, got {q}")
+    digits = k * (n - k) * math.log10(q)
+    if digits > BINOMIAL_MAX_DIGITS:
+        raise TooLarge(f"[{n} {k}]_{q} has about {digits:.0f} digits, "
+                       f"more than {BINOMIAL_MAX_DIGITS}")
     num = 1
     den = 1
     for i in range(k):
@@ -102,6 +118,23 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def _from_rref(cls, ctx: FieldCtx, n: int, data: tuple, pivots) -> "Subspace":
+        """Wrap row tuples already in RREF, with their pivots; no checks."""
+        put = object.__setattr__
+        basis = object.__new__(MatGFq)
+        put(basis, "ctx", ctx)
+        put(basis, "rows", len(data))
+        put(basis, "cols", n)
+        put(basis, "data", data)
+        sub = object.__new__(cls)
+        put(sub, "ctx", ctx)
+        put(sub, "n", n)
+        put(sub, "dim", len(data))
+        put(sub, "basis", basis)
+        put(sub, "_pivots", tuple(pivots))
+        return sub
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, n: int, rows) -> "Subspace":
@@ -183,20 +216,10 @@ class SubspaceFamily:
         return f"SubspaceFamily({len(self.members)} members)"
 
 
-def _free_positions(pivots: tuple, n: int) -> list:
-    """RREF free slots for a pivot pattern: (row, col) with col right of the
-    row's pivot and not itself a pivot column."""
-    pivot_set = set(pivots)
-    out = []
-    for i, p in enumerate(pivots):
-        for c in range(p + 1, n):
-            if c not in pivot_set:
-                out.append((i, c))
-    return out
-
-
-def enumerate_k_subspaces(ctx: FieldCtx, n: int, k: int) -> list:
-    """All k-subspaces of V(n,q), sorted by flattened-basis encoding."""
+def enumerate_bases(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
+    """All k-subspaces of V(n,q) as a read-only (V, k, n) uint8 array of
+    RREF bases, sorted by flattened-basis encoding; refuses more than the
+    enumeration budget before allocating."""
     if not 1 <= k <= n:
         raise InvalidArgs(f"need 1 <= k <= n, got n={n} k={k}")
     q = ctx.q
@@ -204,21 +227,67 @@ def enumerate_k_subspaces(ctx: FieldCtx, n: int, k: int) -> list:
     budget = enumeration_budget()
     if count > budget:
         raise BudgetExceeded(f"[{n} {k}]_{q} = {count} exceeds budget {budget}")
-    out = []
+    out = np.zeros((count, k, n), dtype=np.uint8)
+    lo = 0
     for pivots in combinations(range(n), k):
-        base = [[0] * n for _ in range(k)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        free = _free_positions(pivots, n)
-        for vals in product(range(q), repeat=len(free)):
-            rows = [r[:] for r in base]
-            for (i, c), x in zip(free, vals):
-                rows[i][c] = x
-            m = MatGFq(ctx, k, n, rows)
-            out.append(Subspace(ctx, n, m, pivots))
-    assert len(out) == count
-    out.sort(key=lambda s: s.basis.data)
+        # free slots: right of the row's pivot, outside every pivot column
+        free = [(i, c) for i, p in enumerate(pivots)
+                for c in range(p + 1, n) if c not in pivots]
+        hi = lo + q ** len(free)
+        block = out[lo:hi]
+        block[:, range(k), pivots] = 1
+        counter = np.arange(hi - lo)
+        for j, (i, c) in enumerate(free):  # digit j of the counter, base q
+            block[:, i, c] = counter // q**j % q
+        lo = hi
+    assert lo == count
+    # sort keys: the flattened basis read as base-q numerals, as many
+    # digits per int64 key as fit in 62 bits; lexsort wants the primary
+    # key last
+    flat = out.reshape(count, k * n)
+    per = max(1, int(62 / math.log2(q)))
+    keys = []
+    for c in range(0, k * n, per):
+        key = np.zeros(count, dtype=np.int64)
+        for col in flat[:, c:c + per].T:
+            key = key * q + col
+        keys.append(key)
+    out = out[np.lexsort(keys[::-1])]
+    out.flags.writeable = False
     return out
+
+
+def subspaces_from_bases(ctx: FieldCtx, bases: np.ndarray) -> list:
+    """`Subspace` objects for an (S, d, n) array of RREF bases, which are
+    trusted to be RREF with entries below q (as `enumerate_bases` makes
+    them)."""
+    n = bases.shape[2]
+    out = []
+    # Equal rows and equal pivot patterns share one tuple: RREF rows are
+    # normalized vectors, so there are at most [n 1]_q distinct ones, and
+    # sharing them more than halves the memory of each object.
+    shared = {}
+    # The new objects form no reference cycles, so cyclic-collector passes
+    # triggered by the allocations would only rescan them; on large lists
+    # those passes took half the time.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lo in range(0, len(bases), 256):  # bounds the list temporaries
+            chunk = bases[lo:lo + 256]
+            for rows, piv in zip(chunk.tolist(), (chunk != 0).argmax(axis=2).tolist()):
+                data = tuple([shared.setdefault(r, r) for r in map(tuple, rows)])
+                piv = tuple(piv)
+                out.append(Subspace._from_rref(ctx, n, data, shared.setdefault(piv, piv)))
+    finally:
+        if enabled:
+            gc.enable()
+    return out
+
+
+def enumerate_k_subspaces(ctx: FieldCtx, n: int, k: int) -> list:
+    """All k-subspaces of V(n,q), sorted by flattened-basis encoding."""
+    return subspaces_from_bases(ctx, enumerate_bases(ctx, n, k))
 
 
 def point_reps(q: int, n: int):
@@ -266,40 +335,45 @@ class PointIndex:
         return self._pos[self.normalize(v)]
 
 
-def _point_count(subspaces) -> int:
-    """[n 1]_q for the ambient space of subspaces, refusing an empty list
-    and more points than the enumeration budget."""
-    if len(subspaces) == 0:
-        raise InvalidArgs("no subspaces to list points of")
-    first = subspaces[0]
-    points = gaussian_binomial(first.n, 1, first.ctx.q)
+def _point_count(q: int, n: int) -> int:
+    """[n 1]_q, refusing more points than the enumeration budget."""
+    points = gaussian_binomial(n, 1, q)
     budget = enumeration_budget()
     if points > budget:
-        raise BudgetExceeded(f"[{first.n} 1]_{first.ctx.q} = {points} points exceed budget {budget}")
+        raise BudgetExceeded(f"[{n} 1]_{q} = {points} points exceed budget {budget}")
     return points
 
 
-def point_ordinals(subspaces) -> np.ndarray:
+def basis_array(subspaces) -> np.ndarray:
+    """(S, d, n) uint8 RREF bases of same-shape subspaces, refusing an empty
+    list and mixed fields, ambient spaces or dimensions."""
+    if len(subspaces) == 0:
+        raise InvalidArgs("no subspaces to list points of")
+    first = subspaces[0]
+    if any(s.ctx != first.ctx or s.n != first.n or s.dim != first.dim for s in subspaces):
+        raise DimensionMismatch("subspaces differ in field, ambient space or dimension")
+    return np.array([s.basis.data for s in subspaces], dtype=np.uint8).reshape(
+        len(subspaces), first.dim, first.n)
+
+
+def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     """(S, [d 1]_q) array: row s holds the PointIndex ordinals of the points
-    of subspaces[s], for same-shape d-subspaces of V(n,q).
+    of the subspace with RREF basis bases[s], an (S, d, n) array.
 
     The points of a subspace with RREF basis B are c·B for the normalized
     coefficient vectors c of PG(d-1,q).  B has the identity in its pivot
     columns, so c·B is normalized too, and its ordinal follows in closed
     form from its big-endian encoding and its leading column.
     """
-    _point_count(subspaces)
-    first = subspaces[0]
-    ctx, n, d, q = first.ctx, first.n, first.dim, first.ctx.q
-    if any(s.ctx != ctx or s.n != n or s.dim != d for s in subspaces):
-        raise DimensionMismatch("subspaces differ in field, ambient space or dimension")
+    S, d, n = bases.shape
+    q = ctx.q
+    _point_count(q, n)
     add = np.array(ctx.add_table, dtype=np.uint8)
     mul = np.array(ctx.mul_table, dtype=np.uint8)
     coeffs = np.array(list(point_reps(q, d)), dtype=np.uint8)  # (P, d)
-    basis = np.array([s.basis.data for s in subspaces], dtype=np.uint8)  # (S, d, n)
-    vecs = np.zeros((len(subspaces), len(coeffs), n), dtype=np.uint8)
+    vecs = np.zeros((S, len(coeffs), n), dtype=np.uint8)
     for i in range(d):
-        vecs = add[vecs, mul[coeffs[None, :, i, None], basis[:, None, i, :]]]
+        vecs = add[vecs, mul[coeffs[None, :, i, None], bases[:, None, i, :]]]
     # the points led by column f come after the (q^(n-1-f) - 1)/(q - 1) led
     # further right, and sit among themselves in encoding order
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -307,19 +381,25 @@ def point_ordinals(subspaces) -> np.ndarray:
     return vecs @ weights - lead + (lead - 1) // (q - 1)
 
 
-def incidence_block(subspaces, dtype=np.uint8) -> np.ndarray:
-    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in PointIndex order;
-    refuses more than DISTANCE_TABLE_FACTOR × the enumeration budget cells
-    before allocating any."""
-    points = _point_count(subspaces)
-    cells, ceiling = len(subspaces) * points, DISTANCE_TABLE_FACTOR * enumeration_budget()
+def bases_incidence_block(ctx: FieldCtx, bases: np.ndarray, dtype=np.uint8) -> np.ndarray:
+    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in PointIndex order, of
+    an (S, d, n) array of RREF bases; refuses more than
+    DISTANCE_TABLE_FACTOR × the enumeration budget cells before allocating
+    any."""
+    S, _, n = bases.shape
+    points = _point_count(ctx.q, n)
+    cells, ceiling = S * points, DISTANCE_TABLE_FACTOR * enumeration_budget()
     if cells > ceiling:
-        raise BudgetExceeded(
-            f"{len(subspaces)} x {points} incidence cells exceed ceiling {ceiling}")
-    ords = point_ordinals(subspaces)
-    out = np.zeros((len(subspaces), points), dtype=dtype)
-    np.put_along_axis(out, ords, 1, axis=1)
+        raise BudgetExceeded(f"{S} x {points} incidence cells exceed ceiling {ceiling}")
+    out = np.zeros((S, points), dtype=dtype)
+    np.put_along_axis(out, bases_point_ordinals(ctx, bases), 1, axis=1)
     return out
+
+
+def incidence_block(subspaces, dtype=np.uint8) -> np.ndarray:
+    """`bases_incidence_block` for a list of same-shape `Subspace` objects."""
+    bases = basis_array(subspaces)
+    return bases_incidence_block(subspaces[0].ctx, bases, dtype)
 
 
 def incidence_vector(u: Subspace, idx: PointIndex) -> tuple:

@@ -324,6 +324,21 @@ def test_oversized_constructions_exit_2_promptly(argv):
     assert time.perf_counter() - t0 < 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["binom", "200000", "100000", "2"],
+    ["bounds", "16", "4000", "1000"],
+    ["bounds", "2", "200000", "3"],
+])
+def test_astronomical_binomials_exit_2_promptly(argv):
+    # refused from the digit estimate k(n-k) log10 q before any product is
+    # formed; the last one used to end in a traceback printing the value
+    t0 = time.perf_counter()
+    rc, out, err = run(argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "digits" in err
+    assert time.perf_counter() - t0 < 5
+
+
 def test_construct_partition_2_10_2_is_pinned():
     # 1279 = [10 1]_2 + 2^8 [1 1]_2 members, built over GF(2^9) and GF(2^3)
     rc, out, _ = run(["construct", "partition", "2", "10", "2"])

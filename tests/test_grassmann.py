@@ -1,9 +1,13 @@
 """Grassmann graph: distances, code tables, resolving verdicts, BFS oracle."""
 
+import functools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from grassmd import grassmann as grassmann_mod
 from grassmd import subspaces as subspaces_mod
 from grassmd.errors import BudgetExceeded, DimensionMismatch, GrassmdError, InvalidArgs
 from grassmd.gfq import field_new
@@ -18,11 +22,22 @@ from grassmd.grassmann import (
     is_resolving,
 )
 from grassmd.linalg import intersect_dim
-from grassmd.subspaces import Subspace, SubspaceFamily, gaussian_binomial, point_ordinals
+from grassmd.subspaces import Subspace, SubspaceFamily, bases_point_ordinals, gaussian_binomial
+from strategies import rref_vertex_pairs
 
 
 def graph(q, n, k):
     return GrassmannGraph(field_new(q), n, k)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_graph(q, n, k):
+    """One graph per shape for the property tests, adjacency built once."""
+    return graph(q, n, k)
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("called on a path that must not reach it")
 
 
 def test_distance_pinned():
@@ -103,14 +118,14 @@ def test_codes_table_matches_per_vertex_codes(q, n, k):
 def test_codes_table_rejects_impossible_counts(monkeypatch):
     # every subspace loses one of its 3 points, so each vertex shares 2
     # points with itself; for q = 2, k = 2 only 0, 1 and 3 = [j 1]_2 occur
-    def doubled(subspaces):
-        ords = point_ordinals(subspaces)
+    def doubled(ctx, bases):
+        ords = bases_point_ordinals(ctx, bases)
         ords[:, 1] = ords[:, 0]
         return ords
 
     g = graph(2, 4, 2)
     fam = SubspaceFamily(list(g.vertices))
-    monkeypatch.setattr(subspaces_mod, "point_ordinals", doubled)
+    monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", doubled)
     with pytest.raises(GrassmdError, match=r"\[j 1\]_q"):
         codes_table(g.vertices, fam)
 
@@ -238,3 +253,104 @@ def test_adjacency_and_edge_list():
         deg[i] += 1
         deg[j] += 1
     assert deg == [len(a) for a in adj]
+
+
+def test_verdict_builds_no_vertex_objects():
+    g = graph(3, 4, 2)
+    fam = SubspaceFamily([g.vertex(0), g.vertex(50)])
+    verdict = is_resolving(fam, g)
+    assert g._vertices is None  # only the two colliding vertices were built
+    i, j = verdict.ordinals
+    assert verdict.pair == (g.vertices[i], g.vertices[j])
+    assert [g.vertex(i) for i in range(len(g))] == list(g.vertices)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (2, 6, 3)])
+def test_verdict_is_unchanged_when_every_digest_collides(monkeypatch, q, n, k):
+    # a constant digest puts every row in one bucket, so the verdict and the
+    # first pair come from the full-row comparisons alone
+    g = graph(q, n, k)
+    rng = random.Random(7 * q + n + k)
+    families = [SubspaceFamily(rng.sample(g.vertices, size)) for size in (1, 2, 3, 5, 9)]
+    families.append(SubspaceFamily(list(g.vertices)))  # resolving
+    expected = [is_resolving(fam, g) for fam in families]
+    assert any(v.resolving for v in expected) and not all(v.resolving for v in expected)
+    calls = []
+
+    def constant(rows):
+        calls.append(len(rows))
+        return np.zeros((len(rows), 2), dtype=np.uint64)
+
+    monkeypatch.setattr(grassmann_mod, "_row_digests", constant)
+    for fam, want in zip(families, expected):
+        assert is_resolving(fam, g) == want
+    assert sum(calls) == len(families) * len(g)
+
+
+def test_first_collision_matches_brute_force_under_constant_digest(monkeypatch):
+    monkeypatch.setattr(grassmann_mod, "_row_digests",
+                        lambda rows: np.zeros((len(rows), 2), dtype=np.uint64))
+    g = graph(2, 5, 2)
+    rng = random.Random(11)
+    for size in (1, 2, 3, 4):
+        fam = SubspaceFamily(rng.sample(g.vertices, size))
+        codes = [code_of(v, fam) for v in g.vertices]
+        first = {}
+        pairs = []
+        for j, c in enumerate(codes):
+            if c in first:
+                pairs.append((first[c], j))
+            else:
+                first[c] = j
+        assert is_resolving(fam, g).ordinals == (min(pairs) if pairs else None)
+
+
+def test_code_table_ceiling_fires_before_points_are_listed(monkeypatch):
+    # 35 family members x 15 points exceed the 10 * 50 cell ceiling
+    g = graph(2, 4, 2)
+    fam = SubspaceFamily(list(g.vertices))
+    monkeypatch.setenv("GRASSMANN_BUDGET", "50")
+    monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", unreachable)
+    with pytest.raises(BudgetExceeded, match="incidence cells"):
+        is_resolving(fam, g)
+    with pytest.raises(BudgetExceeded, match="incidence cells"):
+        codes_table(g.vertices, fam)
+
+
+def test_distance_rows_ceiling_fires_before_the_kernel(monkeypatch):
+    g = graph(2, 4, 2)
+    monkeypatch.setenv("GRASSMANN_BUDGET", "100")
+    monkeypatch.setattr(grassmann_mod, "_count_blocks", unreachable)
+    monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", unreachable)
+    with pytest.raises(BudgetExceeded, match="distance cells"):
+        g.distance_rows()
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (2, 6, 3)])
+def test_adjacency_comes_from_the_definition(monkeypatch, q, n, k):
+    # the BFS route must not read the code-table kernel or point incidence
+    monkeypatch.setattr(grassmann_mod, "_count_blocks", unreachable)
+    monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", unreachable)
+    g = graph(q, n, k)
+    adj = g.adjacency()
+    degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
+    assert all(len(a) == degree for a in adj)
+    assert all(a == sorted(set(a)) and i not in a for i, a in enumerate(adj))
+    for i in range(0, len(g), max(1, len(g) // 15)):
+        for j in adj[i]:
+            assert i in adj[j]
+            assert distance(g.vertices[i], g.vertices[j]) == 1
+
+
+def test_adjacency_budget(monkeypatch):
+    # 35 vertices x 3 hyperplanes x 7 quotient points exceed 10 * 50 candidates
+    monkeypatch.setenv("GRASSMANN_BUDGET", "50")
+    with pytest.raises(BudgetExceeded, match="adjacency candidates"):
+        graph(2, 4, 2).adjacency()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rref_vertex_pairs([(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (2, 6, 3)]))
+def test_bfs_distance_equals_algebraic_distance(case):
+    (q, n, k), a, b = case
+    assert bfs_distance(shared_graph(q, n, k), a, b) == distance(a, b)

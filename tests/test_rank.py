@@ -274,7 +274,7 @@ def test_verify_gram_refuses_inexact_float_products(monkeypatch):
         raise AssertionError("enumerated before the exactness check")
 
     monkeypatch.setattr(rank_mod, "gaussian_binomial", lambda n, k, q: 2**53)
-    monkeypatch.setattr(rank_mod, "enumerate_k_subspaces", unreachable)
+    monkeypatch.setattr(rank_mod, "enumerate_bases", unreachable)
     with pytest.raises(TooLarge, match="not be exact"):
         verify_gram(field_new(2), 4, 2)
 

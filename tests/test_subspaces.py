@@ -1,19 +1,23 @@
 """Gaussian binomials, k-subspace enumeration, projective point index."""
 
-import importlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from grassmd.errors import BudgetExceeded, ContextMismatch, InvalidArgs
+from grassmd import subspaces as subspaces_mod
+
+from grassmd.errors import BudgetExceeded, ContextMismatch, InvalidArgs, TooLarge
 from grassmd.gfq import field_new
 from grassmd.linalg import mat
 from grassmd.subspaces import (
+    BINOMIAL_MAX_DIGITS,
     PointIndex,
     Subspace,
     SubspaceFamily,
+    enumerate_bases,
     enumerate_k_subspaces,
     enumeration_budget,
     gaussian_binomial,
@@ -81,6 +85,16 @@ def test_boundary_values_and_errors():
         gaussian_binomial(4, 2, 1)
 
 
+def test_binomial_digit_ceiling():
+    # [1900 7]_2 has 3990 digits, within the ceiling; the estimate for
+    # [2000 7]_2 is 4199 digits, so it is refused before it is computed
+    assert len(str(gaussian_binomial(1900, 7, 2))) == 3990 <= BINOMIAL_MAX_DIGITS
+    with pytest.raises(TooLarge, match="digits"):
+        gaussian_binomial(2000, 7, 2)
+    with pytest.raises(TooLarge, match="digits"):
+        gaussian_binomial(10**9, 2, 2)
+
+
 def test_binomial_count_limit_is_ordinary_binomial():
     # [n k]_q is a polynomial in q whose value at q=1 is C(n, k); recover the
     # polynomial by Lagrange interpolation at integer points and evaluate at 1
@@ -135,6 +149,50 @@ def test_enumeration_counts_match_binomial():
             continue
         subs = enumerate_k_subspaces(field_new(q), n, k)
         assert len(subs) == expected, (q, n, k)
+
+
+def object_order(ctx, n, k) -> list:
+    """Every RREF basis built row by row from its pivot pattern and the
+    product of its free-slot values, sorted by basis rows: the order the
+    array enumerator must reproduce."""
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for vals in itertools.product(range(ctx.q), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, c), x in zip(free, vals):
+                rows[i][c] = x
+            out.append(tuple(map(tuple, rows)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_array_enumerator_matches_object_order(q):
+    ctx = field_new(q)
+    # hyperplanes whose n(n-1) base-q digits exceed 62 bits need several
+    # sort keys
+    hyperplanes = {2: (9, 8), 3: (7, 6), 4: (7, 6), 5: (6, 5), 7: (6, 5), 8: (6, 5), 9: (5, 4)}[q]
+    shapes = [(1, 1), (3, 2), (4, 1), (4, 2), (4, 3), hyperplanes]
+    shapes += [(5, 2), (6, 3)] if q <= 3 else []
+    for n, k in shapes:
+        bases = enumerate_bases(ctx, n, k)
+        assert bases.dtype == np.uint8 and not bases.flags.writeable
+        rows = [tuple(map(tuple, b)) for b in bases.tolist()]
+        assert rows == object_order(ctx, n, k), (q, n, k)
+        subs = enumerate_k_subspaces(ctx, n, k)
+        assert [s.basis.data for s in subs] == rows
+        for s in subs[:: max(1, len(subs) // 40)]:
+            assert s == Subspace.from_rows(ctx, n, s.basis.data)
+            assert s.pivots == Subspace.from_rows(ctx, n, s.basis.data).pivots
+
+
+def test_enumerate_bases_refuses_before_allocating(monkeypatch):
+    monkeypatch.setenv("GRASSMANN_BUDGET", "1394")  # [6 3]_2 = 1395
+    monkeypatch.setattr(subspaces_mod, "np", None)  # any array would fail
+    with pytest.raises(BudgetExceeded, match="1395 exceeds budget 1394"):
+        enumerate_bases(field_new(2), 6, 3)
 
 
 def test_enumeration_pinned_small_cases():
@@ -260,12 +318,11 @@ def test_incidence_block_matches_incidence_vector(members):
 def test_incidence_block_refuses_too_many_cells_before_building(monkeypatch):
     members = enumerate_k_subspaces(field_new(2), 5, 2)  # 155 x 31 = 4805 cells
     monkeypatch.setenv("GRASSMANN_BUDGET", "400")  # ceiling 10 * 400 cells
-    subspaces_mod = importlib.import_module("grassmd.subspaces")
 
-    def unreachable(subs):
+    def unreachable(ctx, bases):
         raise AssertionError("points listed before the cell check")
 
-    monkeypatch.setattr(subspaces_mod, "point_ordinals", unreachable)
+    monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", unreachable)
     with pytest.raises(BudgetExceeded, match="incidence cells"):
         incidence_block(members)
     monkeypatch.undo()
