@@ -30,7 +30,6 @@ adjacency (`GrassmannGraph.adjacency`), not from distances.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -276,7 +275,7 @@ def _first_collision(digests: np.ndarray, rows_of):
     """Lexicographically first (i, j), i < j, with equal code rows, or None.
 
     Indices are grouped by digest.  Each group is a union of classes of
-    equal rows, so the group with the smallest first index gives a lower
+    equal rows, so the group with the smallest first index g0 gives a lower
     bound (g0, g1) on every pair left; recomputing rows g0 and g1 with
     rows_of(indices) either confirms it, or shows a digest collision, and
     then that group is split into its exact classes."""
@@ -284,11 +283,11 @@ def _first_collision(digests: np.ndarray, rows_of):
     d = digests[order]
     starts = np.flatnonzero(np.r_[True, (d[1:] != d[:-1]).any(axis=1)])
     sizes = np.diff(np.r_[starts, len(order)])
-    heap = [(int(order[s]), int(order[s + 1]), order[s:s + z])
-            for s, z in zip(starts[sizes > 1], sizes[sizes > 1])]
-    heapq.heapify(heap)  # first indices are distinct, so arrays are never compared
-    while heap:
-        a, b, group = heapq.heappop(heap)
+    # (g0, g1, group), or (c0, c1, None) for a class already known exact
+    pending = [(int(order[s]), int(order[s + 1]), order[s:s + z])
+               for s, z in zip(starts[sizes > 1], sizes[sizes > 1])]
+    while pending:
+        a, b, group = pending.pop(min(range(len(pending)), key=lambda i: pending[i][0]))
         if group is None:
             return a, b
         pair = rows_of(np.array([a, b]))
@@ -297,9 +296,7 @@ def _first_collision(digests: np.ndarray, rows_of):
         classes = {}
         for i, row in zip(group.tolist(), rows_of(group)):
             classes.setdefault(row.tobytes(), []).append(i)
-        for c in classes.values():
-            if len(c) > 1:
-                heapq.heappush(heap, (c[0], c[1], None))
+        pending.extend((c[0], c[1], None) for c in classes.values() if len(c) > 1)
     return None
 
 
