@@ -27,7 +27,6 @@ from .constructions import (
 )
 from .errors import (
     BudgetExceeded,
-    ContextMismatch,
     DegenerateBound,
     DimensionMismatch,
     DivisionByZero,
@@ -36,7 +35,6 @@ from .errors import (
     InvalidShape,
     NotDivisor,
     NotPrimePower,
-    NotSubspace,
     TooLarge,
 )
 from .famfile import format_family, parse_family
@@ -44,15 +42,13 @@ from .gfq import ExtensionField, FieldCtx, factor_prime_power, field_new
 from .grassmann import (
     GrassmannGraph,
     ResolvingVerdict,
-    bfs_distance,
     bfs_distances_from,
-    code_of,
     codes_table,
     distance,
     edge_list,
     is_resolving,
 )
-from .linalg import MatGFq, intersect_dim, mat, rank, rref
+from .linalg import MatGFq, intersect_dim
 from .rank import (
     IncidenceMatrix,
     RankCertificate,
@@ -68,14 +64,11 @@ from .search import (
     metric_dimension_greedy,
 )
 from .subspaces import (
-    PointIndex,
     Subspace,
     SubspaceFamily,
     enumerate_bases,
     enumerate_k_subspaces,
     gaussian_binomial,
-    gaussian_binomial_pascal,
-    incidence_vector,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport",
     "BudgetExceeded",
-    "ContextMismatch",
     "DegenerateBound",
     "DimensionMismatch",
     "DivisionByZero",
@@ -98,8 +90,6 @@ __all__ = [
     "MixedPartition",
     "NotDivisor",
     "NotPrimePower",
-    "NotSubspace",
-    "PointIndex",
     "RankCertificate",
     "ResolvingVerdict",
     "Spread",
@@ -108,12 +98,10 @@ __all__ = [
     "TooLarge",
     "babai_general",
     "babai_strong",
-    "bfs_distance",
     "bfs_distances_from",
     "build_mixed_partition",
     "build_spread",
     "certify_resolving_by_rank",
-    "code_of",
     "codes_table",
     "compare",
     "distance",
@@ -126,22 +114,17 @@ __all__ = [
     "field_new",
     "format_family",
     "gaussian_binomial",
-    "gaussian_binomial_pascal",
     "gram_closed_form",
     "incidence_matrix",
-    "incidence_vector",
     "intersect_dim",
     "is_resolving",
     "lower_bound",
-    "mat",
     "metric_dimension_exact",
     "metric_dimension_from_distances",
     "metric_dimension_greedy",
     "parse_family",
-    "rank",
     "resolving_from_partition",
     "resolving_from_spread",
     "resolving_greedy_rank",
-    "rref",
     "verify_gram",
 ]

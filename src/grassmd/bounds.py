@@ -20,9 +20,10 @@ use it, so importing the package does not pay for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateBound, InvalidArgs
+from .errors import DegenerateBound, InvalidArgs, TooLarge
 from .subspaces import gaussian_binomial
 
 LOG_BASES = ("e", "2", "10")
@@ -40,6 +41,13 @@ def _log(x, base: str = "e"):
     raise InvalidArgs(f"log base must be one of {LOG_BASES}, got {base!r}")
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or TooLarge when it overflowed a float."""
+    if not math.isfinite(value):
+        raise TooLarge(f"{what} is too large for a float")
+    return value
+
+
 def lower_bound(q: int, n: int, k: int) -> float:
     """log base k of [n k]_q; approximate, not rounded up here."""
     if k < 2:
@@ -48,7 +56,7 @@ def lower_bound(q: int, n: int, k: int) -> float:
 
     nv = gaussian_binomial(n, k, q)
     with mpmath.workprec(_PRECISION_BITS):
-        return float(mpmath.log(mpmath.mpf(nv)) / mpmath.log(k))
+        return _finite(float(mpmath.log(mpmath.mpf(nv)) / mpmath.log(k)), "lower bound")
 
 
 def babai_general(q: int, n: int, k: int, log_base: str = "e") -> float:
@@ -57,7 +65,8 @@ def babai_general(q: int, n: int, k: int, log_base: str = "e") -> float:
 
     nv = gaussian_binomial(n, k, q)
     with mpmath.workprec(_PRECISION_BITS):
-        return float(4 * mpmath.sqrt(mpmath.mpf(nv)) * _log(nv, log_base))
+        return _finite(float(4 * mpmath.sqrt(mpmath.mpf(nv)) * _log(nv, log_base)),
+                       "general upper bound")
 
 
 def distance_class_size(q: int, n: int, k: int, j: int) -> int:
@@ -84,7 +93,7 @@ def babai_strong(q: int, n: int, k: int, log_base: str = "e") -> tuple:
         bound = float(
             2 * k * mpmath.mpf(nv) / mpmath.mpf(nv - big_m) * _log(nv, log_base)
         )
-    return bound, big_m, arg
+    return _finite(bound, "strong upper bound"), big_m, arg
 
 
 @dataclass(frozen=True)

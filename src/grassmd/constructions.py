@@ -24,6 +24,7 @@ coordinate in power-basis GF(q)-coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from .gfq import ExtensionField, FieldCtx
@@ -102,14 +103,22 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> Spread:
     return Spread(ctx, n, t, fam)
 
 
-def _k_subspaces_of(u: Subspace, coeff_subs) -> list:
-    """All k-subspaces of a (k+1)-dimensional subspace u, via coefficient
-    subspaces of the abstract V(k+1, q) mapped through u's basis."""
-    out = []
-    for s in coeff_subs:
-        m = mat_mul(s.basis, u.basis)
-        out.append(Subspace.from_rows(u.ctx, u.n, m.data))
-    return out
+def _k_subspaces_in(ctx: FieldCtx, k: int, spaces) -> SubspaceFamily:
+    """The k-subspaces of each (k+1)-subspace in spaces, deduplicated in
+    first-seen order: C·W for the RREF bases C of the k-subspaces of the
+    abstract V(k+1, q), W the space's RREF basis.  C·W is RREF already: W
+    is the identity in its pivot columns, so there C·W reads C, and row i
+    leads at W's pivot number C.pivots[i]."""
+    coeff_subs = enumerate_k_subspaces(ctx, k + 1, k)
+    out = {}
+    for w in spaces:
+        assert w.dim == k + 1
+        for c in coeff_subs:
+            data = mat_mul(c.basis, w.basis).data
+            if data not in out:
+                pivots = [w.pivots[p] for p in c.pivots]
+                out[data] = Subspace._from_rref(ctx, w.n, data, pivots)
+    return SubspaceFamily(out.values())
 
 
 def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
@@ -120,12 +129,8 @@ def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
         raise NotDivisor(f"k+1={k + 1} does not divide n={n}")
     # [k+1 k]_q k-subspaces in each of the [n 1]_q / [k+1 1]_q members
     _check_budget(gaussian_binomial(n, 1, ctx.q), f"{k}-subspaces")
-    spread = build_spread(ctx, n, k + 1)
-    coeff_subs = enumerate_k_subspaces(ctx, k + 1, k)
-    members = []
-    for w in spread.members:
-        members.extend(_k_subspaces_of(w, coeff_subs))
-    fam = SubspaceFamily(members)  # rejects duplicates: spread members meet in 0
+    fam = _k_subspaces_in(ctx, k, build_spread(ctx, n, k + 1).members)
+    # spread members meet in 0, so none of their k-subspaces coincide
     assert len(fam) == gaussian_binomial(n, 1, ctx.q)
     return fam
 
@@ -187,24 +192,11 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     blocks = (q**s - 1) // (q ** (k + 1) - 1) + q**s
     _check_budget(blocks * gaussian_binomial(k + 1, 1, q), f"{k}-subspaces before dedup")
     part = build_mixed_partition(ctx, n, k)
-    coeff_subs = enumerate_k_subspaces(ctx, k + 1, k)
-    seen = set()
-    out = []
-
-    def add(sub: Subspace):
-        if sub.basis.data not in seen:
-            seen.add(sub.basis.data)
-            out.append(sub)
-
-    for w in part.spread_part:
-        for sub in _k_subspaces_of(w, coeff_subs):
-            add(sub)
-    for x in part.tail_part:
-        y = Subspace.from_rows(ctx, n, x.basis.data + part.Z.basis.data)
-        assert y.dim == k + 1  # X_j meets V(s,q) trivially and Z sits inside it
-        for sub in _k_subspaces_of(y, coeff_subs):
-            add(sub)
-    fam = SubspaceFamily(out)
+    # X_j meets V(s,q) trivially and Z sits inside it, so X_j + Z has
+    # dimension k+1
+    fattened = (Subspace.from_rows(ctx, n, x.basis.data + part.Z.basis.data)
+                for x in part.tail_part)
+    fam = _k_subspaces_in(ctx, k, chain(part.spread_part, fattened))
     if part.t == 1:
         expected = gaussian_binomial(n, 1, q) + q ** (n - k) * gaussian_binomial(k - 1, 1, q)
         assert len(fam) == expected

@@ -21,14 +21,6 @@ class DimensionMismatch(GrassmdError):
     """Operands live in incompatible spaces (columns or contexts differ)."""
 
 
-class ContextMismatch(GrassmdError):
-    """Operands belong to different field contexts or ambient spaces."""
-
-
-class NotSubspace(GrassmdError):
-    """Claimed containment of row spaces does not hold."""
-
-
 class InvalidArgs(GrassmdError):
     """Arguments outside the documented domain of an operation."""
 

@@ -75,11 +75,6 @@ class _PrimeField:
     def mul(self, a, b):
         return (a * b) % self.q
 
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return pow(a, self.q - 2, self.q)
-
 
 # -- polynomial helpers over an arbitrary scalar field ----------------------
 #
@@ -217,16 +212,6 @@ class FieldCtx:
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return self.inv_table[a]
-
-    def coeffs(self, a: FieldElement) -> tuple[int, ...]:
-        """Polynomial coefficients of a, constant term first."""
-        return _decode_poly(a, self.p, self.e)
-
-    def from_coeffs(self, coeffs) -> FieldElement:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
 
     def __eq__(self, other):
         return (

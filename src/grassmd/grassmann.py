@@ -22,10 +22,12 @@ determines its code), not the row.  Rows with equal digests are recomputed
 and compared in full, so the verdict and the lexicographically first
 colliding pair stay exact whatever the digest does.
 
-The independent oracles live apart from the kernel: `code_of` and
-`distance` compute intersection dimensions from stacked RREF ranks, and
-`bfs_distances_from` walks adjacency lists built from the definition of
-adjacency (`GrassmannGraph.adjacency`), not from distances.
+Two routes stay independent of the kernel: `distance` computes the
+intersection dimension from a stacked RREF rank, and `bfs_distances_from`
+walks adjacency lists built from the definition of adjacency
+(`GrassmannGraph.adjacency`), not from distances.  The tests compare the
+kernel against both, through the per-vertex code and pairwise BFS oracles
+in `tests/oracles.py`; `accept` compares it against BFS.
 """
 
 from __future__ import annotations
@@ -170,11 +172,6 @@ def distance(a: Subspace, b: Subspace) -> int:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     return a.dim - intersect_dim(a.basis, b.basis)
-
-
-def code_of(w: Subspace, family: SubspaceFamily) -> tuple:
-    """Distances of w to the family members, in family order."""
-    return tuple(distance(w, u) for u in family)
 
 
 # Shared-point counts are summed over about this many cells at a time: a
@@ -343,13 +340,6 @@ def bfs_distances_from(g: GrassmannGraph, src: int) -> list:
     if min(dist) < 0:
         raise InvalidArgs("graph is disconnected")  # cannot happen for 2 <= k <= n/2
     return dist
-
-
-def bfs_distance(g: GrassmannGraph, a: Subspace, b: Subspace) -> int:
-    """Shortest-path distance between two vertices; oracle for the
-    algebraic distance formula."""
-    src, dst = g.ordinal(a), g.ordinal(b)
-    return bfs_distances_from(g, src)[dst]
 
 
 def edge_list(g: GrassmannGraph) -> list:

@@ -51,16 +51,6 @@ class MatGFq:
         return f"MatGFq({self.ctx!r}, {self.rows}x{self.cols}, [{body}])"
 
 
-def mat(ctx: FieldCtx, rows, cols: int | None = None) -> MatGFq:
-    """Build a MatGFq from an iterable of rows."""
-    rows = [tuple(r) for r in rows]
-    if cols is None:
-        if not rows:
-            raise InvalidArgs("cannot infer cols from an empty matrix")
-        cols = len(rows[0])
-    return MatGFq(ctx, len(rows), cols, rows)
-
-
 def rref_rows(ctx: FieldCtx, rows, cols: int):
     """RREF of raw row tuples; returns (rows_without_zeros, pivot_columns)."""
     work = [list(r) for r in rows]
@@ -98,21 +88,6 @@ def rref_rows(ctx: FieldCtx, rows, cols: int):
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def rref(m: MatGFq) -> tuple[MatGFq, int]:
-    """Unique reduced row echelon form with zero rows dropped, plus rank."""
-    rows, pivots = rref_rows(m.ctx, m.data, m.cols)
-    return MatGFq(m.ctx, len(rows), m.cols, rows), len(rows)
-
-
-def rank(m: MatGFq) -> int:
-    return rref(m)[1]
-
-
-def stack(a: MatGFq, b: MatGFq) -> MatGFq:
-    _check_compatible(a, b)
-    return MatGFq(a.ctx, a.rows + b.rows, a.cols, a.data + b.data)
-
-
 def mat_mul(a: MatGFq, b: MatGFq) -> MatGFq:
     """Exact product over GF(q)."""
     if a.ctx != b.ctx:
@@ -135,17 +110,13 @@ def mat_mul(a: MatGFq, b: MatGFq) -> MatGFq:
     return MatGFq(ctx, a.rows, b.cols, out)
 
 
-def _check_compatible(a: MatGFq, b: MatGFq):
-    if a.ctx != b.ctx:
-        raise DimensionMismatch("contexts differ")
-    if a.cols != b.cols:
-        raise DimensionMismatch(f"column counts differ: {a.cols} vs {b.cols}")
-
-
 def intersect_dim(a: MatGFq, b: MatGFq) -> int:
     """dim(rowspace(a) ∩ rowspace(b)) = rank a + rank b - rank of the stack.
 
     Both inputs must already be in RREF, so their row counts are their ranks.
     """
-    _check_compatible(a, b)
-    return a.rows + b.rows - rank(stack(a, b))
+    if a.ctx != b.ctx:
+        raise DimensionMismatch("contexts differ")
+    if a.cols != b.cols:
+        raise DimensionMismatch(f"column counts differ: {a.cols} vs {b.cols}")
+    return a.rows + b.rows - len(rref_rows(a.ctx, a.data + b.data, a.cols)[0])

@@ -24,9 +24,9 @@ so M has full column rank N = [n 1]_q.
 
 Incidence rows come from `subspaces.bases_point_ordinals`, the builder the
 code tables in `grassmann` also use; integer rank here and a shared-point
-lookup there keep the routes apart after it.  Tests check the builder against the
-membership-test `incidence_vector`, and the code tables against the
-RREF-based `grassmann.code_of`.
+lookup there keep the routes apart after it.  The tests check the builder
+against membership tests and the code tables against RREF intersection
+dimensions, with the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(family: SubspaceFamily) -> IncidenceMatrix:
-    """Rows over the points in PointIndex order."""
+    """Rows over the points in `point_reps` order."""
     if len(family) == 0:
         raise InvalidArgs("family is empty")
     block = incidence_block(family)

@@ -10,13 +10,14 @@ distinct subspace, so no rejection or hashing is needed.  `Subspace`
 objects are built from array rows only where a caller asks for them
 (`enumerate_k_subspaces`, `subspaces_from_bases`).
 
-Projective points (1-subspaces) get their own index: each is stored as its
-normalized representative (first nonzero coordinate scaled to 1), ordered
-by the representative's big-endian integer encoding.  The one production
-incidence builder, `bases_point_ordinals`, lists the points of a whole
-array of bases at once; `bases_incidence_block` scatters them into dense
-0/1 rows, `incidence_block` does the same for a list of `Subspace`
-objects, and `incidence_vector` is the membership-test oracle.
+Projective points (1-subspaces) are numbered by their normalized
+representatives (first nonzero coordinate scaled to 1), in ascending
+big-endian integer encoding (`point_reps`).  The one incidence builder,
+`bases_point_ordinals`, lists the point ordinals of a whole array of bases
+at once; `bases_incidence_block` scatters them into dense 0/1 rows, and
+`incidence_block` does the same for a list of `Subspace` objects.  The
+tests check it against membership tests (`Subspace.contains`) and the
+product formula of `gaussian_binomial` against the Pascal recurrence.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetExceeded, ContextMismatch, DimensionMismatch, InvalidArgs, TooLarge
+from .errors import BudgetExceeded, DimensionMismatch, InvalidArgs, TooLarge
 from .gfq import FieldCtx
 from .linalg import MatGFq, rref_rows
 
@@ -78,26 +79,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def gaussian_binomial_pascal(n: int, k: int, q: int) -> int:
-    """Same count via the recurrence [n k] = [n-1 k-1] + q^k [n-1 k].
-
-    Independent evaluation path used to cross-check the product formula.
-    """
-    if k < 0 or k > n:
-        raise InvalidArgs(f"need 0 <= k <= n, got n={n} k={k}")
-    if q < 2:
-        raise InvalidArgs(f"need q >= 2, got {q}")
-    # row-by-row table, same shape as Pascal's triangle
-    prev = [1]
-    for m in range(1, n + 1):
-        cur = [1]
-        for j in range(1, m):
-            cur.append(prev[j - 1] + q**j * prev[j])
-        cur.append(1)
-        prev = cur
-    return prev[k]
-
-
 class Subspace:
     """A dim-dimensional subspace of V(n,q), held as its RREF basis."""
 
@@ -145,11 +126,6 @@ class Subspace:
     @property
     def pivots(self) -> tuple:
         return self._pivots
-
-    @property
-    def key(self) -> tuple:
-        """Flattened canonical basis; total order on equal-shape subspaces."""
-        return tuple(x for row in self.basis.data for x in row)
 
     def contains(self, v) -> bool:
         """Membership test by reduction against the RREF basis."""
@@ -300,41 +276,6 @@ def point_reps(q: int, n: int):
             yield head + tail
 
 
-class PointIndex:
-    """The N = [n 1]_q projective points of V(n,q) in `point_reps` order,
-    with a lookup from any nonzero vector to its point's ordinal."""
-
-    __slots__ = ("ctx", "n", "points", "_pos")
-
-    def __init__(self, ctx: FieldCtx, n: int):
-        reps = tuple(point_reps(ctx.q, n))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", reps)
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(reps)})
-        assert len(reps) == gaussian_binomial(n, 1, ctx.q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointIndex is immutable")
-
-    def __len__(self):
-        return len(self.points)
-
-    def normalize(self, v) -> tuple:
-        """Scale v so its first nonzero coordinate is 1."""
-        v = tuple(v)
-        for x in v:
-            if x:
-                if x == 1:
-                    return v
-                mrow = self.ctx.mul_table[self.ctx.inv_table[x]]
-                return tuple(mrow[y] for y in v)
-        raise InvalidArgs("zero vector spans no point")
-
-    def index_of(self, v) -> int:
-        return self._pos[self.normalize(v)]
-
-
 def _point_count(q: int, n: int) -> int:
     """[n 1]_q, refusing more points than the enumeration budget."""
     points = gaussian_binomial(n, 1, q)
@@ -357,8 +298,9 @@ def basis_array(subspaces) -> np.ndarray:
 
 
 def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
-    """(S, [d 1]_q) array: row s holds the PointIndex ordinals of the points
-    of the subspace with RREF basis bases[s], an (S, d, n) array.
+    """(S, [d 1]_q) array: row s holds the ordinals, in `point_reps` order,
+    of the points of the subspace with RREF basis bases[s], an (S, d, n)
+    array.
 
     The points of a subspace with RREF basis B are c·B for the normalized
     coefficient vectors c of PG(d-1,q).  B has the identity in its pivot
@@ -382,7 +324,7 @@ def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
 
 
 def bases_incidence_block(ctx: FieldCtx, bases: np.ndarray, dtype=np.uint8) -> np.ndarray:
-    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in PointIndex order, of
+    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in `point_reps` order, of
     an (S, d, n) array of RREF bases; refuses more than
     DISTANCE_TABLE_FACTOR × the enumeration budget cells before allocating
     any."""
@@ -400,11 +342,3 @@ def incidence_block(subspaces, dtype=np.uint8) -> np.ndarray:
     """`bases_incidence_block` for a list of same-shape `Subspace` objects."""
     bases = basis_array(subspaces)
     return bases_incidence_block(subspaces[0].ctx, bases, dtype)
-
-
-def incidence_vector(u: Subspace, idx: PointIndex) -> tuple:
-    """0/1 membership of the points of idx in u: entry i = 1 iff point i
-    lies in u, so the entries sum to [dim(u) 1]_q."""
-    if u.ctx != idx.ctx or u.n != idx.n:
-        raise ContextMismatch("subspace and point index disagree on (q, n)")
-    return tuple(1 if u.contains(p) else 0 for p in idx.points)

@@ -14,7 +14,8 @@ from grassmd.bounds import (
     distance_class_size,
     lower_bound,
 )
-from grassmd.subspaces import gaussian_binomial, gaussian_binomial_pascal
+from grassmd.subspaces import gaussian_binomial
+from oracles import gaussian_binomial_pascal
 
 
 def test_lower_bound_is_log_base_k():

@@ -339,6 +339,15 @@ def test_astronomical_binomials_exit_2_promptly(argv):
     assert time.perf_counter() - t0 < 5
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_bounds_beyond_float_range_exit_2(extra):
+    # [1900 7]_2 has 3990 digits: allowed, but sqrt(N) overflows a float,
+    # and `--json` would print the non-JSON token Infinity
+    rc, out, err = run(["bounds", "2", "1900", "7", *extra])
+    assert rc == 2 and "inf" not in out.lower()
+    assert err.startswith("error:") and "float" in err
+
+
 def test_construct_partition_2_10_2_is_pinned():
     # 1279 = [10 1]_2 + 2^8 [1 1]_2 members, built over GF(2^9) and GF(2^3)
     rc, out, _ = run(["construct", "partition", "2", "10", "2"])

@@ -7,7 +7,7 @@ import pytest
 from grassmd.errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
-from grassmd.linalg import intersect_dim, rank, stack
+from grassmd.linalg import intersect_dim
 from grassmd.constructions import (
     build_mixed_partition,
     build_spread,
@@ -17,6 +17,7 @@ from grassmd.constructions import (
 )
 from grassmd.rank import certify_resolving_by_rank
 from grassmd.subspaces import gaussian_binomial
+from oracles import rank, stack
 
 
 def nonzero_vectors(q, n):
@@ -58,7 +59,7 @@ def test_spread_requires_divisor():
 def test_spread_is_deterministic():
     a = build_spread(field_new(2), 6, 2)
     b = build_spread(field_new(2), 6, 2)
-    assert [m.key for m in a.members.members] == [m.key for m in b.members.members]
+    assert a.members == b.members
 
 
 @pytest.mark.parametrize("q,n,k,size", [(2, 6, 2, 63), (3, 6, 2, 364), (2, 8, 3, 255)])
@@ -150,15 +151,18 @@ def test_greedy_rank_family(q, n, k):
 def test_greedy_rank_deterministic():
     a = resolving_greedy_rank(field_new(2), 5, 2)
     b = resolving_greedy_rank(field_new(2), 5, 2)
-    assert [m.key for m in a.members] == [m.key for m in b.members]
+    assert a == b
 
 
 def test_constructions_are_vertices_of_the_right_graph():
+    # the spread and partition members skip re-canonicalisation, so their
+    # pivots must still be those of the graph's own vertices
     ctx = field_new(2)
-    g = GrassmannGraph(ctx, 6, 2)
-    for fam in (resolving_from_spread(ctx, 6, 2), resolving_greedy_rank(ctx, 6, 2)):
-        for m in fam.members:
-            assert g.ordinal(m) >= 0
+    for build, n in [(resolving_from_spread, 6), (resolving_greedy_rank, 6),
+                     (resolving_from_partition, 5)]:
+        g = GrassmannGraph(ctx, n, 2)
+        for m in build(ctx, n, 2).members:
+            assert m.pivots == g.vertices[g.ordinal(m)].pivots
 
 
 @pytest.mark.parametrize(

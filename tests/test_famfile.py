@@ -19,7 +19,7 @@ def test_round_trip():
     assert text.startswith("# one\n# two\n3 4 2 49\n")
     ctx2, n, k, parsed = parse_family(text)
     assert (ctx2.q, n, k) == (3, 4, 2)
-    assert [m.key for m in parsed.members] == [m.key for m in fam.members]
+    assert [m.basis.data for m in parsed.members] == [m.basis.data for m in fam.members]
     # formatting the parse gives identical bytes (minus comments)
     assert format_family(3, 4, 2, parsed) == format_family(3, 4, 2, fam)
 
@@ -66,7 +66,7 @@ def test_parse_rejects_non_prime_power_field():
 @st.composite
 def family_texts(draw):
     """A valid family file: random distinct RREF members of one shape."""
-    members = list({m.key: m for m in draw(rref_families())}.values())
+    members = list({m.basis.data: m for m in draw(rref_families())}.values())
     first = members[0]
     return format_family(first.ctx.q, first.n, first.dim, SubspaceFamily(members))
 

@@ -13,9 +13,7 @@ from grassmd.errors import BudgetExceeded, DimensionMismatch, GrassmdError, Inva
 from grassmd.gfq import field_new
 from grassmd.grassmann import (
     GrassmannGraph,
-    bfs_distance,
     bfs_distances_from,
-    code_of,
     codes_table,
     distance,
     edge_list,
@@ -23,6 +21,7 @@ from grassmd.grassmann import (
 )
 from grassmd.linalg import intersect_dim
 from grassmd.subspaces import Subspace, SubspaceFamily, bases_point_ordinals, gaussian_binomial
+from oracles import bfs_distance, code_of
 from strategies import rref_vertex_pairs
 
 

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from grassmd.errors import DimensionMismatch, InvalidArgs, NotSubspace
+from grassmd.errors import DimensionMismatch, InvalidArgs
 from grassmd.gfq import field_new
-from grassmd.linalg import MatGFq, intersect_dim, mat, mat_mul, rank, rref, stack
+from grassmd.linalg import MatGFq, intersect_dim, mat_mul
+from oracles import mat, rank, rref, stack
 
 
-# Helpers that nothing in the package needs; kept here as the subjects of
-# the algebra checks below.
+# Helpers that nothing in the package needs; kept here, with the oracles,
+# as the subjects of the algebra checks below.
 
 
 def transpose(m):
@@ -25,10 +26,6 @@ def sum_space(a, b):
 def extend_basis(independent, ambient):
     """Rows of ambient, first-fit in row order, completing independent to a
     basis of rowspace(ambient).  Returns only the added rows."""
-    if rank(independent) != independent.rows:
-        raise InvalidArgs("rows of `independent` are linearly dependent")
-    if intersect_dim(rref(independent)[0], rref(ambient)[0]) != independent.rows:
-        raise NotSubspace("independent rows do not lie in rowspace(ambient)")
     basis, added = independent, []
     for row in ambient.data:
         grown = stack(basis, mat(ambient.ctx, [row]))
@@ -215,19 +212,9 @@ def test_extend_basis_pinned():
     assert extend_basis(amb, amb).rows == 0
 
 
-def test_extend_basis_errors():
-    ctx = field_new(2)
-    amb = rref(mat(ctx, [[1, 0, 0], [0, 1, 0]]))[0]
-    dependent = mat(ctx, [[1, 0, 0], [1, 0, 0]])
-    with pytest.raises(InvalidArgs):
-        extend_basis(dependent, amb)
-    outside = mat(ctx, [[0, 0, 1]])
-    with pytest.raises(NotSubspace):
-        extend_basis(outside, amb)
-
-
 def test_context_must_match():
     a = mat(field_new(2), [[1, 0]])
-    b = mat(field_new(3), [[1, 0]])
-    with pytest.raises((DimensionMismatch, InvalidArgs)):
-        stack(a, b)
+    with pytest.raises(DimensionMismatch):
+        intersect_dim(a, mat(field_new(3), [[1, 0]]))
+    with pytest.raises(DimensionMismatch):
+        intersect_dim(a, mat(field_new(2), [[1, 0, 0]]))

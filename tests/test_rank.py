@@ -1,7 +1,6 @@
 """Exact integer rank: Bareiss elimination, the multi-modular certificate,
 the row rank profile behind the greedy construction, Gram identity."""
 
-import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grassmd import rank as rank_mod
 from grassmd.errors import InvalidArgs, TooLarge
 from grassmd.gfq import field_new
 from grassmd.rank import (
@@ -23,16 +23,8 @@ from grassmd.rank import (
     verify_gram,
 )
 from grassmd.constructions import resolving_greedy_rank
-from grassmd.subspaces import (
-    PointIndex,
-    SubspaceFamily,
-    enumerate_k_subspaces,
-    gaussian_binomial,
-    incidence_vector,
-)
-
-# `grassmd.rank` the attribute is the linalg function
-rank_mod = importlib.import_module("grassmd.rank")
+from grassmd.subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
+from oracles import PointIndex, incidence_vector
 
 
 def fraction_rank(rows):

@@ -9,22 +9,19 @@ from hypothesis import given, settings
 
 from grassmd import subspaces as subspaces_mod
 
-from grassmd.errors import BudgetExceeded, ContextMismatch, InvalidArgs, TooLarge
+from grassmd.errors import BudgetExceeded, InvalidArgs, TooLarge
 from grassmd.gfq import field_new
-from grassmd.linalg import mat
 from grassmd.subspaces import (
     BINOMIAL_MAX_DIGITS,
-    PointIndex,
     Subspace,
     SubspaceFamily,
     enumerate_bases,
     enumerate_k_subspaces,
     enumeration_budget,
     gaussian_binomial,
-    gaussian_binomial_pascal,
     incidence_block,
-    incidence_vector,
 )
+from oracles import PointIndex, gaussian_binomial_pascal, incidence_vector, mat
 from strategies import rref_families
 
 
@@ -206,7 +203,7 @@ def test_enumeration_pinned_small_cases():
 def test_enumeration_is_sorted_and_duplicate_free():
     for q, n, k in [(2, 4, 2), (3, 4, 2), (2, 5, 3), (4, 4, 2)]:
         subs = enumerate_k_subspaces(field_new(q), n, k)
-        keys = [s.key for s in subs]
+        keys = [s.basis.data for s in subs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         for s in subs:
@@ -235,7 +232,7 @@ def test_from_rows_canonicalizes():
     a = Subspace.from_rows(ctx, 3, [[1, 2, 0], [0, 1, 1]])
     # rows are combinations of a's basis, so the row space is identical
     b = Subspace.from_rows(ctx, 3, [[1, 1, 2], [0, 2, 2]])
-    assert a.key == b.key
+    assert a.basis.data == b.basis.data
     assert a.dim == 2
     # dependent rows collapse to the actual dimension
     assert Subspace.from_rows(ctx, 3, [[1, 0, 0], [2, 0, 0]]).dim == 1
@@ -279,8 +276,6 @@ def test_point_index_normalize_and_lookup():
         doubled = tuple(ctx.mul(2, c) for c in p)
         assert idx.normalize(doubled) == p
         assert idx.points[idx.index_of(doubled)] == p
-    with pytest.raises(InvalidArgs):
-        idx.normalize((0, 0, 0))
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2)])
@@ -297,14 +292,6 @@ def test_incidence_vector_popcount_and_injectivity(q, n, k):
         assert sum(v) == points_per_sub
         seen.add(v)
     assert len(seen) == len(subs)  # distinct subspaces, distinct supports
-
-
-def test_incidence_vector_context_mismatch():
-    s = Subspace.from_rows(field_new(2), 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    with pytest.raises(ContextMismatch):
-        incidence_vector(s, PointIndex(field_new(3), 4))
-    with pytest.raises(ContextMismatch):
-        incidence_vector(s, PointIndex(field_new(2), 5))
 
 
 @settings(max_examples=80, deadline=None)
