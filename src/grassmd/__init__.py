@@ -18,7 +18,6 @@ from .bounds import (
 )
 from .constructions import (
     MixedPartition,
-    Spread,
     build_mixed_partition,
     build_spread,
     resolving_from_partition,
@@ -29,7 +28,6 @@ from .errors import (
     BudgetExceeded,
     DegenerateBound,
     DimensionMismatch,
-    DivisionByZero,
     GrassmdError,
     InvalidArgs,
     InvalidShape,
@@ -78,7 +76,6 @@ __all__ = [
     "BudgetExceeded",
     "DegenerateBound",
     "DimensionMismatch",
-    "DivisionByZero",
     "ExtensionField",
     "FieldCtx",
     "GrassmannGraph",
@@ -92,7 +89,6 @@ __all__ = [
     "NotPrimePower",
     "RankCertificate",
     "ResolvingVerdict",
-    "Spread",
     "Subspace",
     "SubspaceFamily",
     "TooLarge",

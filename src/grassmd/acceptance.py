@@ -228,8 +228,7 @@ def criterion_7() -> CriterionResult:
     ok = True
     for (q, n, t), want_count in SPREAD_GRID:
         ctx = field_new(q)
-        sp = build_spread(ctx, n, t)
-        members = list(sp.members)
+        members = list(build_spread(ctx, n, t))
         cover_ok = True
         for v in product(range(q), repeat=n):
             if not any(v):

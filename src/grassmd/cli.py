@@ -74,8 +74,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_spread(args) -> int:
     ctx = field_new(args.q)
-    sp = build_spread(ctx, args.n, args.t)
-    text = format_family(args.q, args.n, args.t, sp.members,
+    text = format_family(args.q, args.n, args.t, build_spread(ctx, args.n, args.t),
                          comments=[f"{args.t}-spread of V({args.n},{args.q})"])
     _emit(text, args.output)
     return 0
@@ -180,17 +179,19 @@ def _cmd_gram(args) -> int:
 def _parse_grid(spec: str) -> list:
     out = []
     for part in spec.split(","):
-        trip = part.strip().split(":")
-        if len(trip) != 3:
-            raise GrassmdError(f"grid entries are q:n:k, got {part!r}")
-        out.append(tuple(int(x) for x in trip))
+        try:
+            q, n, k = (int(x) for x in part.strip().split(":"))
+        except ValueError:  # a non-integer entry, or not three of them
+            raise InvalidArgs(f"grid entries are integer triples q:n:k, got {part!r}")
+        out.append((q, n, k))
     return out
 
 
 def _cmd_bounds(args) -> int:
     if args.grid:
+        grid = _parse_grid(args.grid)
         print(CSV_HEADER)
-        for q, n, k in _parse_grid(args.grid):
+        for q, n, k in grid:
             print(csv_row(compare(q, n, k, args.log_base)))
         return 0
     if None in (args.q, args.n, args.k):

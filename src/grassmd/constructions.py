@@ -44,16 +44,6 @@ from .subspaces import (
 
 
 @dataclass(frozen=True)
-class Spread:
-    """t-subspaces partitioning the nonzero vectors of V(n,q)."""
-
-    ctx: FieldCtx
-    n: int
-    t: int
-    members: SubspaceFamily
-
-
-@dataclass(frozen=True)
 class MixedPartition:
     """Nonzero vectors of V(n,q) split into (k+1)-subspaces and t-subspaces.
 
@@ -79,8 +69,11 @@ def _check_budget(count: int, what: str):
         raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
 
 
-def build_spread(ctx: FieldCtx, n: int, t: int) -> Spread:
-    """Field-reduction t-spread of V(n,q); exists iff t divides n."""
+def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
+    """Field-reduction t-spread of V(n,q): t-subspaces partitioning its
+    nonzero vectors; exists iff t divides n."""
+    if not 1 <= t <= n:
+        raise InvalidArgs(f"need 1 <= t <= n, got n={n} t={t}")
     if n % t != 0:
         raise NotDivisor(f"t={t} does not divide n={n}")
     count = (ctx.q**n - 1) // (ctx.q**t - 1)
@@ -100,7 +93,7 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> Spread:
         members.append(sub)
     fam = SubspaceFamily(members)
     assert len(fam) == count
-    return Spread(ctx, n, t, fam)
+    return fam
 
 
 def _k_subspaces_in(ctx: FieldCtx, k: int, spaces) -> SubspaceFamily:
@@ -129,7 +122,7 @@ def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
         raise NotDivisor(f"k+1={k + 1} does not divide n={n}")
     # [k+1 k]_q k-subspaces in each of the [n 1]_q / [k+1 1]_q members
     _check_budget(gaussian_binomial(n, 1, ctx.q), f"{k}-subspaces")
-    fam = _k_subspaces_in(ctx, k, build_spread(ctx, n, k + 1).members)
+    fam = _k_subspaces_in(ctx, k, build_spread(ctx, n, k + 1))
     # spread members meet in 0, so none of their k-subspaces coincide
     assert len(fam) == gaussian_binomial(n, 1, ctx.q)
     return fam
@@ -165,8 +158,7 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
     """
     s, t = _partition_shape(n, k)
     ext_s = ExtensionField(ctx, s)
-    spread_s = build_spread(ctx, s, k + 1)
-    w_members = SubspaceFamily(_embed_leading(w, n) for w in spread_s.members)
+    w_members = SubspaceFamily(_embed_leading(w, n) for w in build_spread(ctx, s, k + 1))
     tail = []
     for a in range(ext_s.order):
         rows = []

@@ -13,10 +13,6 @@ class TooLarge(GrassmdError):
     """The requested field order exceeds the configured ceiling."""
 
 
-class DivisionByZero(GrassmdError):
-    """Multiplicative inverse of zero requested."""
-
-
 class DimensionMismatch(GrassmdError):
     """Operands live in incompatible spaces (columns or contexts differ)."""
 

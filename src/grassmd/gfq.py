@@ -1,25 +1,25 @@
 """Arithmetic for small prime-power finite fields GF(p^e).
 
-Field elements are plain integers in ``[0, q)``: the element
-``a_0 + a_1 x + ... + a_{e-1} x^{e-1}`` is encoded as the base-p integer
-with ``a_0`` least significant.  All arithmetic goes through tables
-precomputed at context creation, so a :class:`FieldCtx` is immutable and
-safe to share; the context is passed explicitly wherever elements are
-combined.
+One construction builds every field.  GF(q^t) is the power-basis extension
+of GF(q) by the lexicographically smallest monic irreducible polynomial of
+degree t over GF(q), where coefficient vectors are compared as base-q
+integers with the constant term least significant.  This rule is
+deterministic and needs no external polynomial tables.  The element
+``a_0 + a_1 y + ... + a_{t-1} y^{t-1}`` is encoded as the base-q integer
+with ``a_0`` least significant, so elements are plain integers in
+``[0, q^t)``.
 
-The reducing modulus is the lexicographically smallest monic irreducible
-polynomial of degree e over GF(p), where coefficient vectors are compared
-as base-p integers with the constant term least significant.  This rule is
-deterministic and needs no external polynomial tables.  For e = 1 it
-degenerates to the polynomial x, i.e. plain mod-p arithmetic.
+:class:`ExtensionField` is that construction.  Its products are polynomial
+products reduced on the fly: field-reduction spreads read V(n, q) as
+V(n/t, q^t), the power basis 1, y, ..., y^{t-1} supplies the
+GF(q)-coordinates, and the constructions make about order x t products,
+far fewer than an order x order table would cost to fill.
 
-:class:`ExtensionField` applies the same construction one level up: a
-degree-t power-basis extension of an existing GF(q), with elements encoded
-base q.  It is the workhorse behind field-reduction spreads, where
-V(n, q) is read as V(n/t, q^t) and the power basis 1, y, ..., y^{t-1}
-supplies the GF(q)-coordinates.  Its products are polynomial products
-reduced on the fly: the constructions make about order x t of them, far
-fewer than an order x order table would cost to fill.
+:class:`FieldCtx` is GF(q) for q <= DEFAULT_MAX_ORDER with the same
+arithmetic cached in tables: for q = p^e with e > 1 it tabulates
+``ExtensionField(field_new(p), e)``, and a prime field is plain mod-p
+arithmetic with the modulus x.  A context is immutable and safe to share;
+it is passed explicitly wherever elements are combined.
 
 The ceilings DEFAULT_MAX_ORDER (for GF(q)) and EXTENSION_MAX_ORDER (for
 GF(q^t)) are fixed; larger orders raise TooLarge.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DivisionByZero, NotPrimePower, TooLarge
+from .errors import NotPrimePower, TooLarge
 
 FieldElement = int
 
@@ -60,33 +60,10 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-class _PrimeField:
-    """Mod-p scalars; bootstraps polynomial arithmetic for FieldCtx."""
-
-    def __init__(self, p: int):
-        self.q = p
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-
-# -- polynomial helpers over an arbitrary scalar field ----------------------
+# -- polynomial helpers over a FieldCtx ---------------------------------------
 #
 # Polynomials are tuples of scalar encodings, constant term first.  Leading
-# zeros are permitted in intermediate values; _trim removes them.
-
-
-def _trim(poly):
-    d = len(poly)
-    while d > 0 and poly[d - 1] == 0:
-        d -= 1
-    return poly[:d]
+# zeros are permitted in intermediate values.
 
 
 def _poly_mul(field, a, b):
@@ -127,7 +104,7 @@ def _is_irreducible(field, m) -> bool:
     for d in range(1, deg // 2 + 1):
         for code in range(q**d):
             div = _decode_poly(code, q, d) + (1,)
-            if not any(_trim(_poly_rem(field, m, div))):
+            if not any(_poly_rem(field, m, div)):
                 return False
     return True
 
@@ -165,35 +142,16 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.q = q
-        prime = _PrimeField(p)
-        self.modulus = _smallest_irreducible(prime, e)
-        assert _is_irreducible(prime, self.modulus)
-
-        # element <-> coefficient tuple
-        decode = [_decode_poly(v, p, e) for v in range(q)]
-        encode = {c: v for v, c in enumerate(decode)}
-
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        inv = [0] * q
-        for a in range(q):
-            ca = decode[a]
-            neg[a] = encode[tuple(prime.sub(0, x) for x in ca)]
-            for b in range(a, q):
-                cb = decode[b]
-                s = encode[tuple(prime.add(x, y) for x, y in zip(ca, cb))]
-                add[a][b] = add[b][a] = s
-                prod = _poly_rem(prime, _poly_mul(prime, ca, cb), self.modulus)
-                prod = prod + (0,) * (e - len(prod))
-                m = encode[prod]
-                mul[a][b] = mul[b][a] = m
-                if m == 1:
-                    inv[a], inv[b] = b, a
-        self.add_table = tuple(tuple(r) for r in add)
-        self.mul_table = tuple(tuple(r) for r in mul)
-        self.neg_table = tuple(neg)
-        self.inv_table = tuple(inv)
+        if e == 1:
+            self.modulus = (0, 1)
+            add, mul = (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+        else:
+            ext = ExtensionField(field_new(p), e)
+            self.modulus, add, mul = ext.modulus, ext.add, ext.mul
+        self.add_table = tuple(tuple(add(a, b) for b in range(q)) for a in range(q))
+        self.mul_table = tuple(tuple(mul(a, b) for b in range(q)) for a in range(q))
+        self.neg_table = tuple(row.index(0) for row in self.add_table)
+        self.inv_table = (0,) + tuple(row.index(1) for row in self.mul_table[1:])
 
     # -- element operations --------------------------------------------
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -204,14 +162,6 @@ class FieldCtx:
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.mul_table[a][b]
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        return self.neg_table[a]
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return self.inv_table[a]
 
     def __eq__(self, other):
         return (
@@ -238,8 +188,8 @@ class ExtensionField:
 
     Elements are integers in [0, q^t) whose base-q digits are the
     coordinates over the power basis 1, y, ..., y^{t-1}; digit i is the
-    coefficient of y^i.  The modulus is selected by the same rule as
-    FieldCtx, one level up.
+    coefficient of y^i.  The modulus is the smallest monic irreducible of
+    degree t over the base (see the module docstring).
     """
 
     def __init__(self, base: FieldCtx, t: int):
@@ -273,18 +223,6 @@ class ExtensionField:
     def mul(self, a: int, b: int) -> int:
         prod = _poly_rem(self.base, _poly_mul(self.base, self.coords(a), self.coords(b)), self.modulus)
         return self.from_coords(prod + (0,) * (self.t - len(prod)))
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        # a^(order-2) by square and multiply
-        result, power, k = 1, a, self.order - 2
-        while k:
-            if k & 1:
-                result = self.mul(result, power)
-            power = self.mul(power, power)
-            k >>= 1
-        return result
 
     def __repr__(self):
         return f"GF({self.base.q}^{self.t})"

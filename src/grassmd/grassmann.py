@@ -52,7 +52,6 @@ from .subspaces import (
     enumerate_k_subspaces,
     enumeration_budget,
     gaussian_binomial,
-    incidence_block,
     point_reps,
     subspaces_from_bases,
 )
@@ -226,13 +225,13 @@ def _codes(ctx: FieldCtx, bases: np.ndarray, fam_t: np.ndarray) -> np.ndarray:
 
 
 def _family_points(family, ctx: FieldCtx, n: int, k: int) -> np.ndarray:
-    """(N, m) 0/1 point incidence of the family members, one column each."""
-    members = list(family)
-    if not members:
-        raise InvalidArgs("family is empty")
-    if any(u.ctx != ctx or u.n != n or u.dim != k for u in members):
-        raise DimensionMismatch("family members and vertices differ in shape")
-    return np.ascontiguousarray(incidence_block(members).T)
+    """(N, m) 0/1 point incidence of the family members, one column each;
+    refuses an empty or mixed family (`basis_array`) and one whose members
+    are not k-subspaces of V(n,q), i.e. not vertices of G_q(n,k)."""
+    bases = basis_array(family)
+    if family[0].ctx != ctx or bases.shape[1:] != (k, n):
+        raise InvalidArgs(f"{family[0]!r} is not a vertex of G_{ctx.q}({n},{k})")
+    return np.ascontiguousarray(bases_incidence_block(ctx, bases).T)
 
 
 def codes_table(vertices, family) -> list:
@@ -299,11 +298,6 @@ def _first_collision(digests: np.ndarray, rows_of):
 
 def is_resolving(family: SubspaceFamily, g: GrassmannGraph) -> ResolvingVerdict:
     """Resolving verdict, or the lexicographically first colliding pair."""
-    if len(family) == 0:
-        raise InvalidArgs("family is empty")
-    for s in family:  # every k-subspace of V(n,q) is a vertex
-        if s.ctx != g.ctx or s.n != g.n or s.dim != g.k:
-            raise InvalidArgs(f"{s!r} is not a vertex of G_{g.ctx.q}({g.n},{g.k})")
     if len(g) > enumeration_budget():
         raise BudgetExceeded(f"{len(g)} vertices exceed budget")
     fam_t = _family_points(family, g.ctx, g.n, g.k)

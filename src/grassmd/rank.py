@@ -161,9 +161,8 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(family: SubspaceFamily) -> IncidenceMatrix:
-    """Rows over the points in `point_reps` order."""
-    if len(family) == 0:
-        raise InvalidArgs("family is empty")
+    """Rows over the points in `point_reps` order; `basis_array` refuses an
+    empty or mixed family."""
     block = incidence_block(family)
     block.flags.writeable = False
     return IncidenceMatrix(block.shape[0], block.shape[1], block)

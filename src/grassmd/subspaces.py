@@ -29,7 +29,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidArgs, TooLarge
+from .errors import BudgetExceeded, InvalidArgs, TooLarge
 from .gfq import FieldCtx
 from .linalg import MatGFq, rref_rows
 
@@ -289,10 +289,10 @@ def basis_array(subspaces) -> np.ndarray:
     """(S, d, n) uint8 RREF bases of same-shape subspaces, refusing an empty
     list and mixed fields, ambient spaces or dimensions."""
     if len(subspaces) == 0:
-        raise InvalidArgs("no subspaces to list points of")
+        raise InvalidArgs("empty family or vertex list")
     first = subspaces[0]
     if any(s.ctx != first.ctx or s.n != first.n or s.dim != first.dim for s in subspaces):
-        raise DimensionMismatch("subspaces differ in field, ambient space or dimension")
+        raise InvalidArgs("subspaces differ in field, ambient space or dimension")
     return np.array([s.basis.data for s in subspaces], dtype=np.uint8).reshape(
         len(subspaces), first.dim, first.n)
 
@@ -338,7 +338,7 @@ def bases_incidence_block(ctx: FieldCtx, bases: np.ndarray, dtype=np.uint8) -> n
     return out
 
 
-def incidence_block(subspaces, dtype=np.uint8) -> np.ndarray:
+def incidence_block(subspaces) -> np.ndarray:
     """`bases_incidence_block` for a list of same-shape `Subspace` objects."""
     bases = basis_array(subspaces)
-    return bases_incidence_block(subspaces[0].ctx, bases, dtype)
+    return bases_incidence_block(subspaces[0].ctx, bases)

@@ -10,9 +10,11 @@ from importlib.resources import files
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grassmd import cli
-from grassmd.famfile import format_family
+from grassmd.famfile import format_family, parse_family
 from grassmd.gfq import field_new
 from grassmd.subspaces import enumerate_k_subspaces
 
@@ -371,3 +373,62 @@ def test_partition_command():
     assert "2 5 2 8" in out
     assert "joining subspace" in out.lower()
     assert run(["partition", "2", "6", "2"])[0] == 2  # no tail when k+1 divides n
+
+
+# --- no input ends in a traceback ------------------------------------------
+
+
+# outside each command's domain: a dimension below 1, a non-integer grid entry
+BAD_INPUTS = [
+    ["spread", "2", "4", "0"],
+    ["spread", "2", "-1", "1"],
+    ["spread", "2", "0", "1"],
+    ["bounds", "--grid", "a:b:c"],
+    ["bounds", "--grid", "2.0:4:2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_inputs_exit_2_with_an_error_line(argv):
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["rank"], ["verify", "2", "4", "2"]])
+def test_empty_family_file_exits_2(tmp_path, argv):
+    path = tmp_path / "empty.txt"
+    path.write_text("2 4 2 0\n")
+    rc, out, err = run(argv + ["-f", str(path)])
+    assert (rc, out) == (2, "") and err.startswith("error:") and "empty" in err
+
+
+QNK_COMMANDS = [["binom"], ["spread"], ["partition"], ["construct", "spread"],
+                ["construct", "partition"], ["construct", "greedy"], ["gram"], ["bounds"],
+                ["rank", "--all"], ["graph", "export"], ["metricdim", "greedy"],
+                ["metricdim", "exact"]]
+
+
+@st.composite
+def qnk_argv(draw):
+    cmd = draw(st.sampled_from(QNK_COMMANDS))
+    q, n, k = (str(draw(st.integers(-1, 6))) for _ in range(3))
+    return cmd + ([n, k, q] if cmd == ["binom"] else [q, n, k])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(qnk_argv())
+@example(BAD_INPUTS[0])
+@example(BAD_INPUTS[1])
+@example(BAD_INPUTS[2])
+@example(BAD_INPUTS[3])
+@example(BAD_INPUTS[4])
+def test_cli_never_raises(argv):
+    # every command on small, often invalid, q n k: an exit code, never an
+    # exception, and every family it writes reads back
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GRASSMANN_BUDGET", "2000")
+        rc, out, err = run(argv)
+    assert rc in (0, 1, 2)
+    assert rc != 2 or err
+    if rc == 0 and argv[0] in ("spread", "construct"):
+        parse_family(out)

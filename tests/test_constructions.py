@@ -39,8 +39,7 @@ def assert_exact_cover(q, n, parts):
     [(2, 4, 2, 5), (2, 6, 2, 21), (2, 6, 3, 9), (3, 4, 2, 10), (2, 4, 1, 15)],
 )
 def test_spread_partitions_nonzero_vectors(q, n, t, count):
-    sp = build_spread(field_new(q), n, t)
-    members = sp.members.members
+    members = build_spread(field_new(q), n, t).members
     assert len(members) == count == (q ** n - 1) // (q ** t - 1)
     assert all(m.dim == t for m in members)
     for a, b in itertools.combinations(members, 2):
@@ -56,10 +55,16 @@ def test_spread_requires_divisor():
         build_spread(field_new(3), 4, 3)
 
 
+@pytest.mark.parametrize("n,t", [(4, 0), (2, -1), (0, 1), (2, 3)])
+def test_spread_requires_1_le_t_le_n(n, t):
+    with pytest.raises(InvalidArgs, match="1 <= t <= n"):
+        build_spread(field_new(2), n, t)
+
+
 def test_spread_is_deterministic():
     a = build_spread(field_new(2), 6, 2)
     b = build_spread(field_new(2), 6, 2)
-    assert a.members == b.members
+    assert a == b
 
 
 @pytest.mark.parametrize("q,n,k,size", [(2, 6, 2, 63), (3, 6, 2, 364), (2, 8, 3, 255)])

@@ -213,6 +213,8 @@ def test_is_resolving_rejects_bad_input():
     )
     with pytest.raises(InvalidArgs):
         is_resolving(SubspaceFamily([foreign]), g)
+    with pytest.raises(InvalidArgs):  # a later member of the wrong shape
+        is_resolving(SubspaceFamily([g.vertices[0], foreign]), g)
 
 
 def test_graph_budget(monkeypatch):
