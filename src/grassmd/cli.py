@@ -189,6 +189,8 @@ def _parse_grid(spec: str) -> list:
 
 def _cmd_bounds(args) -> int:
     if args.grid:
+        if (args.q, args.n, args.k) != (None, None, None):
+            raise InvalidArgs("bounds: give q n k or --grid, not both")
         grid = _parse_grid(args.grid)
         print(CSV_HEADER)
         for q, n, k in grid:

@@ -25,8 +25,15 @@ arbitrary distance table, stays the unreduced search and serves as the
 oracle for the reduction.
 
 The greedy variant is partition refinement: repeatedly add the vertex
-whose distance classes split the most currently-unresolved pairs.  It
-needs only the distance table and scales to a few thousand vertices.
+whose distance classes leave the fewest unresolved pairs, smallest
+ordinal on ties.  Candidates are scored a block at a time: each vertex u
+gets the int32 key class(u)*(k+1) + d(u,v) for candidate v, offset per
+candidate, and one `np.bincount` over the block gives every refined class
+size s, so v scores the sum of s(s-1)/2.  A block holds at most
+`GREEDY_BLOCK_BINS` keys and bins (or one candidate, if its bins alone
+exceed that), which keeps its temporaries under about 1 MB.  Only the winner's classes are then renumbered, with one
+`np.unique`.  A step costs O(V^2) array work on the V x V uint8 table, so
+the distance table's V^2 ceiling bounds the greedy too.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .grassmann import GrassmannGraph
 from .subspaces import SubspaceFamily
 
 DEFAULT_EXACT_LIMIT = 120
+GREEDY_BLOCK_BINS = 1 << 16
 
 
 def pair_distinguishers(dist_rows) -> list:
@@ -55,10 +63,6 @@ def pair_distinguishers(dist_rows) -> list:
                     m |= 1 << v
             out.append(m)
     return out
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _greedy_cover(sets: list, nv: int) -> list:
@@ -82,10 +86,10 @@ def _greedy_cover(sets: list, nv: int) -> list:
 
 def _packing_bound(uncovered: list) -> int:
     """Number of pairwise-disjoint uncovered sets — a hitting-set lower
-    bound; greedy over ascending popcount."""
+    bound; greedy over the list, which is sorted by ascending popcount."""
     used = 0
     count = 0
-    for m in sorted(uncovered, key=_popcount):
+    for m in uncovered:
         if not m & used:
             used |= m
             count += 1
@@ -93,8 +97,14 @@ def _packing_bound(uncovered: list) -> int:
 
 
 def minimum_hitting_set(sets: list, nv: int) -> tuple:
-    """(size, sorted vertex list) of a minimum hitting set; deterministic."""
-    sets = [m for m in sets if m]  # empty sets are unhittable; caller guards
+    """(size, sorted vertex list) of a minimum hitting set; deterministic.
+
+    The sets are stably sorted by popcount once.  Every uncovered list is a
+    filtered sublist of that order, so it stays sorted: the smallest set
+    (first in input order among equals) is its head, and the packing bound
+    is one scan."""
+    # empty sets are unhittable; caller guards
+    sets = sorted((m for m in sets if m), key=int.bit_count)
     best = _greedy_cover(sets, nv)
     best_size = len(best)
 
@@ -106,8 +116,7 @@ def minimum_hitting_set(sets: list, nv: int) -> tuple:
             return
         if len(chosen) + _packing_bound(uncovered) >= best_size:
             return
-        branch = min(uncovered, key=_popcount)
-        m = branch
+        m = uncovered[0]
         while m:
             low = m & -m
             v = low.bit_length() - 1
@@ -170,27 +179,37 @@ def metric_dimension_exact(g: GrassmannGraph, limit: int = DEFAULT_EXACT_LIMIT) 
 
 
 def metric_dimension_greedy(g: GrassmannGraph) -> SubspaceFamily:
-    """Partition-refinement greedy; the result is resolving by construction."""
+    """Partition-refinement greedy; the result is resolving by construction.
+    Candidates are scored a block at a time (see the module docstring)."""
     rows = g.distance_rows()
     nv = len(rows)
-    dist = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(nv, nv).astype(np.int64)
+    # distances are symmetric, so row v of the table is candidate v's column
+    dist = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(nv, nv)
     spread_of = g.k + 1  # distances lie in [0, k]
-    class_ids = np.zeros(nv, dtype=np.int64)
-
-    def unsplit_pairs(ids) -> int:
-        sizes = np.bincount(ids)
-        return int((sizes * (sizes - 1) // 2).sum())
+    class_ids = np.zeros(nv, dtype=np.int32)
+    unsplit = nv * (nv - 1) // 2  # one class: no pair is resolved yet
 
     chosen = []
-    while unsplit_pairs(class_ids) > 0:
-        best_v, best_pairs, best_ids = -1, None, None
-        for v in range(nv):
-            keys = class_ids * spread_of + dist[:, v]
-            _, new_ids = np.unique(keys, return_inverse=True)
-            p = unsplit_pairs(new_ids)
-            if best_pairs is None or p < best_pairs:
-                best_v, best_pairs, best_ids = v, p, new_ids
-        assert best_pairs < unsplit_pairs(class_ids)  # v inside a pair always splits it
+    while unsplit > 0:
+        bins = (int(class_ids.max()) + 1) * spread_of  # refined classes per candidate
+        block = max(1, GREEDY_BLOCK_BINS // max(nv, bins))
+        base = class_ids * spread_of
+        best_v, best_pairs = -1, None
+        for v0 in range(0, nv, block):
+            cand = dist[v0:v0 + block]
+            offsets = np.arange(len(cand), dtype=np.int32)[:, None] * bins
+            keys = base + offsets  # int32, one bin range per candidate
+            keys += cand
+            sizes = np.bincount(keys.ravel(), minlength=len(cand) * bins).reshape(-1, bins)
+            # the sizes of each candidate sum to nv, so sum s(s-1)/2 = (sum s^2 - nv)/2
+            squares = np.einsum("ij,ij->i", sizes, sizes)
+            j = int(squares.argmin())  # first minimum: smallest ordinal on ties
+            pairs = (int(squares[j]) - nv) // 2
+            if best_pairs is None or pairs < best_pairs:
+                best_v, best_pairs = v0 + j, pairs
+        assert best_pairs < unsplit  # v inside a pair always splits it
         chosen.append(best_v)
-        class_ids = best_ids
+        _, new_ids = np.unique(base + dist[best_v], return_inverse=True)
+        class_ids = new_ids.astype(np.int32)
+        unsplit = best_pairs
     return SubspaceFamily(g.vertex(i) for i in chosen)

@@ -2,9 +2,12 @@
 
 Nothing in `grassmd` calls these.  Each computes its answer by a route of
 its own: Gaussian binomials by the Pascal recurrence, point incidence by
-membership tests, codes by stacked RREF ranks, graph distance by BFS, and
-small matrices through plain Gauss-Jordan on `MatGFq` objects.
+membership tests, codes by stacked RREF ranks, graph distance by BFS,
+small matrices through plain Gauss-Jordan on `MatGFq` objects, and the
+greedy resolving set by one `np.unique` refinement per candidate.
 """
+
+import numpy as np
 
 from grassmd.grassmann import bfs_distances_from, distance
 from grassmd.linalg import MatGFq, rref_rows
@@ -73,3 +76,31 @@ def rank(m: MatGFq) -> int:
 
 def stack(a: MatGFq, b: MatGFq) -> MatGFq:
     return MatGFq(a.ctx, a.rows + b.rows, a.cols, a.data + b.data)
+
+
+def greedy_ordinals(g) -> list:
+    """Ordinals the partition-refinement greedy picks on g: each step tries
+    every column of the int64 distance table with its own `np.unique`
+    refinement and keeps the first vertex leaving the fewest unsplit pairs."""
+    rows = g.distance_rows()
+    nv = len(rows)
+    dist = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(nv, nv).astype(np.int64)
+    spread_of = g.k + 1  # distances lie in [0, k]
+    class_ids = np.zeros(nv, dtype=np.int64)
+
+    def unsplit_pairs(ids) -> int:
+        sizes = np.bincount(ids)
+        return int((sizes * (sizes - 1) // 2).sum())
+
+    chosen = []
+    while unsplit_pairs(class_ids) > 0:
+        best_v, best_pairs, best_ids = -1, None, None
+        for v in range(nv):
+            keys = class_ids * spread_of + dist[:, v]
+            _, new_ids = np.unique(keys, return_inverse=True)
+            p = unsplit_pairs(new_ids)
+            if best_pairs is None or p < best_pairs:
+                best_v, best_pairs, best_ids = v, p, new_ids
+        chosen.append(best_v)
+        class_ids = best_ids
+    return chosen

@@ -245,6 +245,13 @@ def test_bounds_grid_csv():
     assert run(["bounds", "--grid", "2:4"])[0] == 2  # malformed triple
 
 
+@pytest.mark.parametrize("qnk", [["2", "4", "2"], ["2"]])
+def test_bounds_grid_excludes_positionals(qnk):
+    rc, out, err = run(["bounds", *qnk, "--grid", "3:4:2"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "--grid" in err
+
+
 def test_bounds_log_base():
     rc, out, _ = run(["bounds", "2", "4", "2", "--log-base", "2", "--json"])
     payload = json.loads(out)
@@ -264,6 +271,18 @@ def test_metricdim_greedy_plain_and_json():
     assert payload["method"] == "greedy" and payload["mu"] is None
     assert payload["size"] >= 6  # exhaustive optimum for this graph
     check_schema(payload)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["greedy", "3", "4", "2"], "a667a48fd129c971602f369ede39c47f95fa856f8cee7f808e56c3c78566a438"),
+    (["greedy", "2", "5", "2"], "82268c43dc2bccb687789d410a93ec7cfc1b5ea5678c9071be5ea2ddaeabbd44"),
+    (["greedy", "4", "4", "2"], "f5795f689f8054a420a5e66de875807501bbc655eaf0d8a597a15765c6709331"),
+    (["exact", "2", "4", "2"], "52549d033572bf1251cfc4cfaf38b5f235ac93222d6851aba12b6fda1875447b"),
+])
+def test_metricdim_json_is_pinned(argv, digest):
+    rc, out, _ = run(["metricdim", *argv, "--json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_metricdim_exact_limit_is_enforced():

@@ -1,9 +1,13 @@
 """Metric-dimension search: hitting-set solver, exact search, greedy refinement."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grassmd import search
 from grassmd.errors import BudgetExceeded
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
@@ -16,6 +20,7 @@ from grassmd.search import (
     pair_distinguishers,
 )
 from grassmd.subspaces import SubspaceFamily
+from oracles import greedy_ordinals
 
 
 def complete_graph_rows(m):
@@ -88,6 +93,42 @@ def test_minimum_hitting_set_hand_cases():
     # a common element collapses everything to one pick
     size, picks = minimum_hitting_set([0b011, 0b010, 0b110], 3)
     assert (size, picks) == (1, [1])
+
+
+@pytest.mark.parametrize("sets,nv,picks", [
+    ([0b11010, 0b10101001, 0b100000011, 0b111000000], 9, [1, 7]),
+    ([0b10100101, 0b1001001, 0b11010010, 0b111001, 0b11010100, 0b101000], 8, [3, 7]),
+])
+def test_minimum_hitting_set_witness_follows_branch_order(sets, nv, picks):
+    # the greedy cover takes 3 picks here, so the witness is the first optimum
+    # the search meets; it branches on the smallest uncovered set, earliest
+    # in input order among equals, and tries its vertices in ascending order
+    assert minimum_hitting_set(sets, nv) == (2, picks)
+
+
+def brute_force_hitting_size(sets, nv):
+    for r in range(nv + 1):
+        for picks in itertools.combinations(range(nv), r):
+            mask = sum(1 << v for v in picks)
+            if all(s & mask for s in sets):
+                return r
+
+
+@st.composite
+def set_systems(draw):
+    nv = draw(st.integers(1, 10))
+    sets = draw(st.lists(st.integers(1, (1 << nv) - 1), max_size=12))
+    return sets, nv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(set_systems())
+def test_minimum_hitting_set_matches_brute_force(system):
+    sets, nv = system
+    size, picks = minimum_hitting_set(sets, nv)
+    assert size == brute_force_hitting_size(sets, nv) == len(picks)
+    mask = sum(1 << v for v in picks)
+    assert all(s & mask for s in sets)
 
 
 def test_pair_distinguishers_path():
@@ -195,6 +236,30 @@ def test_search_sizes_chain_below_construction_sizes():
     partition = resolving_from_partition(field_new(2), 4, 2)
     assert 6 <= len(greedy.members) <= len(rank_based.members) <= len(partition.members)
     assert len(rank_based.members) == 15 and len(partition.members) == 19
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (2, 6, 2)])
+def test_greedy_matches_per_candidate_oracle(q, n, k):
+    g = GrassmannGraph(field_new(q), n, k)
+    fam = metric_dimension_greedy(g)
+    assert [g.ordinal(s) for s in fam] == greedy_ordinals(g)
+
+
+@pytest.mark.parametrize("bins", [1, 1000, 4096])
+def test_greedy_picks_do_not_depend_on_block_size(monkeypatch, bins):
+    # 1 bin forces one candidate per block; 1000 and 4096 split G_4(4,2)'s
+    # 357 candidates into blocks of 2 and 11, leaving a short last block,
+    # and the blocks narrow as the classes refine
+    g = GrassmannGraph(field_new(4), 4, 2)
+    monkeypatch.setattr(search, "GREEDY_BLOCK_BINS", bins)
+    assert [g.ordinal(s) for s in metric_dimension_greedy(g)] == [
+        0, 26, 50, 109, 76, 128, 136, 263, 187, 94, 331, 130, 39, 45]
+
+
+def test_greedy_ordinals_are_pinned():
+    g = GrassmannGraph(field_new(3), 4, 2)
+    assert [g.ordinal(s) for s in metric_dimension_greedy(g)] == [
+        0, 17, 32, 53, 49, 56, 37, 9, 62, 1]
 
 
 def test_greedy_deterministic():
