@@ -6,16 +6,11 @@ dimension k-1), constructs resolving sets for it via spreads, mixed
 partitions, and a greedy rank heuristic, and certifies the results three
 independent ways: direct distance-vector comparison, point-incidence rank
 over the integers, and breadth-first search on the adjacency structure.
+
+The names of `bounds` load on first use, so a CLI call that does not ask
+for bounds does not import it.
 """
 
-from .bounds import (
-    BoundsReport,
-    babai_general,
-    babai_strong,
-    compare,
-    distance_class_size,
-    lower_bound,
-)
 from .constructions import (
     MixedPartition,
     build_mixed_partition,
@@ -68,6 +63,18 @@ from .subspaces import (
     enumerate_k_subspaces,
     gaussian_binomial,
 )
+
+_BOUNDS_NAMES = frozenset({"BoundsReport", "babai_general", "babai_strong", "compare",
+                           "distance_class_size", "lower_bound"})
+
+
+def __getattr__(name):
+    if name in _BOUNDS_NAMES:
+        from . import bounds
+
+        return getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

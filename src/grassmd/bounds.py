@@ -21,7 +21,7 @@ use it, so importing the package does not pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DegenerateBound, InvalidArgs, TooLarge
 from .subspaces import gaussian_binomial
@@ -96,8 +96,7 @@ def babai_strong(q: int, n: int, k: int, log_base: str = "e") -> tuple:
     return _finite(bound, "strong upper bound"), big_m, arg
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     q: int
     n: int
     k: int
@@ -109,27 +108,12 @@ class BoundsReport:
     babai_argmax_j: int
     constructive_bound: int  # [n 1]_q, met by the spread/greedy constructions
     log_base: str
-    construction_sizes: dict = field(default_factory=dict)
-    constructive_below_general: bool = False
-    strong_below_constructive: bool = False
+    construction_sizes: dict
+    constructive_below_general: bool
+    strong_below_constructive: bool
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "k": self.k,
-            "num_vertices": self.num_vertices,
-            "lower_log": self.lower_log,
-            "babai_general": self.babai_general,
-            "babai_strong": self.babai_strong,
-            "babai_M": self.babai_M,
-            "babai_argmax_j": self.babai_argmax_j,
-            "constructive_bound": self.constructive_bound,
-            "log_base": self.log_base,
-            "construction_sizes": dict(self.construction_sizes),
-            "constructive_below_general": self.constructive_below_general,
-            "strong_below_constructive": self.strong_below_constructive,
-        }
+        return {**self._asdict(), "construction_sizes": dict(self.construction_sizes)}
 
 
 def compare(q: int, n: int, k: int, log_base: str = "e") -> BoundsReport:

@@ -9,11 +9,11 @@ the family from stdin so constructions pipe straight into `verify`.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
 
-from .bounds import CSV_HEADER, compare, csv_row
 from .constructions import (
     build_mixed_partition,
     build_spread,
@@ -188,10 +188,16 @@ def _parse_grid(spec: str) -> list:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import CSV_HEADER, compare, csv_row
+
     if args.grid:
         if (args.q, args.n, args.k) != (None, None, None):
             raise InvalidArgs("bounds: give q n k or --grid, not both")
         grid = _parse_grid(args.grid)
+        if args.json:
+            print(json.dumps({"command": "bounds", "grid": [
+                compare(q, n, k, args.log_base).to_json() for q, n, k in grid]}))
+            return 0
         print(CSV_HEADER)
         for q, n, k in grid:
             print(csv_row(compare(q, n, k, args.log_base)))
@@ -341,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("n", type=int, nargs="?")
     sp.add_argument("k", type=int, nargs="?")
     sp.add_argument("--grid", default=None,
-                    help="comma-separated q:n:k triples; prints CSV")
+                    help="comma-separated q:n:k triples; prints CSV, or one "
+                         "JSON object with --json")
     sp.add_argument("--log-base", choices=["e", "2", "10"], default="e")
     add_json(sp)
     sp.set_defaults(fn=_cmd_bounds)
@@ -378,4 +385,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    rc = main()
+    # Everything still alive is numpy's and grassmd's and stays alive until
+    # exit; frozen, it is skipped by the collections the interpreter runs
+    # while it shuts down.
+    gc.freeze()
+    sys.exit(rc)

@@ -23,8 +23,8 @@ coordinate in power-basis GF(q)-coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from .gfq import ExtensionField, FieldCtx
@@ -43,8 +43,7 @@ from .subspaces import (
 )
 
 
-@dataclass(frozen=True)
-class MixedPartition:
+class MixedPartition(NamedTuple):
     """Nonzero vectors of V(n,q) split into (k+1)-subspaces and t-subspaces.
 
     spread_part holds the W_i — a (k+1)-spread of the leading s coordinates,

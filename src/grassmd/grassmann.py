@@ -33,8 +33,8 @@ in `tests/oracles.py`; `accept` compares it against BFS.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +154,7 @@ class GrassmannGraph:
         return self._adj
 
 
-@dataclass(frozen=True)
-class ResolvingVerdict:
+class ResolvingVerdict(NamedTuple):
     resolving: bool
     ordinals: tuple | None = None  # colliding (i, j), i < j, lexicographically first
     pair: tuple | None = None      # the colliding subspaces themselves

@@ -8,8 +8,12 @@ rank mod p over the primes used and w the largest row weight.  A nonzero
 (R+1)-minor would be divisible by every prime used, yet Hadamard's
 inequality bounds it by w^((R+1)/2); so once the product of the primes
 squared exceeds w^(R+1), the rational rank is R.  The comparison is one
-exact integer comparison.  A matrix that reaches min(rows, cols) mod the
-first prime needs no second one.
+exact integer comparison.  All-zero columns are dropped first, since
+rational rank never exceeds the number of nonzero columns; a matrix that
+reaches min(rows, nonzero columns) mod the first prime needs no second
+one.  A family inside one hyperplane H has zero columns at every point
+outside H, so at most [n-1 1]_q columns remain; when it has full rank on
+them, the first prime decides.
 
 `exact_rank` runs the kernel on the matrix; `row_rank_profile` runs it on
 the transpose, whose pivot columns are the rows that raise the rank, and
@@ -31,7 +35,7 @@ dimensions, with the oracles in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,14 +154,14 @@ def _max_row_weight(rows: np.ndarray) -> int:
     return int(rows.sum(axis=1, dtype=np.int64).max()) if rows.size else 0
 
 
-@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     """0/1 rows, an (m, N) uint8 array: member i of the family against
-    every projective point."""
+    every projective point.  Compares by identity."""
 
-    m: int
-    N: int
-    rows: np.ndarray
+    __slots__ = ("m", "N", "rows")
+
+    def __init__(self, m: int, N: int, rows: np.ndarray):
+        self.m, self.N, self.rows = m, N, rows
 
 
 def incidence_matrix(family: SubspaceFamily) -> IncidenceMatrix:
@@ -170,12 +174,14 @@ def incidence_matrix(family: SubspaceFamily) -> IncidenceMatrix:
 
 def exact_rank(M: IncidenceMatrix) -> int:
     """Rank over the rationals: primes are added until one reaches
-    min(m, N) or the Hadamard bound rules out a larger rational rank."""
-    target = min(M.m, M.N)
-    w = _max_row_weight(M.rows)
+    min(m, nonzero columns) or the Hadamard bound rules out a larger
+    rational rank."""
+    rows = M.rows[:, M.rows.any(axis=0)]
+    target = min(rows.shape)
+    w = _max_row_weight(rows)
     best, modulus = 0, 1
     for p in modular_primes():
-        best = max(best, len(_pivot_columns(M.rows, p)))
+        best = max(best, len(_pivot_columns(rows, p)))
         modulus *= p
         if best == target or modulus * modulus > w ** (best + 1):
             return best
@@ -237,8 +243,7 @@ def verify_gram(ctx: FieldCtx, n: int, k: int) -> bool:
     return det != 0
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     certified: bool
     rank: int
     required: int

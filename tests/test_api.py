@@ -6,6 +6,8 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import grassmd
 
 
@@ -51,13 +53,33 @@ def test_top_level_workflow():
     assert grassmd.certify_resolving_by_rank(fam).certified
 
 
-def test_cli_import_skips_mpmath_and_acceptance():
-    # every subcommand pays for what `grassmd.cli` imports at start-up
-    code = ("import sys, grassmd.cli; "
-            "print(sorted({'mpmath', 'grassmd.acceptance'} & set(sys.modules)))")
+def run_python(code):
     src = os.path.dirname(os.path.dirname(grassmd.__file__))
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_skips_mpmath_and_acceptance():
+    # every subcommand pays for what `grassmd.cli` imports at start-up
+    out = run_python(
+        "import sys, grassmd.cli\n"
+        "print(sorted({'mpmath', 'grassmd.acceptance', 'grassmd.bounds'} & set(sys.modules)))\n"
+        "import grassmd, grassmd.bounds\n"
+        "print(grassmd.compare is grassmd.bounds.compare)\n")
+    assert out.split() == ["[]", "True"]
+
+
+def test_unknown_attribute_still_raises():
+    with pytest.raises(AttributeError):
+        grassmd.no_such_name
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_restores_the_collector_state(enabled):
+    out = run_python(f"import gc\n"
+                     f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+                     f"import grassmd\n"
+                     f"print(gc.isenabled())\n")
+    assert out.strip() == str(enabled)

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from importlib.resources import files
@@ -245,6 +247,31 @@ def test_bounds_grid_csv():
     assert run(["bounds", "--grid", "2:4"])[0] == 2  # malformed triple
 
 
+def test_bounds_grid_json_is_one_object():
+    rc, out, _ = run(["bounds", "--grid", "2:4:2,3:6:2", "--json"])
+    assert rc == 0 and out.count("\n") == 1
+    payload = json.loads(out)
+    check_schema(payload)
+    singles = [json.loads(run(["bounds", *qnk, "--json"])[1])
+               for qnk in (["2", "4", "2"], ["3", "6", "2"])]
+    for single in singles:
+        del single["command"]
+    assert payload == {"command": "bounds", "grid": singles}
+
+
+# SHA-256 of these outputs before `bounds` was imported on demand and
+# BoundsReport became a NamedTuple
+@pytest.mark.parametrize("argv,digest", [
+    (["2", "4", "2", "--json"], "2bf7415b3145b590c535c900ffb7a3f3aba0ddab3d9961678b00d24e867ff16c"),
+    (["3", "6", "2"], "c9f47d284b46287cdf4ee768b168dc1d588cbdd60d2e408b6d35317aef921c57"),
+    (["--grid", "2:4:2,3:6:2"], "fa291b96d9892348cc1b2aba7458e688693f5503ed3e603674e21e6d69996743"),
+])
+def test_bounds_output_is_pinned(argv, digest):
+    rc, out, _ = run(["bounds", *argv])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("qnk", [["2", "4", "2"], ["2"]])
 def test_bounds_grid_excludes_positionals(qnk):
     rc, out, err = run(["bounds", *qnk, "--grid", "3:4:2"])
@@ -392,6 +419,46 @@ def test_partition_command():
     assert "2 5 2 8" in out
     assert "joining subspace" in out.lower()
     assert run(["partition", "2", "6", "2"])[0] == 2  # no tail when k+1 divides n
+
+
+# --- the command as a process ------------------------------------------------
+
+
+def run_process(argv):
+    """`python -m grassmd.cli ARGV` in a child process, on this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", "grassmd.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_process_exit_0_writes_the_output_file(tmp_path):
+    target = tmp_path / "fam.txt"
+    proc = run_process(["construct", "greedy", "2", "4", "2", "-o", str(target)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert target.read_bytes() == run(["construct", "greedy", "2", "4", "2"])[1].encode()
+
+
+def test_process_exit_1_prints_the_whole_json_line(tmp_path):
+    # the 2-subspaces of the hyperplane x_4 = 0: lines outside it that meet
+    # it in the same point have the same code
+    ctx = field_new(2)
+    fam = [s for s in enumerate_k_subspaces(ctx, 4, 2)
+           if all(row[3] == 0 for row in s.basis.data)]
+    target = tmp_path / "hyperplane.txt"
+    target.write_text(format_family(2, 4, 2, fam))
+    argv = ["verify", "2", "4", "2", "-f", str(target), "--json"]
+    proc = run_process(argv)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == run(argv)[1]
+    assert proc.stdout.endswith("}\n") and json.loads(proc.stdout)["resolving"] is False
+
+
+def test_process_exit_2_prints_an_error_line():
+    proc = run_process(["spread", "2", "4", "0"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # --- no input ends in a traceback ------------------------------------------

@@ -13,6 +13,7 @@ from grassmd.errors import BudgetExceeded, DimensionMismatch, GrassmdError, Inva
 from grassmd.gfq import field_new
 from grassmd.grassmann import (
     GrassmannGraph,
+    ResolvingVerdict,
     bfs_distances_from,
     codes_table,
     distance,
@@ -168,6 +169,14 @@ def test_single_member_collision_is_lexicographically_first():
     a, b = verdict.pair
     assert g.ordinal(a) == expected[0] and g.ordinal(b) == expected[1]
     assert code_of(a, fam) == code_of(b, fam)
+
+
+def test_verdict_truth_is_its_answer():
+    # a NamedTuple of three fields would be truthy by its length
+    g = graph(2, 4, 2)
+    a, b = g.vertex(0), g.vertex(1)
+    assert bool(ResolvingVerdict(False, (0, 1), (a, b))) is False
+    assert bool(ResolvingVerdict(True)) is True
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2)])

@@ -23,7 +23,7 @@ from grassmd.rank import (
     verify_gram,
 )
 from grassmd.constructions import resolving_greedy_rank
-from grassmd.subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
+from grassmd.subspaces import Subspace, SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
 from oracles import PointIndex, incidence_vector
 
 
@@ -182,14 +182,16 @@ def test_full_rank_needs_a_prime_not_dividing_the_minors(tiny_primes):
 
 
 def test_deficient_rank_stops_at_the_hadamard_bound(tiny_primes):
-    # rational rank 3 < min(m, N) = 4, row weight w = 2: the primes must
-    # multiply to more than w^((3+1)/2) = 4, which 3 alone does not
-    rows = [r + [0] for r in CIRCULANT] + [[1, 1, 0, 0]]
+    # the edges of a triangle and of a doubled edge against their five
+    # vertices: every column is nonzero, rational rank 4 < min(m, N) = 5 and
+    # rank 3 mod 2, row weight w = 2; the primes must multiply to more than
+    # w^((4+1)/2) = 5.66, which 3 alone does not
+    rows = [r + [0, 0] for r in CIRCULANT] + [[0, 0, 0, 1, 1]] * 2
     used = tiny_primes([3, 2, 5, 7])
-    assert exact_rank(as_matrix(rows)) == 3
+    assert exact_rank(as_matrix(rows)) == 4
     assert used == [3, 2]  # the largest rank so far decides, not the last prime's
     used = tiny_primes([2, 3, 5, 7])
-    assert exact_rank(as_matrix(rows)) == 3
+    assert exact_rank(as_matrix(rows)) == 4
     assert used == [2, 3]
 
 
@@ -206,6 +208,59 @@ def test_row_profile_takes_the_largest_prefix_rank_over_primes(tiny_primes):
     used = tiny_primes([3, 2, 5])
     assert row_rank_profile(deficient) == [0, 1, 2]
     assert used == [3, 2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_rank_with_zero_columns_matches_bareiss(seed):
+    # zero columns are dropped before elimination; the rank must not move,
+    # whether it reaches min(m, nonzero columns) or falls short of it
+    rng = np.random.default_rng(300 + seed)
+    kinds = set()
+    for _ in range(40):
+        m, n = (int(x) for x in rng.integers(1, 12, size=2))
+        rows = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        rows[:, rng.random(n) < 0.4] = 0
+        rows[:, rng.integers(n)] = 0
+        if rng.random() < 0.5:  # every row twice: rank <= m < 2m
+            rows = np.vstack([rows, rows[rng.permutation(m)]])
+        M = as_matrix(rows)
+        expected = bareiss_rank(M)
+        assert exact_rank(M) == expected
+        kinds.add(expected == min(M.m, int(rows.any(axis=0).sum())))
+    assert kinds == {False, True}
+
+
+def hyperplane_family(q, n, k):
+    """Every k-subspace of the hyperplane x_n = 0 of V(n,q)."""
+    ctx = field_new(q)
+    return SubspaceFamily([Subspace.from_rows(ctx, n, [row + (0,) for row in s.basis.data])
+                           for s in enumerate_k_subspaces(ctx, n - 1, k)])
+
+
+def test_hyperplane_family_rank_needs_one_prime(monkeypatch):
+    # the [n-1 1]_q points of the hyperplane are the only nonzero columns,
+    # and the family reaches that rank mod the first prime; with all N
+    # columns as the target the Hadamard bound w^(R+1) = 4^41 > p^2 would
+    # ask for a second prime
+    used = []
+    primes = rank_mod.modular_primes
+
+    def counted():
+        for p in primes():
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(rank_mod, "modular_primes", counted)
+    cert = certify_resolving_by_rank(hyperplane_family(3, 5, 2))
+    assert (cert.rank, cert.required, cert.certified) == (40, 121, False)
+    assert len(used) == 1
+
+
+def test_incidence_matrix_compares_by_identity():
+    fam = SubspaceFamily(enumerate_k_subspaces(field_new(2), 4, 2))
+    a, b = incidence_matrix(fam), incidence_matrix(fam)
+    assert np.array_equal(a.rows, b.rows)
+    assert a == a and a != b
 
 
 def test_exact_rank_full_family():
