@@ -15,6 +15,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bounds import babai_general, babai_strong, compare, lower_bound
 from .constructions import (
     build_spread,
@@ -264,11 +266,9 @@ def criterion_8() -> CriterionResult:
         mismatches = 0
         diameter = 0
         for src in range(len(g)):
-            bfs_row = bfs_distances_from(g, src)
-            for dst in range(len(g)):
-                if bfs_row[dst] != rows[src][dst]:
-                    mismatches += 1
-                diameter = max(diameter, bfs_row[dst])
+            bfs_row = np.array(bfs_distances_from(g, src))
+            mismatches += int(np.count_nonzero(bfs_row != rows[src]))
+            diameter = max(diameter, int(bfs_row.max()))
         good = mismatches == 0 and diameter == k
         ok = ok and good
         details[f"{q},{n},{k}"] = {

@@ -7,15 +7,15 @@ distance vector ("code") against S.
 
 A graph holds its vertices as one (V, k, n) uint8 array of RREF bases from
 `subspaces.enumerate_bases`; `Subspace` objects are built only on request.
-One gather kernel produces every code table, and with the family set to
-all vertices the all-pairs distance table.  Two k-subspaces meeting in
-dimension j share exactly [j 1]_q projective points, so the shared-point
-count of a vertex A and a member U is the sum of U's 0/1 incidence over
-the [k 1]_q point ordinals of A (`subspaces.bases_point_ordinals`, the
-builder the rank certificate also uses), and a lookup turns each count
-into k - j.  The counts are small integers, summed in the smallest
-unsigned dtype that holds [k 1]_q, one block of about CELLS_PER_BLOCK
-cells at a time.
+One gather kernel fills every code table, one (S, m) uint8 array, and
+with the family set to all vertices the read-only all-pairs distance
+table.  Two k-subspaces meeting in dimension j share exactly [j 1]_q
+projective points, so the shared-point count of a vertex A and a member U
+is the sum of U's 0/1 incidence over the [k 1]_q point ordinals of A
+(`subspaces.bases_point_ordinals`, the builder the rank certificate also
+uses), and a lookup turns each count into k - j.  The counts are small
+integers, summed in the smallest unsigned dtype that holds [k 1]_q, one
+block of about CELLS_PER_BLOCK cells at a time.
 
 `is_resolving` keeps a 16-byte digest of each vertex's row of counts (which
 determines its code), not the row.  Rows with equal digests are recomputed
@@ -105,15 +105,16 @@ class GrassmannGraph:
         except KeyError:
             raise InvalidArgs(f"{s!r} is not a vertex of G_{self.ctx.q}({self.n},{self.k})")
 
-    def distance_rows(self) -> list:
-        """All-pairs distance table: row i = bytes of distances from vertex i."""
+    def distance_rows(self) -> np.ndarray:
+        """Read-only (V, V) uint8 array, row i = distances from vertex i, read in place."""
         if self._dist_rows is None:
             cells, ceiling = len(self) ** 2, DISTANCE_TABLE_FACTOR * enumeration_budget()
             if cells > ceiling:
                 raise BudgetExceeded(f"{len(self)}^2 distance cells exceed ceiling {ceiling}")
             fam_t = np.ascontiguousarray(bases_incidence_block(self.ctx, self.bases).T)
-            rows = [row.tobytes() for row in _codes(self.ctx, self.bases, fam_t)]
-            object.__setattr__(self, "_dist_rows", rows)
+            dist = _codes(self.ctx, self.bases, fam_t)
+            dist.flags.writeable = False
+            object.__setattr__(self, "_dist_rows", dist)
         return self._dist_rows
 
     def adjacency(self) -> list:
@@ -215,12 +216,15 @@ def _count_blocks(ctx: FieldCtx, bases: np.ndarray, fam_t: np.ndarray):
 
 def _codes(ctx: FieldCtx, bases: np.ndarray, fam_t: np.ndarray) -> np.ndarray:
     """The (S, m) uint8 code rows of the vertices with the given bases:
-    shared-point counts looked up as distances."""
+    shared-point counts looked up as distances, one block at a time."""
     k = bases.shape[1]
     q_numbers = _q_numbers(k, ctx.q)
     lut = np.zeros(q_numbers[-1] + 1, dtype=np.uint8)
     lut[q_numbers] = np.arange(k, -1, -1)
-    return np.concatenate([lut[counts] for _, counts in _count_blocks(ctx, bases, fam_t)])
+    codes = np.empty((len(bases), fam_t.shape[1]), dtype=np.uint8)
+    for lo, counts in _count_blocks(ctx, bases, fam_t):
+        codes[lo:lo + len(counts)] = lut[counts]
+    return codes
 
 
 def _family_points(family, ctx: FieldCtx, n: int, k: int) -> np.ndarray:
@@ -233,13 +237,13 @@ def _family_points(family, ctx: FieldCtx, n: int, k: int) -> np.ndarray:
     return np.ascontiguousarray(bases_incidence_block(ctx, bases).T)
 
 
-def codes_table(vertices, family) -> list:
-    """Distances of every vertex to every family member, one bytes row each,
-    from the gather kernel (see the module docstring)."""
+def codes_table(vertices, family) -> np.ndarray:
+    """Distances of every vertex to every family member: the (S, m) uint8
+    array of the gather kernel (see the module docstring)."""
     bases = basis_array(vertices)
     first = vertices[0]
     fam_t = _family_points(family, first.ctx, first.n, first.dim)
-    return [row.tobytes() for row in _codes(first.ctx, bases, fam_t)]
+    return _codes(first.ctx, bases, fam_t)
 
 
 @lru_cache(maxsize=8)
@@ -301,15 +305,12 @@ def is_resolving(family: SubspaceFamily, g: GrassmannGraph) -> ResolvingVerdict:
         raise BudgetExceeded(f"{len(g)} vertices exceed budget")
     fam_t = _family_points(family, g.ctx, g.n, g.k)
     # shared-point counts and codes determine each other, so rows of counts
-    # are digested and compared
+    # are digested and rows of codes compared
     digests = np.empty((len(g), 2), dtype=np.uint64)
     for lo, counts in _count_blocks(g.ctx, g.bases, fam_t):
         digests[lo:lo + len(counts)] = _row_digests(counts)
 
-    def counts_of(idx):
-        return np.concatenate([c for _, c in _count_blocks(g.ctx, g.bases[idx], fam_t)])
-
-    best = _first_collision(digests, counts_of)
+    best = _first_collision(digests, lambda idx: _codes(g.ctx, g.bases[idx], fam_t))
     if best is None:
         return ResolvingVerdict(True)
     a, b = best
@@ -337,5 +338,5 @@ def bfs_distances_from(g: GrassmannGraph, src: int) -> list:
 
 def edge_list(g: GrassmannGraph) -> list:
     """Sorted 0-based ordinal pairs (u, v), u < v, of adjacent vertices."""
-    rows = g.distance_rows()
-    return [(u, v) for u in range(len(g)) for v in range(u + 1, len(g)) if rows[u][v] == 1]
+    return [(u, v) for u, row in enumerate(g.distance_rows())
+            for v in (np.flatnonzero(row[u + 1:] == 1) + u + 1).tolist()]

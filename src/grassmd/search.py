@@ -31,16 +31,17 @@ gets the int32 key class(u)*(k+1) + d(u,v) for candidate v, offset per
 candidate, and one `np.bincount` over the block gives every refined class
 size s, so v scores the sum of s(s-1)/2.  A block holds at most
 `GREEDY_BLOCK_BINS` keys and bins (or one candidate, if its bins alone
-exceed that), which keeps its temporaries under about 1 MB.  Only the winner's classes are then renumbered, with one
-`np.unique`.  A step costs O(V^2) array work on the V x V uint8 table, so
-the distance table's V^2 ceiling bounds the greedy too.
+exceed that), which keeps its temporaries under about 1 MB.  Only the
+winner's classes are then renumbered, with one `np.unique`.  A step costs
+O(V^2) array work on the graph's V x V uint8 table, read in place with no
+copy, so the distance table's V^2 ceiling bounds the greedy too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidArgs
 from .grassmann import GrassmannGraph
 from .subspaces import SubspaceFamily
 
@@ -48,20 +49,14 @@ DEFAULT_EXACT_LIMIT = 120
 GREEDY_BLOCK_BINS = 1 << 16
 
 
-def pair_distinguishers(dist_rows) -> list:
+def pair_distinguishers(dist) -> list:
     """Bitmask of distinguishing vertices for each pair {u,w}, u < w, in
-    lexicographic pair order."""
-    nv = len(dist_rows)
+    lexicographic pair order, from any square table (array or lists)."""
+    dist = np.asarray(dist)
     out = []
-    for u in range(nv):
-        ru = dist_rows[u]
-        for w in range(u + 1, nv):
-            rw = dist_rows[w]
-            m = 0
-            for v in range(nv):
-                if ru[v] != rw[v]:
-                    m |= 1 << v
-            out.append(m)
+    for u in range(len(dist) - 1):
+        bits = np.packbits(dist[u] != dist[u + 1:], axis=1, bitorder="little")
+        out.extend(int.from_bytes(row, "little") for row in bits)
     return out
 
 
@@ -135,24 +130,29 @@ def _check_limit(nv: int, limit: int):
         raise BudgetExceeded(f"{nv} vertices exceed exact-search limit {limit}")
 
 
-def metric_dimension_from_distances(dist_rows, limit: int = DEFAULT_EXACT_LIMIT) -> tuple:
-    """Exact metric dimension of any graph given its distance table."""
-    nv = len(dist_rows)
+def _separating_sets(dist) -> list:
+    """`pair_distinguishers(dist)`; InvalidArgs if dist is not square or has equal rows."""
+    if any(np.ndim(row) != 1 or len(row) != len(dist) for row in dist):
+        raise InvalidArgs("distance table is not square")
+    sets = pair_distinguishers(dist)
+    if not all(sets):
+        raise InvalidArgs("some pair is indistinguishable by every vertex")
+    return sets
+
+
+def metric_dimension_from_distances(dist, limit: int = DEFAULT_EXACT_LIMIT) -> tuple:
+    """Exact metric dimension of any graph given its square distance table."""
+    nv = len(dist)
     _check_limit(nv, limit)
-    if nv <= 1:
-        return 0, []
-    sets = pair_distinguishers(dist_rows)
-    assert all(sets), "some pair is indistinguishable by every vertex"
-    return minimum_hitting_set(sets, nv)
+    return minimum_hitting_set(_separating_sets(dist), nv)
 
 
-def _two_landmark_dimension(dist_rows) -> tuple:
+def _two_landmark_dimension(dist) -> tuple:
     """Exact (mu, sorted ordinals) of a distance-transitive graph that no
     single vertex resolves: landmarks 0 and r_j fixed, one branch and bound
     per distance class j of row 0 (see the module docstring)."""
-    nv, row0 = len(dist_rows), list(dist_rows[0])
-    sets = pair_distinguishers(dist_rows)
-    assert all(sets), "some pair is indistinguishable by every vertex"
+    nv, row0 = len(dist), list(dist[0])
+    sets = _separating_sets(dist)
     best = None
     for j in sorted(set(row0) - {0}):
         r = row0.index(j)
@@ -181,10 +181,9 @@ def metric_dimension_exact(g: GrassmannGraph, limit: int = DEFAULT_EXACT_LIMIT) 
 def metric_dimension_greedy(g: GrassmannGraph) -> SubspaceFamily:
     """Partition-refinement greedy; the result is resolving by construction.
     Candidates are scored a block at a time (see the module docstring)."""
-    rows = g.distance_rows()
-    nv = len(rows)
+    dist = g.distance_rows()
+    nv = len(dist)
     # distances are symmetric, so row v of the table is candidate v's column
-    dist = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(nv, nv)
     spread_of = g.k + 1  # distances lie in [0, k]
     class_ids = np.zeros(nv, dtype=np.int32)
     unsplit = nv * (nv - 1) // 2  # one class: no pair is resolved yet

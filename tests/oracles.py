@@ -3,8 +3,9 @@
 Nothing in `grassmd` calls these.  Each computes its answer by a route of
 its own: Gaussian binomials by the Pascal recurrence, point incidence by
 membership tests, codes by stacked RREF ranks, graph distance by BFS,
-small matrices through plain Gauss-Jordan on `MatGFq` objects, and the
-greedy resolving set by one `np.unique` refinement per candidate.
+small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
+distinguishers by comparing every entry of two rows, and the greedy
+resolving set by one `np.unique` refinement per candidate.
 """
 
 import numpy as np
@@ -78,13 +79,29 @@ def stack(a: MatGFq, b: MatGFq) -> MatGFq:
     return MatGFq(a.ctx, a.rows + b.rows, a.cols, a.data + b.data)
 
 
+def pair_distinguishers(dist_rows) -> list:
+    """Bitmask of distinguishing vertices for each pair {u,w}, u < w, in
+    lexicographic pair order, one entry comparison at a time."""
+    nv = len(dist_rows)
+    out = []
+    for u in range(nv):
+        ru = dist_rows[u]
+        for w in range(u + 1, nv):
+            rw = dist_rows[w]
+            m = 0
+            for v in range(nv):
+                if ru[v] != rw[v]:
+                    m |= 1 << v
+            out.append(m)
+    return out
+
+
 def greedy_ordinals(g) -> list:
     """Ordinals the partition-refinement greedy picks on g: each step tries
     every column of the int64 distance table with its own `np.unique`
     refinement and keeps the first vertex leaving the fewest unsplit pairs."""
-    rows = g.distance_rows()
-    nv = len(rows)
-    dist = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(nv, nv).astype(np.int64)
+    dist = g.distance_rows().astype(np.int64)
+    nv = len(dist)
     spread_of = g.k + 1  # distances lie in [0, k]
     class_ids = np.zeros(nv, dtype=np.int64)
 

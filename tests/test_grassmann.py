@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,7 +83,12 @@ def test_distance_rows_structure(q, n, k):
     rows = g.distance_rows()
     nv = len(g.vertices)
     deg = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
-    assert len(rows) == nv
+    # one read-only array, the same object on every call
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and rows.shape == (nv, nv)
+    assert g.distance_rows() is rows
+    with pytest.raises(ValueError):
+        rows[0, 1] = 0
+    assert rows[0, 1] != 0
     assert max(max(r) for r in rows) == k  # diameter
     for i in range(nv):
         assert rows[i][i] == 0
@@ -110,7 +116,7 @@ def test_codes_table_matches_per_vertex_codes(q, n, k):
     g = graph(q, n, k)
     fam = SubspaceFamily(random.Random(q * 100 + n).sample(g.vertices, 7))
     rows = codes_table(g.vertices, fam)
-    assert len(rows) == len(g.vertices)
+    assert rows.dtype == np.uint8 and rows.shape == (len(g.vertices), 7)
     for v, row in zip(g.vertices, rows):
         assert tuple(row) == code_of(v, fam)
 
@@ -263,6 +269,25 @@ def test_adjacency_and_edge_list():
         deg[i] += 1
         deg[j] += 1
     assert deg == [len(a) for a in adj]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 6, 3)])
+def test_edge_list_equals_adjacency_pairs(q, n, k):
+    g = shared_graph(q, n, k)
+    assert edge_list(g) == [(u, v) for u, nbrs in enumerate(g.adjacency()) for v in nbrs if u < v]
+
+
+def test_distance_table_build_peak_memory():
+    # G_2(7,2), 2667 vertices: the table is filled in place, so building it
+    # costs little more than the V x V bytes it holds
+    g = graph(2, 7, 2)
+    tracemalloc.start()
+    try:
+        g.distance_rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(g) ** 2
 
 
 def test_verdict_builds_no_vertex_objects():

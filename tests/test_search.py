@@ -1,14 +1,19 @@
 """Metric-dimension search: hitting-set solver, exact search, greedy refinement."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmd import search
-from grassmd.errors import BudgetExceeded
+from grassmd.errors import BudgetExceeded, InvalidArgs
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
 from grassmd.search import (
@@ -21,6 +26,7 @@ from grassmd.search import (
 )
 from grassmd.subspaces import SubspaceFamily
 from oracles import greedy_ordinals
+from oracles import pair_distinguishers as pair_distinguishers_oracle
 
 
 def complete_graph_rows(m):
@@ -135,6 +141,59 @@ def test_pair_distinguishers_path():
     sets = pair_distinguishers(path_rows(3))
     # pairs in order (0,1), (0,2), (1,2); middle vertex cannot separate the ends
     assert sets == [0b111, 0b101, 0b111]
+
+
+@st.composite
+def square_tables(draw):
+    nv = draw(st.integers(0, 12))
+    cells = draw(st.lists(st.integers(0, 3), min_size=nv * nv, max_size=nv * nv))
+    return [cells[i * nv:(i + 1) * nv] for i in range(nv)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(square_tables())
+def test_pair_distinguishers_match_oracle(rows):
+    # arbitrary tables, equal rows (zero masks) included; lists and arrays
+    want = pair_distinguishers_oracle(rows)
+    assert pair_distinguishers(rows) == want
+    nv = len(rows)
+    assert pair_distinguishers(np.array(rows, dtype=np.uint8).reshape(nv, nv)) == want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_distinguishers_match_oracle_on_grassmann_tables(q):
+    dist = GrassmannGraph(field_new(q), 4, 2).distance_rows()
+    assert pair_distinguishers(dist) == pair_distinguishers_oracle(dist)
+
+
+def test_from_distances_rejects_ragged_table():
+    with pytest.raises(InvalidArgs, match="not square"):
+        metric_dimension_from_distances([[0, 1], [1, 0, 2]])
+    with pytest.raises(InvalidArgs, match="not square"):
+        metric_dimension_from_distances([[0, 1]])
+    with pytest.raises(InvalidArgs, match="not square"):
+        metric_dimension_from_distances([1, 2])
+
+
+@pytest.mark.parametrize("solve", [metric_dimension_from_distances, _two_landmark_dimension])
+def test_searches_reject_an_unseparated_pair(solve):
+    # two equal rows: no landmark tells the two vertices apart
+    with pytest.raises(InvalidArgs, match="indistinguishable"):
+        solve([[0, 0], [0, 0]])
+
+
+def test_unseparated_pair_is_refused_under_optimize():
+    # the check must not be an assert, which -O strips
+    code = ("from grassmd.search import metric_dimension_from_distances as f\n"
+            "from grassmd.errors import InvalidArgs\n"
+            "try:\n    print(f([[0, 0], [0, 0]]))\n"
+            "except InvalidArgs:\n    print('refused')\n")
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "refused"
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -260,6 +319,20 @@ def test_greedy_ordinals_are_pinned():
     g = GrassmannGraph(field_new(3), 4, 2)
     assert [g.ordinal(s) for s in metric_dimension_greedy(g)] == [
         0, 17, 32, 53, 49, 56, 37, 9, 62, 1]
+
+
+def test_greedy_reads_the_cached_table_in_place():
+    # G_2(7,2), 2667 vertices: with the table built, the greedy allocates far
+    # less than one more V x V copy
+    g = GrassmannGraph(field_new(2), 7, 2)
+    nv = len(g.distance_rows())
+    tracemalloc.start()
+    try:
+        metric_dimension_greedy(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * nv * nv
 
 
 def test_greedy_deterministic():
