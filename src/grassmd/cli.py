@@ -13,6 +13,7 @@ import gc
 import json
 import sys
 import time
+from itertools import chain
 
 from .constructions import (
     build_mixed_partition,
@@ -24,18 +25,19 @@ from .constructions import (
 from .errors import GrassmdError, InvalidArgs
 from .famfile import format_family, parse_family
 from .gfq import field_new
-from .grassmann import GrassmannGraph, edge_list, is_resolving
+from .grassmann import GrassmannGraph, edge_rows, is_resolving
 from .rank import certify_resolving_by_rank, gram_closed_form, verify_gram
 from .search import DEFAULT_EXACT_LIMIT, metric_dimension_exact, metric_dimension_greedy
 from .subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
 
 
-def _emit(text: str, path: str | None):
+def _emit(chunks, path: str | None):
+    """Write an iterable of text chunks, in order, to path or stdout."""
     if path and path != "-":
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _read_family_arg(path: str):
@@ -63,12 +65,11 @@ def _cmd_binom(args) -> int:
 def _cmd_graph(args) -> int:
     ctx = field_new(args.q)
     g = GrassmannGraph(ctx, args.n, args.k)
-    edges = edge_list(g)
-    header = {"q": args.q, "n": args.n, "k": args.k,
-              "vertices": len(g), "edges": len(edges)}
-    lines = [json.dumps(header)]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    _emit("\n".join(lines) + "\n", args.output)
+    header = {"q": args.q, "n": args.n, "k": args.k, "vertices": len(g),
+              "edges": sum(len(vs) for _, vs in edge_rows(g))}
+    # one row's edges at a time: no list of all edges or of all lines
+    rows = ("".join([f"{u} {v}\n" for v in vs.tolist()]) for u, vs in edge_rows(g))
+    _emit(chain([json.dumps(header) + "\n"], rows), args.output)
     return 0
 
 
@@ -76,7 +77,7 @@ def _cmd_spread(args) -> int:
     ctx = field_new(args.q)
     text = format_family(args.q, args.n, args.t, build_spread(ctx, args.n, args.t),
                          comments=[f"{args.t}-spread of V({args.n},{args.q})"])
-    _emit(text, args.output)
+    _emit([text], args.output)
     return 0
 
 
@@ -93,7 +94,7 @@ def _cmd_partition(args) -> int:
         format_family(args.q, args.n, part.Z.dim, SubspaceFamily([part.Z]),
                       comments=["joining subspace Z"]),
     ]
-    _emit("".join(sections), args.output)
+    _emit(sections, args.output)
     return 0
 
 
@@ -109,7 +110,7 @@ def _cmd_construct(args) -> int:
         args.q, args.n, args.k, fam,
         comments=[f"resolving family for G_{args.q}({args.n},{args.k}), "
                   f"method={args.method}, size={len(fam)}"])
-    _emit(text, args.output)
+    _emit([text], args.output)
     return 0
 
 
@@ -158,8 +159,7 @@ def _cmd_rank(args) -> int:
             "m": m, "N": N,
         }))
     else:
-        status = "CERTIFIED" if cert.certified else "INCONCLUSIVE"
-        print(f"{status} rank={cert.rank} required={cert.required} shape={m}x{N}")
+        print(f"{cert.status.upper()} rank={cert.rank} required={cert.required} shape={m}x{N}")
     return 0 if cert.certified else 1
 
 
@@ -243,8 +243,7 @@ def _cmd_metricdim(args) -> int:
              f"vertices={len(g)} elapsed={elapsed:.2f}s")
     if mu is not None:
         stats = f"mu={mu} " + stats
-    text = format_family(args.q, args.n, args.k, fam) + f"# {stats}\n"
-    _emit(text, args.output)
+    _emit([format_family(args.q, args.n, args.k, fam), f"# {stats}\n"], args.output)
     return 0
 
 
@@ -280,47 +279,39 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(sp):
         sp.add_argument("--json", action="store_true", help="machine output to stdout")
 
+    def add_ints(sp, names="qnk", **kw):
+        for name in names:
+            sp.add_argument(name, type=int, **kw)
+
     sp = sub.add_parser("binom", help="Gaussian binomial [n k]_q")
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
-    sp.add_argument("q", type=int)
+    add_ints(sp, "nkq")
     add_json(sp)
     sp.set_defaults(fn=_cmd_binom)
 
     sp = sub.add_parser("graph", help="export the graph as an edge list")
     sp.add_argument("action", choices=["export"])
-    sp.add_argument("q", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
+    add_ints(sp)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_graph)
 
     sp = sub.add_parser("spread", help="build a t-spread of V(n,q)")
-    sp.add_argument("q", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("t", type=int)
+    add_ints(sp, "qnt")
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_spread)
 
     sp = sub.add_parser("partition", help="build a {k+1,t}-partition of V(n,q)")
-    sp.add_argument("q", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
+    add_ints(sp)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_partition)
 
     sp = sub.add_parser("construct", help="build a resolving family")
     sp.add_argument("method", choices=["spread", "partition", "greedy"])
-    sp.add_argument("q", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
+    add_ints(sp)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_construct)
 
     sp = sub.add_parser("verify", help="check a family file is resolving")
-    sp.add_argument("q", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
+    add_ints(sp)
     sp.add_argument("-f", "--family", required=True,
                     help="family file path, or - for stdin")
     add_json(sp)
@@ -336,16 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_rank)
 
     sp = sub.add_parser("gram", help="entrywise Gram closed-form check")
-    sp.add_argument("q", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
+    add_ints(sp)
     add_json(sp)
     sp.set_defaults(fn=_cmd_gram)
 
     sp = sub.add_parser("bounds", help="metric-dimension bound comparison")
-    sp.add_argument("q", type=int, nargs="?")
-    sp.add_argument("n", type=int, nargs="?")
-    sp.add_argument("k", type=int, nargs="?")
+    add_ints(sp, nargs="?")
     sp.add_argument("--grid", default=None,
                     help="comma-separated q:n:k triples; prints CSV, or one "
                          "JSON object with --json")
@@ -355,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("metricdim", help="exact or greedy metric dimension")
     sp.add_argument("method", choices=["exact", "greedy"])
-    sp.add_argument("q", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
+    add_ints(sp)
     sp.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT,
                     help="vertex ceiling for the exact search")
     sp.add_argument("-o", "--output", default=None)

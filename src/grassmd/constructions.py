@@ -26,17 +26,18 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
+from .errors import InvalidArgs, InvalidShape, NotDivisor
 from .gfq import ExtensionField, FieldCtx
-from .linalg import MatGFq, mat_mul
+from .linalg import mat_mul
 from .rank import row_rank_profile
 from .subspaces import (
     Subspace,
     SubspaceFamily,
     bases_incidence_block,
+    check_budget,
+    check_graph_shape,
     enumerate_bases,
     enumerate_k_subspaces,
-    enumeration_budget,
     gaussian_binomial,
     point_reps,
     subspaces_from_bases,
@@ -62,12 +63,6 @@ class MixedPartition(NamedTuple):
     Z: Subspace
 
 
-def _check_budget(count: int, what: str):
-    budget = enumeration_budget()
-    if count > budget:
-        raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
-
-
 def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
     """Field-reduction t-spread of V(n,q): t-subspaces partitioning its
     nonzero vectors; exists iff t divides n."""
@@ -76,7 +71,7 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
     if n % t != 0:
         raise NotDivisor(f"t={t} does not divide n={n}")
     count = (ctx.q**n - 1) // (ctx.q**t - 1)
-    _check_budget(count, f"members of a {t}-spread of V({n},{ctx.q})")
+    check_budget(count, f"members of a {t}-spread of V({n},{ctx.q})")
     ext = ExtensionField(ctx, t)
     members = []
     for rep in point_reps(ext.order, n // t):
@@ -115,12 +110,11 @@ def _k_subspaces_in(ctx: FieldCtx, k: int, spaces) -> SubspaceFamily:
 
 def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     """All k-subspaces of every member of a (k+1)-spread; size [n 1]_q."""
-    if not (2 <= k and 2 * k <= n):
-        raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
+    check_graph_shape(n, k)
     if n % (k + 1) != 0:
         raise NotDivisor(f"k+1={k + 1} does not divide n={n}")
     # [k+1 k]_q k-subspaces in each of the [n 1]_q / [k+1 1]_q members
-    _check_budget(gaussian_binomial(n, 1, ctx.q), f"{k}-subspaces")
+    check_budget(gaussian_binomial(n, 1, ctx.q), f"{k}-subspaces")
     fam = _k_subspaces_in(ctx, k, build_spread(ctx, n, k + 1))
     # spread members meet in 0, so none of their k-subspaces coincide
     assert len(fam) == gaussian_binomial(n, 1, ctx.q)
@@ -131,14 +125,13 @@ def _embed_leading(sub: Subspace, n: int) -> Subspace:
     """Reinterpret a subspace of V(s,q) inside the first s coordinates of
     V(n,q); RREF is preserved by zero-padding."""
     rows = tuple(r + (0,) * (n - sub.n) for r in sub.basis.data)
-    return Subspace(sub.ctx, n, MatGFq(sub.ctx, sub.dim, n, rows), sub.pivots)
+    return Subspace._from_rref(sub.ctx, n, rows, sub.pivots)
 
 
 def _partition_shape(n: int, k: int) -> tuple:
     """(s, t) with n = s + t, (k+1) | s and 0 < t < k+1; s > 0 because
     n >= 2k >= k+2."""
-    if not (2 <= k and 2 * k <= n):
-        raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
+    check_graph_shape(n, k)
     t = n % (k + 1)
     if t == 0:
         raise InvalidShape(f"k+1={k + 1} divides n={n}; use the spread construction")
@@ -171,7 +164,7 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
         tail.append(sub)
     w1 = w_members[0]
     z_rows = w1.basis.data[: k - t + 1]
-    z = Subspace(ctx, n, MatGFq(ctx, k - t + 1, n, z_rows), w1.pivots[: k - t + 1])
+    z = Subspace._from_rref(ctx, n, z_rows, w1.pivots[: k - t + 1])
     return MixedPartition(ctx, n, k, s, t, w_members, SubspaceFamily(tail), z)
 
 
@@ -181,7 +174,7 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     q, s = ctx.q, _partition_shape(n, k)[0]
     # [k+1 k]_q k-subspaces in each W_i and each X_j + Z, before dedup
     blocks = (q**s - 1) // (q ** (k + 1) - 1) + q**s
-    _check_budget(blocks * gaussian_binomial(k + 1, 1, q), f"{k}-subspaces before dedup")
+    check_budget(blocks * gaussian_binomial(k + 1, 1, q), f"{k}-subspaces before dedup")
     part = build_mixed_partition(ctx, n, k)
     # X_j meets V(s,q) trivially and Z sits inside it, so X_j + Z has
     # dimension k+1
@@ -197,8 +190,7 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
 def resolving_greedy_rank(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     """Keep each k-subspace (canonical order) whose incidence vector raises
     the exact rational rank; stops at full rank [n 1]_q."""
-    if not (2 <= k and 2 * k <= n):
-        raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
+    check_graph_shape(n, k)
     target = gaussian_binomial(n, 1, ctx.q)
     bases = enumerate_bases(ctx, n, k)
     keep = row_rank_profile(bases_incidence_block(ctx, bases))

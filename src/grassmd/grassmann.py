@@ -38,19 +38,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, GrassmdError, InvalidArgs
+from .errors import DimensionMismatch, GrassmdError, InvalidArgs
 from .gfq import FieldCtx
 from .linalg import intersect_dim, mat_mul, rref_rows
 from .subspaces import (
-    DISTANCE_TABLE_FACTOR,
     Subspace,
     SubspaceFamily,
     bases_incidence_block,
     bases_point_ordinals,
     basis_array,
+    check_budget,
+    check_graph_shape,
     enumerate_bases,
     enumerate_k_subspaces,
-    enumeration_budget,
     gaussian_binomial,
     point_reps,
     subspaces_from_bases,
@@ -67,8 +67,7 @@ class GrassmannGraph:
     __slots__ = ("ctx", "n", "k", "bases", "_vertices", "_vertex_index", "_dist_rows", "_adj")
 
     def __init__(self, ctx: FieldCtx, n: int, k: int):
-        if not (2 <= k and 2 * k <= n):
-            raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
+        check_graph_shape(n, k)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
@@ -108,9 +107,7 @@ class GrassmannGraph:
     def distance_rows(self) -> np.ndarray:
         """Read-only (V, V) uint8 array, row i = distances from vertex i, read in place."""
         if self._dist_rows is None:
-            cells, ceiling = len(self) ** 2, DISTANCE_TABLE_FACTOR * enumeration_budget()
-            if cells > ceiling:
-                raise BudgetExceeded(f"{len(self)}^2 distance cells exceed ceiling {ceiling}")
+            check_budget(len(self) ** 2, "distance cells", cells=True)
             fam_t = np.ascontiguousarray(bases_incidence_block(self.ctx, self.bases).T)
             dist = _codes(self.ctx, self.bases, fam_t)
             dist.flags.writeable = False
@@ -129,10 +126,8 @@ class GrassmannGraph:
             ctx, n, k, q = self.ctx, self.n, self.k, self.ctx.q
             hyperplanes = enumerate_k_subspaces(ctx, k, k - 1)  # coefficient rows
             quotient = list(point_reps(q, n - k + 1))
-            cells = len(self) * len(hyperplanes) * len(quotient)
-            ceiling = DISTANCE_TABLE_FACTOR * enumeration_budget()
-            if cells > ceiling:
-                raise BudgetExceeded(f"{cells} adjacency candidates exceed ceiling {ceiling}")
+            check_budget(len(self) * len(hyperplanes) * len(quotient),
+                         "adjacency candidates", cells=True)
             degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
             index = self.vertex_index
             adj = []
@@ -301,8 +296,7 @@ def _first_collision(digests: np.ndarray, rows_of):
 
 def is_resolving(family: SubspaceFamily, g: GrassmannGraph) -> ResolvingVerdict:
     """Resolving verdict, or the lexicographically first colliding pair."""
-    if len(g) > enumeration_budget():
-        raise BudgetExceeded(f"{len(g)} vertices exceed budget")
+    check_budget(len(g), "vertices")
     fam_t = _family_points(family, g.ctx, g.n, g.k)
     # shared-point counts and codes determine each other, so rows of counts
     # are digested and rows of codes compared
@@ -336,7 +330,13 @@ def bfs_distances_from(g: GrassmannGraph, src: int) -> list:
     return dist
 
 
+def edge_rows(g: GrassmannGraph):
+    """Yield (u, ascending ordinals v > u adjacent to u) for every vertex u
+    in order, read off the distance table one row at a time."""
+    for u, row in enumerate(g.distance_rows()):
+        yield u, np.flatnonzero(row[u + 1:] == 1) + u + 1
+
+
 def edge_list(g: GrassmannGraph) -> list:
     """Sorted 0-based ordinal pairs (u, v), u < v, of adjacent vertices."""
-    return [(u, v) for u, row in enumerate(g.distance_rows())
-            for v in (np.flatnonzero(row[u + 1:] == 1) + u + 1).tolist()]
+    return [(u, v) for u, vs in edge_rows(g) for v in vs.tolist()]

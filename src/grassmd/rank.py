@@ -23,8 +23,9 @@ stays as the oracle that tests and `accept` run by name.
 
 The closed-form certificate: for the full incidence matrix M of all
 k-subspaces against all points, M^T M = a·J + b·I with a = [n-2 k-2]_q
-and b = [n-1 k-1]_q - a, whose determinant b^(N-1)·(b + N·a) is positive,
-so M has full column rank N = [n 1]_q.
+and b = [n-1 k-1]_q - a, whose determinant b^(N-1)·(b + N·a) is nonzero,
+so M has full column rank N = [n 1]_q.  `verify_gram` checks it in exact
+integers, with no dense M (`gram_table`).
 
 Incidence rows come from `subspaces.bases_point_ordinals`, the builder the
 code tables in `grassmann` also use; integer rank here and a shared-point
@@ -39,11 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgs, TooLarge
+from .errors import InvalidArgs
 from .gfq import FieldCtx
 from .subspaces import (
     SubspaceFamily,
-    bases_incidence_block,
+    bases_point_ordinals,
+    check_budget,
     enumerate_bases,
     enumerate_k_subspaces,  # noqa: F401  perfbench/trace_child.py wraps rank.enumerate_k_subspaces
     gaussian_binomial,
@@ -220,27 +222,35 @@ def gram_closed_form(ctx: FieldCtx, n: int, k: int) -> tuple:
     return gaussian_binomial(n - 1, k - 1, q), gaussian_binomial(n - 2, k - 2, q)
 
 
+def gram_table(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
+    """M^T M of the full incidence matrix M, an (N, N) int64 array: entry
+    (i, j) counts the k-subspaces through points i and j, so one bincount
+    per block of vertices over their point-ordinal pairs sums it.  Its N^2
+    cells are checked against the table ceiling before anything is listed."""
+    N = gaussian_binomial(n, 1, ctx.q)
+    check_budget(N * N, "Gram cells", cells=True)
+    bases = enumerate_bases(ctx, n, k)
+    gram = np.zeros(N * N, dtype=np.int64)
+    # at least as many pairs per block as cells, which spreads each count array's cost
+    step = max(1, max(N * N, 1 << 18) // gaussian_binomial(k, 1, ctx.q) ** 2)
+    for lo in range(0, len(bases), step):
+        ords = bases_point_ordinals(ctx, bases[lo:lo + step])
+        gram += np.bincount((ords[:, :, None] * N + ords[:, None, :]).ravel(), minlength=N * N)
+    return gram.reshape(N, N)
+
+
 def verify_gram(ctx: FieldCtx, n: int, k: int) -> bool:
     """Entrywise check that M^T M = offdiag*J + (diag-offdiag)*I for the
-    full incidence matrix, plus nonvanishing of the closed-form determinant
-    b^(N-1) * (b + N*a).
-
-    The product is a float64 BLAS product, exact because every entry is a
-    count of at most V vertices, and V < 2^53 is checked first."""
+    full incidence matrix (`gram_table`), plus nonvanishing of the
+    closed-form determinant b^(N-1) * (b + N*a), as b != 0 and b + N*a != 0."""
     diag, offdiag = gram_closed_form(ctx, n, k)
-    vertices = gaussian_binomial(n, k, ctx.q)
-    if vertices >= 2**53:
-        raise TooLarge(f"[{n} {k}]_{ctx.q} = {vertices} vertices: Gram entries would not be exact")
-    a_np = bases_incidence_block(ctx, enumerate_bases(ctx, n, k), np.float64)
-    gram = a_np.T @ a_np
-    N = a_np.shape[1]
-    expected = np.full((N, N), offdiag, dtype=np.float64)
-    np.fill_diagonal(expected, diag)
-    if not np.array_equal(gram, expected):
+    gram = gram_table(ctx, n, k)
+    N = len(gram)
+    if not (gram.diagonal() == diag).all():
         return False
+    np.fill_diagonal(gram, offdiag)
     a, b = offdiag, diag - offdiag
-    det = b ** (N - 1) * (b + N * a)
-    return det != 0
+    return bool((gram == offdiag).all()) and b != 0 and b + N * a != 0
 
 
 class RankCertificate(NamedTuple):

@@ -131,10 +131,17 @@ def _check_limit(nv: int, limit: int):
 
 
 def _separating_sets(dist) -> list:
-    """`pair_distinguishers(dist)`; InvalidArgs if dist is not square or has equal rows."""
+    """`pair_distinguishers(dist)`; InvalidArgs unless dist is square and
+    symmetric with a zero diagonal, no negative entry and no two equal rows."""
     if any(np.ndim(row) != 1 or len(row) != len(dist) for row in dist):
         raise InvalidArgs("distance table is not square")
-    sets = pair_distinguishers(dist)
+    table = np.asarray(dist).reshape(len(dist), len(dist))
+    for fault, what in ((table != table.T, "is not symmetric"),
+                        (table.diagonal(), "has a nonzero diagonal entry"),
+                        (table < 0, "has a negative entry")):
+        if fault.any():
+            raise InvalidArgs(f"distance table {what}")
+    sets = pair_distinguishers(table)
     if not all(sets):
         raise InvalidArgs("some pair is indistinguishable by every vertex")
     return sets

@@ -35,8 +35,9 @@ from .linalg import MatGFq, rref_rows
 
 DEFAULT_ENUM_BUDGET = 10**6
 
-# Cells of a dense table (incidence block, all-pairs distances) per unit of
-# enumeration budget: 10^7 by default, a 10 MB table and an 80 MB int64 copy.
+# Cells of a dense table (incidence block, all-pairs distances, Gram table)
+# per unit of enumeration budget: 10^7 by default, a 10 MB uint8 table or an
+# 80 MB int64 one.
 DISTANCE_TABLE_FACTOR = 10
 
 # Decimal digits a Gaussian binomial may have.  [n k]_q lies between
@@ -58,6 +59,23 @@ def enumeration_budget() -> int:
     if value <= 0:
         raise InvalidArgs("GRASSMANN_BUDGET must be positive")
     return value
+
+
+def check_budget(count: int, what: str = "", cells: bool = False) -> None:
+    """Refuse `count` things, named by `what`, over the enumeration budget,
+    or with cells=True over DISTANCE_TABLE_FACTOR times it: the one place
+    that reads either ceiling and raises BudgetExceeded."""
+    limit = enumeration_budget() * (DISTANCE_TABLE_FACTOR if cells else 1)
+    if count > limit:
+        subject = f"{count} {what} exceed" if what else f"{count} exceeds"
+        raise BudgetExceeded(f"{subject} {'ceiling' if cells else 'budget'} {limit}")
+
+
+def check_graph_shape(n: int, k: int) -> None:
+    """Refuse k outside 2..n/2, the range of the Grassmann graphs G_q(n,k)
+    that grassmd builds and resolves."""
+    if not (2 <= k and 2 * k <= n):
+        raise InvalidArgs(f"need 2 <= k <= n/2, got n={n} k={k}")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -84,13 +102,12 @@ class Subspace:
 
     __slots__ = ("ctx", "n", "dim", "basis", "_pivots")
 
-    def __init__(self, ctx: FieldCtx, n: int, basis: MatGFq, pivots=None):
+    def __init__(self, ctx: FieldCtx, n: int, basis: MatGFq):
         if basis.cols != n:
             raise InvalidArgs(f"basis has {basis.cols} columns, ambient is {n}")
-        if pivots is None:
-            rows, pivots = rref_rows(ctx, basis.data, n)
-            if rows != basis.data:
-                raise InvalidArgs("basis rows are not in reduced row echelon form")
+        rows, pivots = rref_rows(ctx, basis.data, n)
+        if rows != basis.data:
+            raise InvalidArgs("basis rows are not in reduced row echelon form")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", basis.rows)
@@ -120,8 +137,9 @@ class Subspace:
     @classmethod
     def from_rows(cls, ctx: FieldCtx, n: int, rows) -> "Subspace":
         """Canonicalize an arbitrary generating set."""
-        red, pivots = rref_rows(ctx, [tuple(r) for r in rows], n)
-        return cls(ctx, n, MatGFq(ctx, len(red), n, red), pivots)
+        rows = tuple(rows)
+        gens = MatGFq(ctx, len(rows), n, rows)  # checks the shape and the entries
+        return cls._from_rref(ctx, n, *rref_rows(ctx, gens.data, n))
 
     @property
     def pivots(self) -> tuple:
@@ -200,9 +218,7 @@ def enumerate_bases(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
         raise InvalidArgs(f"need 1 <= k <= n, got n={n} k={k}")
     q = ctx.q
     count = gaussian_binomial(n, k, q)
-    budget = enumeration_budget()
-    if count > budget:
-        raise BudgetExceeded(f"[{n} {k}]_{q} = {count} exceeds budget {budget}")
+    check_budget(count)
     out = np.zeros((count, k, n), dtype=np.uint8)
     lo = 0
     for pivots in combinations(range(n), k):
@@ -276,15 +292,6 @@ def point_reps(q: int, n: int):
             yield head + tail
 
 
-def _point_count(q: int, n: int) -> int:
-    """[n 1]_q, refusing more points than the enumeration budget."""
-    points = gaussian_binomial(n, 1, q)
-    budget = enumeration_budget()
-    if points > budget:
-        raise BudgetExceeded(f"[{n} 1]_{q} = {points} points exceed budget {budget}")
-    return points
-
-
 def basis_array(subspaces) -> np.ndarray:
     """(S, d, n) uint8 RREF bases of same-shape subspaces, refusing an empty
     list and mixed fields, ambient spaces or dimensions."""
@@ -309,7 +316,7 @@ def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     """
     S, d, n = bases.shape
     q = ctx.q
-    _point_count(q, n)
+    check_budget(gaussian_binomial(n, 1, q), "points")
     add = np.array(ctx.add_table, dtype=np.uint8)
     mul = np.array(ctx.mul_table, dtype=np.uint8)
     coeffs = np.array(list(point_reps(q, d)), dtype=np.uint8)  # (P, d)
@@ -323,17 +330,14 @@ def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     return vecs @ weights - lead + (lead - 1) // (q - 1)
 
 
-def bases_incidence_block(ctx: FieldCtx, bases: np.ndarray, dtype=np.uint8) -> np.ndarray:
-    """Dense 0/1 point-incidence rows, (S, [n 1]_q), in `point_reps` order, of
-    an (S, d, n) array of RREF bases; refuses more than
-    DISTANCE_TABLE_FACTOR × the enumeration budget cells before allocating
-    any."""
+def bases_incidence_block(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
+    """Dense 0/1 uint8 point-incidence rows, (S, [n 1]_q), in `point_reps`
+    order, of an (S, d, n) array of RREF bases; the cells are checked
+    against the table ceiling before any is allocated."""
     S, _, n = bases.shape
-    points = _point_count(ctx.q, n)
-    cells, ceiling = S * points, DISTANCE_TABLE_FACTOR * enumeration_budget()
-    if cells > ceiling:
-        raise BudgetExceeded(f"{S} x {points} incidence cells exceed ceiling {ceiling}")
-    out = np.zeros((S, points), dtype=dtype)
+    points = gaussian_binomial(n, 1, ctx.q)
+    check_budget(S * points, "incidence cells", cells=True)
+    out = np.zeros((S, points), dtype=np.uint8)
     np.put_along_axis(out, bases_point_ordinals(ctx, bases), 1, axis=1)
     return out
 

@@ -4,15 +4,16 @@ Nothing in `grassmd` calls these.  Each computes its answer by a route of
 its own: Gaussian binomials by the Pascal recurrence, point incidence by
 membership tests, codes by stacked RREF ranks, graph distance by BFS,
 small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
-distinguishers by comparing every entry of two rows, and the greedy
-resolving set by one `np.unique` refinement per candidate.
+distinguishers by comparing every entry of two rows, the greedy
+resolving set by one `np.unique` refinement per candidate, and the Gram
+table M^T M by a float64 product of the dense incidence matrix.
 """
 
 import numpy as np
 
 from grassmd.grassmann import bfs_distances_from, distance
 from grassmd.linalg import MatGFq, rref_rows
-from grassmd.subspaces import point_reps
+from grassmd.subspaces import bases_incidence_block, enumerate_bases, point_reps
 
 
 def gaussian_binomial_pascal(n: int, k: int, q: int) -> int:
@@ -121,3 +122,10 @@ def greedy_ordinals(g) -> list:
         chosen.append(best_v)
         class_ids = best_ids
     return chosen
+
+
+def gram_float_product(ctx, n: int, k: int) -> np.ndarray:
+    """M^T M of the full incidence matrix M as a float64 BLAS product of the
+    dense (V, N) block; exact while every entry, at most V, is below 2^53."""
+    a = bases_incidence_block(ctx, enumerate_bases(ctx, n, k)).astype(np.float64)
+    return a.T @ a

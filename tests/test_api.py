@@ -1,10 +1,13 @@
 """Package namespace: everything advertised in __all__ resolves."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +86,58 @@ def test_import_restores_the_collector_state(enabled):
                      f"import grassmd\n"
                      f"print(gc.isenabled())\n")
     assert out.strip() == str(enabled)
+
+
+class _Uses(ast.NodeVisitor):
+    """(module.function, name) for every call, name and attribute read in a
+    module, plus the string constants, scoped by enclosing function."""
+
+    def __init__(self, module):
+        self.scope, self.calls, self.names, self.strings = [module], [], [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        self.calls.append((".".join(self.scope), getattr(func, "id", getattr(func, "attr", None))))
+        for kw in node.keywords:
+            if kw.arg == "dtype" and getattr(kw.value, "id", None) == "float":
+                self.names.append((".".join(self.scope), "dtype=float"))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self.names.append((".".join(self.scope), node.id))
+
+    def visit_Attribute(self, node):
+        self.names.append((".".join(self.scope), node.attr))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self.strings.append((".".join(self.scope), node.value))
+
+
+def test_one_budget_guard_and_no_float_dtype():
+    calls, names, strings = [], [], []
+    for path in sorted(Path(grassmd.__file__).parent.glob("*.py")):
+        uses = _Uses(path.stem)
+        uses.visit(ast.parse(path.read_text()))
+        calls += uses.calls
+        names += uses.names
+        strings += uses.strings
+    # every input-sized ceiling goes through subspaces.check_budget; the
+    # exact search's vertex limit is the one other refusal
+    raisers = {scope for scope, name in calls if name == "BudgetExceeded"}
+    assert raisers == {"subspaces.check_budget", "search._check_limit"}
+    readers = {scope.split(".")[0] for scope, name in calls if name == "enumeration_budget"}
+    assert readers == {"subspaces"}
+    readers = {scope.split(".")[0] for scope, name in names if name == "DISTANCE_TABLE_FACTOR"}
+    assert readers == {"subspaces"}
+    # no float near a certificate: only the bound formulas use floats
+    float_dtype = re.compile(r"float(16|32|64|128|_)|floating|dtype=float|f[248]")
+    floats = {(scope, name) for scope, name in names + strings
+              if float_dtype.fullmatch(name) and not scope.startswith("bounds")}
+    assert floats == set()

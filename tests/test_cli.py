@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib.resources import files
 
 import jsonschema
@@ -217,6 +218,17 @@ def test_incidence_cell_ceiling_exits_2(monkeypatch, tmp_path):
         assert rc == 2 and out == "" and "incidence cells exceed" in err
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["2", "9", "2"], "GRAM-OK diag=255 offdiag=1\n"),
+    (["3", "7", "2"], "GRAM-OK diag=364 offdiag=1\n"),
+    (["2", "8", "3"], "GRAM-OK diag=2667 offdiag=63\n"),
+])
+def test_gram_is_not_limited_by_an_incidence_block(argv, out):
+    # 43435 x 511, 99463 x 1093 and 97155 x 255 incidence cells, all over
+    # the 10^7 ceiling; the Gram tables hold at most 1093^2 cells
+    assert run(["gram", *argv]) == (0, out, "")
+
+
 def test_gram_plain_and_json():
     rc, out, _ = run(["gram", "2", "4", "2"])
     assert (rc, out) == (0, "GRAM-OK diag=7 offdiag=1\n")
@@ -345,6 +357,33 @@ def test_graph_export(tmp_path):
     target = tmp_path / "graph.txt"
     assert run(["graph", "export", "2", "4", "2", "-o", str(target)])[0] == 0
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["2", "4", "2"], "11abf56f56932f217e431ecae5bdf4b23b3fc42e06cf3e0a76bd9a4304728316"),
+    (["3", "5", "2"], "05d65ea32c434da3995b1fa5508bffeffa3994f5bf3f39b7eccc633f72d4341b"),
+    (["2", "6", "3"], "52ddbfe3acd458507072fea49ed1ced213bd03ec0a3bbc7ee295a57622526ed8"),
+    (["2", "7", "2"], "e47038cc5e2915e076bd7fb6854882fdc01c91f46f5b1009de209f36dcce8f57"),
+])
+def test_graph_export_is_pinned(argv, digest):
+    rc, out, _ = run(["graph", "export", *argv])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_graph_export_writes_edges_as_it_finds_them(tmp_path):
+    # G_2(7,2): 2667 vertices, 248031 edges; no list of all edges or lines
+    # is held, so the call peaks near the V^2-byte distance table
+    target = tmp_path / "graph.txt"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["graph", "export", "2", "7", "2", "-o", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert json.loads(target.read_text().split("\n", 1)[0])["edges"] == 248031
+    assert peak < 1.5 * 2667**2
 
 
 def test_distance_table_budget_exits_2(monkeypatch):

@@ -3,13 +3,15 @@ the row rank profile behind the greedy construction, Gram identity."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from grassmd import rank as rank_mod
-from grassmd.errors import InvalidArgs, TooLarge
+from grassmd.acceptance import RANK_GRID
+from grassmd.errors import BudgetExceeded, InvalidArgs
 from grassmd.gfq import field_new
 from grassmd.rank import (
     BareissEliminator,
@@ -17,6 +19,7 @@ from grassmd.rank import (
     certify_resolving_by_rank,
     exact_rank,
     gram_closed_form,
+    gram_table,
     incidence_matrix,
     modular_primes,
     row_rank_profile,
@@ -24,7 +27,7 @@ from grassmd.rank import (
 )
 from grassmd.constructions import resolving_greedy_rank
 from grassmd.subspaces import Subspace, SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
-from oracles import PointIndex, incidence_vector
+from oracles import PointIndex, gram_float_product, incidence_vector
 
 
 def fraction_rank(rows):
@@ -315,15 +318,48 @@ def test_verify_gram(q, n, k):
     assert verify_gram(field_new(q), n, k)
 
 
-def test_verify_gram_refuses_inexact_float_products(monkeypatch):
-    # from 2^53 vertices on, float64 Gram entries would not be exact
-    def unreachable(*args):
-        raise AssertionError("enumerated before the exactness check")
+@pytest.mark.parametrize("q,n,k", [qnk for qnk, _ in RANK_GRID])
+def test_gram_table_agrees_with_the_float_product(q, n, k):
+    ctx = field_new(q)
+    table = gram_table(ctx, n, k)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, gram_float_product(ctx, n, k))
+    assert verify_gram(ctx, n, k)
 
-    monkeypatch.setattr(rank_mod, "gaussian_binomial", lambda n, k, q: 2**53)
+
+def test_verify_gram_refuses_a_wrong_closed_form(monkeypatch):
+    ctx = field_new(2)
+    diag, offdiag = gram_closed_form(ctx, 5, 2)
+    for wrong in [(diag, offdiag + 1), (diag + 1, offdiag), (diag, 0)]:
+        monkeypatch.setattr(rank_mod, "gram_closed_form", lambda *args: wrong)
+        assert verify_gram(ctx, 5, 2) is False
+
+
+def test_gram_cell_ceiling_fires_before_enumeration(monkeypatch):
+    # G_2(4,2) has 15 points: 15^2 = 225 Gram cells exceed the 10 * 22 ceiling
+    def unreachable(*args):
+        raise AssertionError("enumerated before the cell check")
+
+    monkeypatch.setenv("GRASSMANN_BUDGET", "22")
     monkeypatch.setattr(rank_mod, "enumerate_bases", unreachable)
-    with pytest.raises(TooLarge, match="not be exact"):
+    with pytest.raises(BudgetExceeded, match="^225 Gram cells exceed ceiling 220$"):
         verify_gram(field_new(2), 4, 2)
+    monkeypatch.undo()
+    monkeypatch.setenv("GRASSMANN_BUDGET", "35")  # 35 vertices, 350 cells
+    assert verify_gram(field_new(2), 4, 2)
+
+
+def test_verify_gram_holds_no_dense_incidence_block():
+    # G_3(6,2): 11011 vertices x 364 points; the float product held a 32 MB
+    # float64 block, the Gram table is 364^2 int64 cells (1 MB)
+    ctx = field_new(3)
+    tracemalloc.start()
+    try:
+        assert verify_gram(ctx, 6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_gram_closed_form_rejects_bad_k():

@@ -182,18 +182,51 @@ def test_searches_reject_an_unseparated_pair(solve):
         solve([[0, 0], [0, 0]])
 
 
-def test_unseparated_pair_is_refused_under_optimize():
-    # the check must not be an assert, which -O strips
+@pytest.mark.parametrize("solve", [metric_dimension_from_distances, _two_landmark_dimension])
+def test_searches_reject_an_asymmetric_table(solve):
+    for rows in ([[0, 1], [2, 0]], [[0, -1], [1, 0]]):
+        with pytest.raises(InvalidArgs, match="not symmetric"):
+            solve(rows)
+
+
+@pytest.mark.parametrize("solve", [metric_dimension_from_distances, _two_landmark_dimension])
+def test_searches_reject_a_nonzero_diagonal(solve):
+    with pytest.raises(InvalidArgs, match="nonzero diagonal"):
+        solve([[1, 0], [0, 1]])
+    with pytest.raises(InvalidArgs, match="nonzero diagonal"):
+        solve(np.array([[0, 1, 1], [1, 2, 1], [1, 1, 0]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("solve", [metric_dimension_from_distances, _two_landmark_dimension])
+def test_searches_reject_a_negative_entry(solve):
+    with pytest.raises(InvalidArgs, match="negative entry"):
+        solve([[0, -1], [-1, 0]])
+
+
+def answers_under_optimize(tables) -> list:
+    """What `metric_dimension_from_distances` gives for each table in a
+    `python -O` child, which strips asserts: "refused" for InvalidArgs."""
     code = ("from grassmd.search import metric_dimension_from_distances as f\n"
             "from grassmd.errors import InvalidArgs\n"
-            "try:\n    print(f([[0, 0], [0, 0]]))\n"
-            "except InvalidArgs:\n    print('refused')\n")
+            f"for t in {tables!r}:\n"
+            "    try:\n        print(f(t))\n"
+            "    except InvalidArgs:\n        print('refused')\n")
     src = os.path.dirname(os.path.dirname(search.__file__))
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "refused"
+    return out.splitlines()
+
+
+def test_malformed_tables_are_refused_under_optimize():
+    tables = [[[0, 1], [2, 0]], [[0, -1], [1, 0]], [[1, 0], [0, 1]], [[0, -1], [-1, 0]]]
+    assert answers_under_optimize(tables) == ["refused"] * 4
+
+
+def test_unseparated_pair_is_refused_under_optimize():
+    # the check must not be an assert, which -O strips
+    assert answers_under_optimize([[[0, 0], [0, 0]]]) == ["refused"]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

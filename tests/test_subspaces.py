@@ -1,5 +1,6 @@
 """Gaussian binomials, k-subspace enumeration, projective point index."""
 
+import inspect
 import itertools
 import math
 
@@ -10,11 +11,19 @@ from hypothesis import given, settings
 from grassmd import subspaces as subspaces_mod
 
 from grassmd.errors import BudgetExceeded, InvalidArgs, TooLarge
+from grassmd.constructions import (
+    build_mixed_partition,
+    resolving_from_partition,
+    resolving_from_spread,
+    resolving_greedy_rank,
+)
 from grassmd.gfq import field_new
+from grassmd.grassmann import GrassmannGraph
 from grassmd.subspaces import (
     BINOMIAL_MAX_DIGITS,
     Subspace,
     SubspaceFamily,
+    check_budget,
     enumerate_bases,
     enumerate_k_subspaces,
     enumeration_budget,
@@ -192,6 +201,18 @@ def test_enumerate_bases_refuses_before_allocating(monkeypatch):
         enumerate_bases(field_new(2), 6, 3)
 
 
+def test_check_budget_bounds_counts_and_table_cells(monkeypatch):
+    monkeypatch.setenv("GRASSMANN_BUDGET", "10")
+    check_budget(10)
+    check_budget(100, "cells", cells=True)
+    with pytest.raises(BudgetExceeded, match="^11 exceeds budget 10$"):
+        check_budget(11)
+    with pytest.raises(BudgetExceeded, match="^11 points exceed budget 10$"):
+        check_budget(11, "points")
+    with pytest.raises(BudgetExceeded, match="^101 distance cells exceed ceiling 100$"):
+        check_budget(101, "distance cells", cells=True)
+
+
 def test_enumeration_pinned_small_cases():
     ctx = field_new(2)
     lines = enumerate_k_subspaces(ctx, 2, 1)
@@ -225,6 +246,27 @@ def test_subspace_requires_rref_basis():
         Subspace(ctx, 3, mat(ctx, [[0, 1, 0], [1, 0, 0]]))  # pivots out of order
     with pytest.raises(InvalidArgs):
         Subspace(ctx, 3, mat(ctx, [[1, 1, 0], [0, 1, 0]]))  # unreduced pivot col
+
+
+def test_subspace_always_validates_and_from_rows_checks_its_input():
+    # the constructor takes no trusted pivots; only `_from_rref` skips checks
+    assert list(inspect.signature(Subspace).parameters) == ["ctx", "n", "basis"]
+    ctx = field_new(2)
+    with pytest.raises(InvalidArgs, match="not a GF"):
+        Subspace.from_rows(ctx, 3, [[1, 2, 0]])
+    with pytest.raises(InvalidArgs, match="not a GF"):
+        Subspace.from_rows(ctx, 2, [[3, 0]])
+    with pytest.raises(InvalidArgs, match="shape"):
+        Subspace.from_rows(ctx, 2, [[1, 0, 0]])
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (5, 3), (3, 2)])
+def test_graph_shape_is_one_check(n, k):
+    ctx = field_new(2)
+    for build in (GrassmannGraph, resolving_from_spread, resolving_from_partition,
+                  build_mixed_partition, resolving_greedy_rank):
+        with pytest.raises(InvalidArgs, match=rf"^need 2 <= k <= n/2, got n={n} k={k}$"):
+            build(ctx, n, k)
 
 
 def test_from_rows_canonicalizes():
