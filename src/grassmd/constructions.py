@@ -26,19 +26,22 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InvalidArgs, InvalidShape, NotDivisor
 from .gfq import ExtensionField, FieldCtx
-from .linalg import mat_mul
 from .rank import row_rank_profile
 from .subspaces import (
     Subspace,
     SubspaceFamily,
     bases_incidence_block,
+    basis_array,
+    basis_keys,
     check_budget,
     check_graph_shape,
     enumerate_bases,
-    enumerate_k_subspaces,
     gaussian_binomial,
+    gf_matmul,
     point_reps,
     subspaces_from_bases,
 )
@@ -73,15 +76,10 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
     count = (ctx.q**n - 1) // (ctx.q**t - 1)
     check_budget(count, f"members of a {t}-spread of V({n},{ctx.q})")
     ext = ExtensionField(ctx, t)
+    powers = [ext.from_coords([0] * j + [1]) for j in range(t)]  # the power basis
     members = []
     for rep in point_reps(ext.order, n // t):
-        rows = []
-        for j in range(t):
-            lam = ext.from_coords([0] * j + [1])  # j-th power basis element
-            row = []
-            for w in rep:
-                row.extend(ext.coords(ext.mul(lam, w)))
-            rows.append(tuple(row))
+        rows = [sum((ext.coords(ext.mul(lam, w)) for w in rep), ()) for lam in powers]
         sub = Subspace.from_rows(ctx, n, rows)
         assert sub.dim == t
         members.append(sub)
@@ -94,18 +92,12 @@ def _k_subspaces_in(ctx: FieldCtx, k: int, spaces) -> SubspaceFamily:
     """The k-subspaces of each (k+1)-subspace in spaces, deduplicated in
     first-seen order: C·W for the RREF bases C of the k-subspaces of the
     abstract V(k+1, q), W the space's RREF basis.  C·W is RREF already: W
-    is the identity in its pivot columns, so there C·W reads C, and row i
-    leads at W's pivot number C.pivots[i]."""
-    coeff_subs = enumerate_k_subspaces(ctx, k + 1, k)
-    out = {}
-    for w in spaces:
-        assert w.dim == k + 1
-        for c in coeff_subs:
-            data = mat_mul(c.basis, w.basis).data
-            if data not in out:
-                pivots = [w.pivots[p] for p in c.pivots]
-                out[data] = Subspace._from_rref(ctx, w.n, data, pivots)
-    return SubspaceFamily(out.values())
+    is the identity in its pivot columns, so there C·W reads C."""
+    w = basis_array(list(spaces))
+    assert w.shape[1] == k + 1
+    subs = gf_matmul(ctx, enumerate_bases(ctx, k + 1, k), w[:, None]).reshape(-1, k, w.shape[2])
+    first = np.unique(basis_keys(subs), return_index=True)[1]
+    return SubspaceFamily(subspaces_from_bases(ctx, subs[np.sort(first)]))
 
 
 def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
@@ -119,13 +111,6 @@ def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     # spread members meet in 0, so none of their k-subspaces coincide
     assert len(fam) == gaussian_binomial(n, 1, ctx.q)
     return fam
-
-
-def _embed_leading(sub: Subspace, n: int) -> Subspace:
-    """Reinterpret a subspace of V(s,q) inside the first s coordinates of
-    V(n,q); RREF is preserved by zero-padding."""
-    rows = tuple(r + (0,) * (n - sub.n) for r in sub.basis.data)
-    return Subspace._from_rref(sub.ctx, n, rows, sub.pivots)
 
 
 def _partition_shape(n: int, k: int) -> tuple:
@@ -150,22 +135,18 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
     """
     s, t = _partition_shape(n, k)
     ext_s = ExtensionField(ctx, s)
-    w_members = SubspaceFamily(_embed_leading(w, n) for w in build_spread(ctx, s, k + 1))
+    # a spread of V(s,q), zero-padded into the leading s coordinates
+    w = np.pad(basis_array(build_spread(ctx, s, k + 1)), ((0, 0), (0, 0), (0, t)))
     tail = []
     for a in range(ext_s.order):
-        rows = []
-        for j in range(t):
-            head = ext_s.coords(ext_s.mul(a, ext_s.from_coords([0] * j + [1])))
-            tail_coords = [0] * t
-            tail_coords[j] = 1
-            rows.append(tuple(head) + tuple(tail_coords))
+        rows = [ext_s.coords(ext_s.mul(a, ext_s.from_coords([0] * j + [1])))
+                + tuple(int(i == j) for i in range(t)) for j in range(t)]
         sub = Subspace.from_rows(ctx, n, rows)
         assert sub.dim == t
         tail.append(sub)
-    w1 = w_members[0]
-    z_rows = w1.basis.data[: k - t + 1]
-    z = Subspace._from_rref(ctx, n, z_rows, w1.pivots[: k - t + 1])
-    return MixedPartition(ctx, n, k, s, t, w_members, SubspaceFamily(tail), z)
+    z = subspaces_from_bases(ctx, w[:1, :k - t + 1])[0]  # inside W_1
+    return MixedPartition(ctx, n, k, s, t, SubspaceFamily(subspaces_from_bases(ctx, w)),
+                          SubspaceFamily(tail), z)
 
 
 def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:

@@ -11,7 +11,7 @@ construct -> file -> verify round-trips byte-identically.
 from __future__ import annotations
 
 from .errors import InvalidArgs
-from .gfq import FieldCtx, field_new
+from .gfq import field_new
 from .linalg import MatGFq
 from .subspaces import Subspace, SubspaceFamily
 
@@ -55,15 +55,8 @@ def parse_family(text: str) -> tuple:
     ctx = field_new(q)
     members = []
     for b in range(m):
-        rows = body[b * k : (b + 1) * k]
-        for row in rows:
-            if len(row) != n:
-                raise InvalidArgs(f"block {b}: row of length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < q:
-                    raise InvalidArgs(f"block {b}: entry {x} out of range for GF({q})")
-        try:
-            sub = Subspace(ctx, n, MatGFq(ctx, k, n, rows))
+        try:  # MatGFq checks the row lengths and entries, Subspace the RREF
+            sub = Subspace(ctx, n, MatGFq(ctx, k, n, body[b * k : (b + 1) * k]))
         except InvalidArgs as e:
             raise InvalidArgs(f"block {b}: {e}")
         members.append(sub)

@@ -5,17 +5,18 @@ dimension k-1, and the graph distance is k minus the intersection
 dimension.  A family S is resolving when no two vertices have the same
 distance vector ("code") against S.
 
-A graph holds its vertices as one (V, k, n) uint8 array of RREF bases from
-`subspaces.enumerate_bases`; `Subspace` objects are built only on request.
-One gather kernel fills every code table, one (S, m) uint8 array, and
-with the family set to all vertices the read-only all-pairs distance
-table.  Two k-subspaces meeting in dimension j share exactly [j 1]_q
-projective points, so the shared-point count of a vertex A and a member U
-is the sum of U's 0/1 incidence over the [k 1]_q point ordinals of A
-(`subspaces.bases_point_ordinals`, the builder the rank certificate also
-uses), and a lookup turns each count into k - j.  The counts are small
-integers, summed in the smallest unsigned dtype that holds [k 1]_q, one
-block of about CELLS_PER_BLOCK cells at a time.
+A graph is its sorted (V, k, n) uint8 array of RREF bases from
+`subspaces.enumerate_bases`, which every method reads: an ordinal is a
+binary search of a basis's byte key (`subspaces.basis_keys`), and
+`Subspace` objects are built only on request.  One gather kernel fills
+every code table, one (S, m) uint8 array, and with the family set to all
+vertices the read-only all-pairs distance table.  Two k-subspaces meeting
+in dimension j share exactly [j 1]_q points, so the shared-point count of
+a vertex A and a member U is the sum of U's 0/1 incidence over the point
+ordinals of A (`subspaces.bases_point_ordinals`, which the rank
+certificate also uses), and a lookup turns each count into k - j.  Counts
+are summed in the smallest unsigned dtype that holds [k 1]_q, one block of
+about CELLS_PER_BLOCK cells at a time.
 
 `is_resolving` keeps a 16-byte digest of each vertex's row of counts (which
 determines its code), not the row.  Rows with equal digests are recomputed
@@ -24,15 +25,14 @@ colliding pair stay exact whatever the digest does.
 
 Two routes stay independent of the kernel: `distance` computes the
 intersection dimension from a stacked RREF rank, and `bfs_distances_from`
-walks adjacency lists built from the definition of adjacency
-(`GrassmannGraph.adjacency`), not from distances.  The tests compare the
-kernel against both, through the per-vertex code and pairwise BFS oracles
-in `tests/oracles.py`; `accept` compares it against BFS.
+walks the adjacency array built from the definition of adjacency
+(`GrassmannGraph.adjacency`).  The tests compare the kernel against both,
+and the adjacency against a Python RREF per candidate, with the oracles in
+`tests/oracles.py`; `accept` compares the kernel against BFS.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -40,31 +40,31 @@ import numpy as np
 
 from .errors import DimensionMismatch, GrassmdError, InvalidArgs
 from .gfq import FieldCtx
-from .linalg import intersect_dim, mat_mul, rref_rows
+from .linalg import intersect_dim
 from .subspaces import (
     Subspace,
     SubspaceFamily,
     bases_incidence_block,
     bases_point_ordinals,
     basis_array,
+    basis_keys,
     check_budget,
     check_graph_shape,
     enumerate_bases,
-    enumerate_k_subspaces,
     gaussian_binomial,
+    gf_matmul,
     point_reps,
     subspaces_from_bases,
 )
 
 
 class GrassmannGraph:
-    """The vertex array plus lazily built objects; 2 <= k <= n/2 enforced.
+    """The vertex array plus lazily built tables; 2 <= k <= n/2 enforced.
 
     `bases` is the read-only (V, k, n) uint8 array of RREF bases in public
-    order; `vertices` (a tuple of `Subspace`) and `vertex_index` (basis
-    rows -> ordinal) are built on first use."""
+    order; `vertices`, a tuple of `Subspace`, is built on first use."""
 
-    __slots__ = ("ctx", "n", "k", "bases", "_vertices", "_vertex_index", "_dist_rows", "_adj")
+    __slots__ = ("ctx", "n", "k", "bases", "_vertices", "_dist_rows", "_adj")
 
     def __init__(self, ctx: FieldCtx, n: int, k: int):
         check_graph_shape(n, k)
@@ -72,7 +72,7 @@ class GrassmannGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "bases", enumerate_bases(ctx, n, k))
-        for name in ("_vertices", "_vertex_index", "_dist_rows", "_adj"):
+        for name in ("_vertices", "_dist_rows", "_adj"):
             object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
@@ -87,22 +87,25 @@ class GrassmannGraph:
             object.__setattr__(self, "_vertices", tuple(subspaces_from_bases(self.ctx, self.bases)))
         return self._vertices
 
-    @property
-    def vertex_index(self) -> dict:
-        if self._vertex_index is None:
-            index = {s.basis.data: i for i, s in enumerate(self.vertices)}
-            object.__setattr__(self, "_vertex_index", index)
-        return self._vertex_index
-
     def vertex(self, i: int) -> Subspace:
         """Vertex i, built from its array row alone."""
         return subspaces_from_bases(self.ctx, self.bases[i:i + 1])[0]
 
+    def ordinals(self, bases: np.ndarray) -> np.ndarray:
+        """Ordinals of the vertices with the given (S, k, n) RREF bases, by
+        binary search of their byte keys in the sorted `bases`."""
+        keys, want = basis_keys(self.bases), basis_keys(bases)
+        found = np.searchsorted(keys, want)
+        hit = (bases.shape[1:] == self.bases.shape[1:]) & (keys[found % len(keys)] == want)
+        if not hit.all():
+            raise InvalidArgs(f"basis {bases[np.argmin(hit)].tolist()} is not a vertex "
+                              f"of G_{self.ctx.q}({self.n},{self.k})")
+        return found
+
     def ordinal(self, s: Subspace) -> int:
-        try:
-            return self.vertex_index[s.basis.data]
-        except KeyError:
+        if s.ctx != self.ctx:
             raise InvalidArgs(f"{s!r} is not a vertex of G_{self.ctx.q}({self.n},{self.k})")
+        return int(self.ordinals(np.array([s.basis.data], dtype=np.uint8))[0])
 
     def distance_rows(self) -> np.ndarray:
         """Read-only (V, V) uint8 array, row i = distances from vertex i, read in place."""
@@ -114,38 +117,53 @@ class GrassmannGraph:
             object.__setattr__(self, "_dist_rows", dist)
         return self._dist_rows
 
-    def adjacency(self) -> list:
-        """Neighbour ordinal lists, from the definition of adjacency alone.
+    def adjacency(self) -> np.ndarray:
+        """Read-only (V, D) int array, row i = the ascending neighbour
+        ordinals of vertex i, from the definition of adjacency alone.
 
-        A neighbour B of A meets it in a hyperplane H of A, and the
-        k-subspaces through H are H + <p> for the [n-k+1 1]_q normalized
-        vectors p that vanish on H's pivot columns, one of which gives A.
-        So A has q [k 1]_q [n-k 1]_q neighbours, each found once; every
-        degree is checked against that count."""
+        A neighbour of A meets it in a hyperplane H = C·A, C one of the
+        [k 1]_q RREF (k-1) x k coefficient matrices, and the k-subspaces
+        through H are H + <p> for the [n-k+1 1]_q normalized p that vanish
+        on H's pivot columns, one of which gives A: D = q [k 1]_q [n-k 1]_q
+        neighbours, each found once, and each row is checked to hold D
+        distinct ordinals other than its own.  H = C·A is RREF, as A is the
+        identity in its pivot columns."""
         if self._adj is None:
             ctx, n, k, q = self.ctx, self.n, self.k, self.ctx.q
-            hyperplanes = enumerate_k_subspaces(ctx, k, k - 1)  # coefficient rows
-            quotient = list(point_reps(q, n - k + 1))
-            check_budget(len(self) * len(hyperplanes) * len(quotient),
-                         "adjacency candidates", cells=True)
+            coeffs = enumerate_bases(ctx, k, k - 1)
+            reps = np.array(list(point_reps(q, n - k + 1)), dtype=np.uint8)
+            check_budget(len(self) * len(coeffs) * len(reps), "adjacency candidates", cells=True)
             degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
-            index = self.vertex_index
-            adj = []
-            for a in self.vertices:
-                nbrs = set()
-                for c in hyperplanes:
-                    h_rows, h_pivots = rref_rows(ctx, mat_mul(c.basis, a.basis).data, n)
-                    free = [col for col in range(n) if col not in h_pivots]
-                    for p in quotient:
-                        v = [0] * n
-                        for col, x in zip(free, p):
-                            v[col] = x
-                        rows, _ = rref_rows(ctx, h_rows + (tuple(v),), n)
-                        if rows != a.basis.data:
-                            nbrs.add(index[rows])
-                if len(nbrs) != degree:
-                    raise GrassmdError(f"vertex {a!r} has {len(nbrs)} neighbours, not {degree}")
-                adj.append(sorted(nbrs))
+            add, mul, neg = (np.array(t, dtype=np.uint8)
+                             for t in (ctx.add_table, ctx.mul_table, ctx.neg_table))
+            adj = np.empty((len(self), degree), dtype=np.intp)
+            step = max(1, CELLS_PER_BLOCK // (len(coeffs) * len(reps)))
+            for lo in range(0, len(self), step):
+                a = self.bases[lo:lo + step]
+                # the hyperplanes H of the block's vertices, M = B·K of them
+                h = gf_matmul(ctx, coeffs, a[:, None]).reshape(-1, k - 1, n)
+                # p: the reps written into H's free columns, (M, P, n), led at column lead
+                taken = ((h != 0).argmax(axis=2)[:, :, None] == np.arange(n)).any(axis=1)
+                free = np.argsort(taken, axis=1, kind="stable")[:, :n - k + 1]
+                p = np.zeros((len(h), len(reps), n), dtype=np.uint8)
+                p[np.arange(len(h))[:, None], :, free] = reps.T
+                lead = free[:, (reps != 0).argmax(axis=1)]
+                # RREF of H + <p>: column lead cleared from H's rows, rows ordered by pivot
+                f = np.take_along_axis(h, lead[:, None], axis=2).swapaxes(1, 2)  # (M, P, k-1)
+                rows = np.concatenate([add[h[:, None], mul[neg[f][..., None], p[:, :, None]]],
+                                       p[:, :, None]], axis=2).reshape(-1, k, n)
+                order = np.argsort((rows != 0).argmax(axis=2), axis=1)
+                ords = self.ordinals(rows[np.arange(len(rows))[:, None], order]).reshape(len(a), -1)
+                # own ordinal marked -1 and sorted first: the row is right when
+                # its last degree + 1 entries are -1 then strictly ascending
+                tail = np.sort(np.where(ords == np.arange(lo, lo + len(a))[:, None], -1, ords),
+                               axis=1)[:, -degree - 1:]
+                ok = (tail[:, 0] == -1) & (np.diff(tail, axis=1) > 0).all(axis=1)
+                if not ok.all():
+                    raise GrassmdError(f"vertex {lo + np.argmin(ok)} does not have "
+                                       f"{degree} distinct neighbours")
+                adj[lo:lo + len(a)] = tail[:, 1:]
+            adj.flags.writeable = False
             object.__setattr__(self, "_adj", adj)
         return self._adj
 
@@ -313,21 +331,21 @@ def is_resolving(family: SubspaceFamily, g: GrassmannGraph) -> ResolvingVerdict:
 
 def bfs_distances_from(g: GrassmannGraph, src: int) -> list:
     """Shortest-path distances from one vertex ordinal to all others, by
-    breadth-first search over the adjacency lists only."""
+    breadth-first search over the adjacency array only, a level at a time."""
     adj = g.adjacency()
-    dist = [-1] * len(g)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    if min(dist) < 0:
+    seen = np.zeros(len(g), dtype=bool)
+    dist = np.zeros(len(g), dtype=np.intp)
+    seen[src] = True
+    frontier, level = np.array([src]), 0
+    while len(frontier):
+        level += 1
+        reached = adj[frontier].ravel()
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+        dist[frontier] = level
+    if not seen.all():
         raise InvalidArgs("graph is disconnected")  # cannot happen for 2 <= k <= n/2
-    return dist
+    return dist.tolist()
 
 
 def edge_rows(g: GrassmannGraph):

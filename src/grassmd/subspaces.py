@@ -4,11 +4,12 @@ A subspace is identified with the unique RREF basis of its row space, so
 equality and deduplication are tuple comparisons.  `enumerate_bases` is
 the one enumerator: it writes every RREF basis of every pivot pattern into
 one (V, k, n) uint8 array, the free slots filled with the base-q digits of
-a counter, and sorts the flattened rows, so the order (lexicographic in the
-flattened basis) is a stable public contract.  Every array row is a
-distinct subspace, so no rejection or hashing is needed.  `Subspace`
-objects are built from array rows only where a caller asks for them
-(`enumerate_k_subspaces`, `subspaces_from_bases`).
+a counter, and sorts the bases by their byte keys (`basis_keys`), so the
+order (lexicographic in the flattened basis) is a stable public contract.
+Every array row is a distinct subspace, so no rejection or hashing is
+needed.  `Subspace` objects are built from array rows only on request
+(`enumerate_k_subspaces`, `subspaces_from_bases`).  `gf_matmul` is the one
+array product of coefficient rows and bases over GF(q).
 
 Projective points (1-subspaces) are numbered by their normalized
 representatives (first nonzero coordinate scaled to 1), in ascending
@@ -19,7 +20,6 @@ at once; `bases_incidence_block` scatters them into dense 0/1 rows, and
 tests check it against membership tests (`Subspace.contains`) and the
 product formula of `gaussian_binomial` against the Pascal recurrence.
 """
-
 from __future__ import annotations
 
 import gc
@@ -229,22 +229,13 @@ def enumerate_bases(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
         block = out[lo:hi]
         block[:, range(k), pivots] = 1
         counter = np.arange(hi - lo)
-        for j, (i, c) in enumerate(free):  # digit j of the counter, base q
+        # digit j of the counter, base q, fills the j-th free slot from the
+        # right, so each block is one ascending run for the merge sort
+        for j, (i, c) in enumerate(reversed(free)):
             block[:, i, c] = counter // q**j % q
         lo = hi
     assert lo == count
-    # sort keys: the flattened basis read as base-q numerals, as many
-    # digits per int64 key as fit in 62 bits; lexsort wants the primary
-    # key last
-    flat = out.reshape(count, k * n)
-    per = max(1, int(62 / math.log2(q)))
-    keys = []
-    for c in range(0, k * n, per):
-        key = np.zeros(count, dtype=np.int64)
-        for col in flat[:, c:c + per].T:
-            key = key * q + col
-        keys.append(key)
-    out = out[np.lexsort(keys[::-1])]
+    out = out[np.argsort(basis_keys(out), kind="stable")]
     out.flags.writeable = False
     return out
 
@@ -304,6 +295,27 @@ def basis_array(subspaces) -> np.ndarray:
         len(subspaces), first.dim, first.n)
 
 
+def gf_matmul(ctx: FieldCtx, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """coeffs @ bases over GF(q) for uint8 arrays, batched like np.matmul:
+    (..., r, d) times (..., d, n) gives (..., r, n).  The one array
+    product of coefficient rows and bases, by table lookups."""
+    add = np.array(ctx.add_table, dtype=np.uint8)
+    mul = np.array(ctx.mul_table, dtype=np.uint8)
+    out = mul[coeffs[..., :, 0, None], bases[..., None, 0, :]]
+    for i in range(1, coeffs.shape[-1]):
+        out = add[out, mul[coeffs[..., :, i, None], bases[..., None, i, :]]]
+    return out
+
+
+def basis_keys(bases: np.ndarray) -> np.ndarray:
+    """Each (d, n) basis of an (S, d, n) uint8 array as one d·n-byte string.
+    Entries are field encodings below 256, so byte order is the public
+    order of `enumerate_bases` and its output is sorted by these keys."""
+    width = math.prod(bases.shape[1:])
+    flat = np.ascontiguousarray(bases, dtype=np.uint8).reshape(len(bases), width)
+    return flat.view(f"S{width}")[:, 0]
+
+
 def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     """(S, [d 1]_q) array: row s holds the ordinals, in `point_reps` order,
     of the points of the subspace with RREF basis bases[s], an (S, d, n)
@@ -314,15 +326,10 @@ def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     columns, so c·B is normalized too, and its ordinal follows in closed
     form from its big-endian encoding and its leading column.
     """
-    S, d, n = bases.shape
+    d, n = bases.shape[1:]
     q = ctx.q
     check_budget(gaussian_binomial(n, 1, q), "points")
-    add = np.array(ctx.add_table, dtype=np.uint8)
-    mul = np.array(ctx.mul_table, dtype=np.uint8)
-    coeffs = np.array(list(point_reps(q, d)), dtype=np.uint8)  # (P, d)
-    vecs = np.zeros((S, len(coeffs), n), dtype=np.uint8)
-    for i in range(d):
-        vecs = add[vecs, mul[coeffs[None, :, i, None], bases[:, None, i, :]]]
+    vecs = gf_matmul(ctx, np.array(list(point_reps(q, d)), dtype=np.uint8), bases)  # (S, P, n)
     # the points led by column f come after the (q^(n-1-f) - 1)/(q - 1) led
     # further right, and sit among themselves in encoding order
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)

@@ -3,6 +3,7 @@
 Nothing in `grassmd` calls these.  Each computes its answer by a route of
 its own: Gaussian binomials by the Pascal recurrence, point incidence by
 membership tests, codes by stacked RREF ranks, graph distance by BFS,
+adjacency by one tuple RREF per candidate neighbour,
 small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
 distinguishers by comparing every entry of two rows, the greedy
 resolving set by one `np.unique` refinement per candidate, and the Gram
@@ -12,8 +13,14 @@ table M^T M by a float64 product of the dense incidence matrix.
 import numpy as np
 
 from grassmd.grassmann import bfs_distances_from, distance
-from grassmd.linalg import MatGFq, rref_rows
-from grassmd.subspaces import bases_incidence_block, enumerate_bases, point_reps
+from grassmd.linalg import MatGFq, mat_mul, rref_rows
+from grassmd.subspaces import (
+    bases_incidence_block,
+    enumerate_bases,
+    enumerate_k_subspaces,
+    gaussian_binomial,
+    point_reps,
+)
 
 
 def gaussian_binomial_pascal(n: int, k: int, q: int) -> int:
@@ -59,6 +66,33 @@ def code_of(w, family) -> tuple:
 def bfs_distance(g, a, b) -> int:
     """Shortest-path distance between two vertices, by breadth-first search."""
     return bfs_distances_from(g, g.ordinal(a))[g.ordinal(b)]
+
+
+def adjacency_lists(g) -> list:
+    """Ascending neighbour ordinals of every vertex of g, one Python RREF of
+    H + <p> per hyperplane H of the vertex and normalized vector p
+    vanishing on H's pivot columns, looked up in a dict of basis tuples."""
+    ctx, n, k, q = g.ctx, g.n, g.k, g.ctx.q
+    hyperplanes = enumerate_k_subspaces(ctx, k, k - 1)  # coefficient rows
+    quotient = list(point_reps(q, n - k + 1))
+    degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
+    index = {s.basis.data: i for i, s in enumerate(g.vertices)}
+    adj = []
+    for a in g.vertices:
+        nbrs = set()
+        for c in hyperplanes:
+            h_rows, h_pivots = rref_rows(ctx, mat_mul(c.basis, a.basis).data, n)
+            free = [col for col in range(n) if col not in h_pivots]
+            for p in quotient:
+                v = [0] * n
+                for col, x in zip(free, p):
+                    v[col] = x
+                rows, _ = rref_rows(ctx, h_rows + (tuple(v),), n)
+                if rows != a.basis.data:
+                    nbrs.add(index[rows])
+        assert len(nbrs) == degree
+        adj.append(sorted(nbrs))
+    return adj
 
 
 def mat(ctx, rows) -> MatGFq:

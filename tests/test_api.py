@@ -141,3 +141,45 @@ def test_one_budget_guard_and_no_float_dtype():
     floats = {(scope, name) for scope, name in names + strings
               if float_dtype.fullmatch(name) and not scope.startswith("bounds")}
     assert floats == set()
+
+
+def _accumulations(tree, module):
+    """Scopes of the loops `out = add[out, mul[...]]`: a table lookup that
+    adds a looked-up product into the array it reassigns."""
+    found = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.For):
+            for stmt in ast.walk(node):
+                if (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Subscript)
+                        and isinstance(stmt.value.slice, ast.Tuple)
+                        and len(stmt.value.slice.elts) == 2):
+                    acc, term = stmt.value.slice.elts
+                    target = stmt.targets[0]
+                    if (isinstance(term, ast.Subscript) and isinstance(acc, ast.Name)
+                            and isinstance(target, ast.Name) and acc.id == target.id):
+                        found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, [module])
+    return found
+
+
+def test_one_coefficient_basis_product():
+    # the graph and the constructions use the array product, never the
+    # tuple product or a Python RREF per row
+    loops = set()
+    for path in sorted(Path(grassmd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loops |= _accumulations(tree, path.stem)
+        if path.stem in ("grassmann", "constructions"):
+            uses = _Uses(path.stem)
+            uses.visit(tree)
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names}
+            used = {name for _, name in uses.calls + uses.names} | imported
+            assert not used & {"mat_mul", "rref_rows"}, path.stem
+    assert loops == {"subspaces.gf_matmul"}

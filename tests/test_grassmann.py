@@ -23,7 +23,7 @@ from grassmd.grassmann import (
 )
 from grassmd.linalg import intersect_dim
 from grassmd.subspaces import Subspace, SubspaceFamily, bases_point_ordinals, gaussian_binomial
-from oracles import bfs_distance, code_of
+from oracles import adjacency_lists, bfs_distance, code_of
 from strategies import rref_vertex_pairs
 
 
@@ -63,12 +63,29 @@ def test_distance_requires_matching_shapes():
         distance(a, c)
 
 
-@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (2, 6, 3)])
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (2, 6, 3), (4, 4, 2),
+                                   (5, 4, 2), (7, 4, 2), (8, 4, 2), (9, 4, 2), (16, 4, 2)])
 def test_graph_vertex_count_and_ordinals(q, n, k):
+    # ordinals binary-search the bases' byte keys, so byte order must be
+    # the public order for every field size
     g = graph(q, n, k)
-    assert len(g.vertices) == gaussian_binomial(n, k, q)
-    for i in (0, 1, len(g.vertices) - 1):
-        assert g.ordinal(g.vertices[i]) == i
+    assert len(g) == gaussian_binomial(n, k, q)
+    for i in (0, 1, len(g) - 1):
+        assert g.ordinal(g.vertex(i)) == i
+    assert np.array_equal(g.ordinals(g.bases), np.arange(len(g)))
+
+
+def test_ordinal_refuses_another_field_or_shape():
+    g = graph(2, 4, 2)
+    others = [Subspace.from_rows(field_new(3), 4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+              Subspace.from_rows(field_new(4), 4, [(1, 0, 0, 0), (0, 1, 0, 3)]),
+              Subspace.from_rows(field_new(2), 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]),
+              Subspace.from_rows(field_new(2), 4, [(1, 0, 0, 0)])]
+    for s in others:
+        with pytest.raises(InvalidArgs, match="is not a vertex"):
+            g.ordinal(s)
+    with pytest.raises(InvalidArgs, match="is not a vertex"):
+        g.ordinals(np.array([[[1, 0, 0, 0], [0, 1, 0, 2]]], dtype=np.uint8))
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (3, 2), (5, 3)])
@@ -369,12 +386,44 @@ def test_adjacency_comes_from_the_definition(monkeypatch, q, n, k):
     g = graph(q, n, k)
     adj = g.adjacency()
     degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
-    assert all(len(a) == degree for a in adj)
-    assert all(a == sorted(set(a)) and i not in a for i, a in enumerate(adj))
+    assert adj.shape == (len(g), degree)
+    assert (np.diff(adj, axis=1) > 0).all()
+    assert all(i not in a for i, a in enumerate(adj))
     for i in range(0, len(g), max(1, len(g) // 15)):
         for j in adj[i]:
             assert i in adj[j]
             assert distance(g.vertices[i], g.vertices[j]) == 1
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (5, 4, 2),
+                                   (2, 6, 3)])
+def test_adjacency_matches_the_oracle(q, n, k):
+    g = shared_graph(q, n, k)
+    adj = g.adjacency()
+    assert g.adjacency() is adj
+    with pytest.raises(ValueError):
+        adj[0, 0] = 0
+    assert adj.tolist() == adjacency_lists(g)
+
+
+def test_adjacency_refuses_a_repeated_candidate(monkeypatch):
+    # the last quotient point replaced by the first: every hyperplane gives
+    # one candidate twice and misses another
+    def repeated(q, n):
+        reps = list(subspaces_mod.point_reps(q, n))
+        return reps[:-1] + reps[:1]
+
+    monkeypatch.setattr(grassmann_mod, "point_reps", repeated)
+    with pytest.raises(GrassmdError, match="does not have 18 distinct neighbours"):
+        graph(2, 4, 2).adjacency()
+
+
+def test_bfs_past_the_old_scale_matches_the_distance_table():
+    # G_2(7,2), 2667 vertices: ten sampled sources
+    g = graph(2, 7, 2)
+    rows = g.distance_rows()
+    for src in random.Random(72).sample(range(len(g)), 10):
+        assert bfs_distances_from(g, src) == rows[src].tolist()
 
 
 def test_adjacency_budget(monkeypatch):
