@@ -35,7 +35,7 @@ from .rank import (
     verify_gram,
 )
 from .search import metric_dimension_exact, metric_dimension_from_distances
-from .subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
+from .subspaces import SubspaceFamily, enumerate_bases, gaussian_binomial
 
 RANK_GRID = [
     ((2, 4, 2), 15),
@@ -106,7 +106,7 @@ def criterion_1() -> CriterionResult:
     ok = True
     for (q, n, k), want in RANK_GRID:
         ctx = field_new(q)
-        fam = SubspaceFamily(enumerate_k_subspaces(ctx, n, k))
+        fam = SubspaceFamily.from_bases(ctx, enumerate_bases(ctx, n, k))
         M = incidence_matrix(fam)
         t_fast = time.perf_counter()
         r_fast = exact_rank(M)
@@ -292,7 +292,7 @@ def criterion_9() -> CriterionResult:
     resolving = is_resolving(witness, g).resolving
     minimal = all(
         not is_resolving(
-            SubspaceFamily(s for j, s in enumerate(witness) if j != i), g
+            SubspaceFamily.from_bases(ctx, np.delete(witness.bases, i, axis=0)), g
         ).resolving
         for i in range(len(witness))
     )
@@ -303,7 +303,7 @@ def criterion_9() -> CriterionResult:
         "range": [lo, 15],
         "witness_resolving": resolving,
         "witness_minimal": minimal,
-        "witness_ordinals": [g.ordinal(s) for s in witness],
+        "witness_ordinals": g.ordinals(witness.bases).tolist(),
     }
     return _result(9, "exact metric dimension oracle", t0, ok, details)
 

@@ -28,7 +28,7 @@ from .gfq import field_new
 from .grassmann import GrassmannGraph, edge_rows, is_resolving
 from .rank import certify_resolving_by_rank, gram_closed_form, verify_gram
 from .search import DEFAULT_EXACT_LIMIT, metric_dimension_exact, metric_dimension_greedy
-from .subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
+from .subspaces import SubspaceFamily, enumerate_bases, gaussian_binomial
 
 
 def _emit(chunks, path: str | None):
@@ -144,7 +144,8 @@ def _cmd_verify(args) -> int:
 def _cmd_rank(args) -> int:
     if args.all is not None:
         q, n, k = args.all
-        fam = SubspaceFamily(enumerate_k_subspaces(field_new(q), n, k))
+        ctx = field_new(q)
+        fam = SubspaceFamily.from_bases(ctx, enumerate_bases(ctx, n, k))
     elif args.family:
         fam = _read_family_arg(args.family)[3]
     else:
@@ -236,7 +237,7 @@ def _cmd_metricdim(args) -> int:
             "command": "metricdim", "method": args.method,
             "q": args.q, "n": args.n, "k": args.k,
             "size": len(fam), "mu": mu,
-            "witness": [[list(r) for r in s.basis.data] for s in fam],
+            "witness": fam.bases.tolist(),
         }))
         return 0
     stats = (f"method={args.method} size={len(fam)} "

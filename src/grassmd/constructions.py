@@ -23,7 +23,6 @@ coordinate in power-basis GF(q)-coordinates.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -35,15 +34,14 @@ from .subspaces import (
     Subspace,
     SubspaceFamily,
     bases_incidence_block,
-    basis_array,
     basis_keys,
     check_budget,
     check_graph_shape,
     enumerate_bases,
     gaussian_binomial,
     gf_matmul,
+    gf_rref,
     point_reps,
-    subspaces_from_bases,
 )
 
 
@@ -68,7 +66,8 @@ class MixedPartition(NamedTuple):
 
 def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
     """Field-reduction t-spread of V(n,q): t-subspaces partitioning its
-    nonzero vectors; exists iff t divides n."""
+    nonzero vectors; exists iff t divides n.  The rows y^j·w of member <w>
+    are RREF: zero left of w's leading coordinate 1, the identity there."""
     if not 1 <= t <= n:
         raise InvalidArgs(f"need 1 <= t <= n, got n={n} t={t}")
     if n % t != 0:
@@ -77,27 +76,22 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
     check_budget(count, f"members of a {t}-spread of V({n},{ctx.q})")
     ext = ExtensionField(ctx, t)
     powers = [ext.from_coords([0] * j + [1]) for j in range(t)]  # the power basis
-    members = []
-    for rep in point_reps(ext.order, n // t):
-        rows = [sum((ext.coords(ext.mul(lam, w)) for w in rep), ()) for lam in powers]
-        sub = Subspace.from_rows(ctx, n, rows)
-        assert sub.dim == t
-        members.append(sub)
-    fam = SubspaceFamily(members)
+    bases = np.array([[sum((ext.coords(ext.mul(lam, w)) for w in rep), ()) for lam in powers]
+                      for rep in point_reps(ext.order, n // t)], dtype=np.uint8)
+    fam = SubspaceFamily.from_bases(ctx, bases)
     assert len(fam) == count
     return fam
 
 
-def _k_subspaces_in(ctx: FieldCtx, k: int, spaces) -> SubspaceFamily:
-    """The k-subspaces of each (k+1)-subspace in spaces, deduplicated in
-    first-seen order: C·W for the RREF bases C of the k-subspaces of the
-    abstract V(k+1, q), W the space's RREF basis.  C·W is RREF already: W
-    is the identity in its pivot columns, so there C·W reads C."""
-    w = basis_array(list(spaces))
+def _k_subspaces_in(ctx: FieldCtx, k: int, w: np.ndarray) -> SubspaceFamily:
+    """The k-subspaces of each (k+1)-subspace with RREF basis in the
+    (S, k+1, n) array w, deduplicated in first-seen order: C·W for the RREF
+    bases C of the k-subspaces of the abstract V(k+1, q).  C·W is RREF
+    already: W is the identity in its pivot columns, so there C·W reads C."""
     assert w.shape[1] == k + 1
     subs = gf_matmul(ctx, enumerate_bases(ctx, k + 1, k), w[:, None]).reshape(-1, k, w.shape[2])
     first = np.unique(basis_keys(subs), return_index=True)[1]
-    return SubspaceFamily(subspaces_from_bases(ctx, subs[np.sort(first)]))
+    return SubspaceFamily.from_bases(ctx, subs[np.sort(first)])
 
 
 def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
@@ -107,7 +101,7 @@ def resolving_from_spread(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
         raise NotDivisor(f"k+1={k + 1} does not divide n={n}")
     # [k+1 k]_q k-subspaces in each of the [n 1]_q / [k+1 1]_q members
     check_budget(gaussian_binomial(n, 1, ctx.q), f"{k}-subspaces")
-    fam = _k_subspaces_in(ctx, k, build_spread(ctx, n, k + 1))
+    fam = _k_subspaces_in(ctx, k, build_spread(ctx, n, k + 1).bases)
     # spread members meet in 0, so none of their k-subspaces coincide
     assert len(fam) == gaussian_binomial(n, 1, ctx.q)
     return fam
@@ -136,17 +130,13 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
     s, t = _partition_shape(n, k)
     ext_s = ExtensionField(ctx, s)
     # a spread of V(s,q), zero-padded into the leading s coordinates
-    w = np.pad(basis_array(build_spread(ctx, s, k + 1)), ((0, 0), (0, 0), (0, t)))
-    tail = []
-    for a in range(ext_s.order):
-        rows = [ext_s.coords(ext_s.mul(a, ext_s.from_coords([0] * j + [1])))
-                + tuple(int(i == j) for i in range(t)) for j in range(t)]
-        sub = Subspace.from_rows(ctx, n, rows)
-        assert sub.dim == t
-        tail.append(sub)
-    z = subspaces_from_bases(ctx, w[:1, :k - t + 1])[0]  # inside W_1
-    return MixedPartition(ctx, n, k, s, t, SubspaceFamily(subspaces_from_bases(ctx, w)),
-                          SubspaceFamily(tail), z)
+    w = np.pad(build_spread(ctx, s, k + 1).bases, ((0, 0), (0, 0), (0, t)))
+    tail = gf_rref(ctx, np.array([[ext_s.coords(ext_s.mul(a, ext_s.from_coords([0] * j + [1])))
+                                   + tuple(int(i == j) for i in range(t)) for j in range(t)]
+                                  for a in range(ext_s.order)], dtype=np.uint8))
+    z = SubspaceFamily.from_bases(ctx, w[:1, :k - t + 1])[0]  # inside W_1
+    return MixedPartition(ctx, n, k, s, t, SubspaceFamily.from_bases(ctx, w),
+                          SubspaceFamily.from_bases(ctx, tail), z)
 
 
 def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
@@ -157,11 +147,12 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     blocks = (q**s - 1) // (q ** (k + 1) - 1) + q**s
     check_budget(blocks * gaussian_binomial(k + 1, 1, q), f"{k}-subspaces before dedup")
     part = build_mixed_partition(ctx, n, k)
-    # X_j meets V(s,q) trivially and Z sits inside it, so X_j + Z has
-    # dimension k+1
-    fattened = (Subspace.from_rows(ctx, n, x.basis.data + part.Z.basis.data)
-                for x in part.tail_part)
-    fam = _k_subspaces_in(ctx, k, chain(part.spread_part, fattened))
+    # X_j meets V(s,q) trivially and Z, the first k-t+1 rows of W_1, sits
+    # inside it, so X_j + Z has dimension k+1
+    w, x = part.spread_part.bases, part.tail_part.bases
+    z = np.broadcast_to(w[0, :k - part.t + 1], (len(x), k - part.t + 1, n))
+    fattened = gf_rref(ctx, np.concatenate([x, z], axis=1))
+    fam = _k_subspaces_in(ctx, k, np.concatenate([w, fattened]))
     if part.t == 1:
         expected = gaussian_binomial(n, 1, q) + q ** (n - k) * gaussian_binomial(k - 1, 1, q)
         assert len(fam) == expected
@@ -176,4 +167,4 @@ def resolving_greedy_rank(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     bases = enumerate_bases(ctx, n, k)
     keep = row_rank_profile(bases_incidence_block(ctx, bases))
     assert len(keep) == target  # the full incidence matrix has rank [n 1]_q
-    return SubspaceFamily(subspaces_from_bases(ctx, bases[keep]))
+    return SubspaceFamily.from_bases(ctx, bases[keep])

@@ -46,7 +46,6 @@ from .subspaces import (
     SubspaceFamily,
     bases_incidence_block,
     bases_point_ordinals,
-    basis_array,
     basis_keys,
     check_budget,
     check_graph_shape,
@@ -118,7 +117,7 @@ class GrassmannGraph:
         return self._dist_rows
 
     def adjacency(self) -> np.ndarray:
-        """Read-only (V, D) int array, row i = the ascending neighbour
+        """Read-only (V, D) int32 array, row i = the ascending neighbour
         ordinals of vertex i, from the definition of adjacency alone.
 
         A neighbour of A meets it in a hyperplane H = C·A, C one of the
@@ -136,7 +135,7 @@ class GrassmannGraph:
             degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
             add, mul, neg = (np.array(t, dtype=np.uint8)
                              for t in (ctx.add_table, ctx.mul_table, ctx.neg_table))
-            adj = np.empty((len(self), degree), dtype=np.intp)
+            adj = np.empty((len(self), degree), dtype=np.int32 if len(self) < 2**31 else np.intp)
             step = max(1, CELLS_PER_BLOCK // (len(coeffs) * len(reps)))
             for lo in range(0, len(self), step):
                 a = self.bases[lo:lo + step]
@@ -240,23 +239,25 @@ def _codes(ctx: FieldCtx, bases: np.ndarray, fam_t: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _family_points(family, ctx: FieldCtx, n: int, k: int) -> np.ndarray:
-    """(N, m) 0/1 point incidence of the family members, one column each;
-    refuses an empty or mixed family (`basis_array`) and one whose members
-    are not k-subspaces of V(n,q), i.e. not vertices of G_q(n,k)."""
-    bases = basis_array(family)
-    if family[0].ctx != ctx or bases.shape[1:] != (k, n):
+def _family_points(family: SubspaceFamily, ctx: FieldCtx, n: int, k: int) -> np.ndarray:
+    """(N, m) 0/1 point incidence of the family members, one column each,
+    from its basis array; refuses an empty family and one whose members are
+    not k-subspaces of V(n,q), i.e. not vertices of G_q(n,k)."""
+    if not len(family):
+        raise InvalidArgs("empty family")
+    if family.ctx != ctx or family.bases.shape[1:] != (k, n):
         raise InvalidArgs(f"{family[0]!r} is not a vertex of G_{ctx.q}({n},{k})")
-    return np.ascontiguousarray(bases_incidence_block(ctx, bases).T)
+    return np.ascontiguousarray(bases_incidence_block(ctx, family.bases).T)
 
 
-def codes_table(vertices, family) -> np.ndarray:
-    """Distances of every vertex to every family member: the (S, m) uint8
-    array of the gather kernel (see the module docstring)."""
-    bases = basis_array(vertices)
-    first = vertices[0]
-    fam_t = _family_points(family, first.ctx, first.n, first.dim)
-    return _codes(first.ctx, bases, fam_t)
+def codes_table(vertices, family: SubspaceFamily) -> np.ndarray:
+    """Distances of every vertex (distinct `Subspace` objects) to every
+    family member: the (S, m) uint8 array of the gather kernel."""
+    vertices = SubspaceFamily(vertices)
+    if not len(vertices):
+        raise InvalidArgs("empty vertex list")
+    _, k, n = vertices.bases.shape
+    return _codes(vertices.ctx, vertices.bases, _family_points(family, vertices.ctx, n, k))
 
 
 @lru_cache(maxsize=8)

@@ -35,17 +35,6 @@ class MatGFq:
     def __setattr__(self, name, value):
         raise AttributeError("MatGFq is immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatGFq)
-            and self.ctx == other.ctx
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.q, self.cols, self.data))
-
     def __repr__(self):
         body = "; ".join(" ".join(map(str, r)) for r in self.data)
         return f"MatGFq({self.ctx!r}, {self.rows}x{self.cols}, [{body}])"

@@ -44,12 +44,12 @@ from .errors import InvalidArgs
 from .gfq import FieldCtx
 from .subspaces import (
     SubspaceFamily,
+    bases_incidence_block,
     bases_point_ordinals,
     check_budget,
     enumerate_bases,
     enumerate_k_subspaces,  # noqa: F401  perfbench/trace_child.py wraps rank.enumerate_k_subspaces
     gaussian_binomial,
-    incidence_block,
 )
 
 
@@ -167,9 +167,11 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(family: SubspaceFamily) -> IncidenceMatrix:
-    """Rows over the points in `point_reps` order; `basis_array` refuses an
-    empty or mixed family."""
-    block = incidence_block(family)
+    """Rows over the points in `point_reps` order, from the family's basis
+    array; refuses an empty family."""
+    if not len(family):
+        raise InvalidArgs("empty family")
+    block = bases_incidence_block(family.ctx, family.bases)
     block.flags.writeable = False
     return IncidenceMatrix(block.shape[0], block.shape[1], block)
 
@@ -224,19 +226,29 @@ def gram_closed_form(ctx: FieldCtx, n: int, k: int) -> tuple:
 
 def gram_table(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
     """M^T M of the full incidence matrix M, an (N, N) int64 array: entry
-    (i, j) counts the k-subspaces through points i and j, so one bincount
-    per block of vertices over their point-ordinal pairs sums it.  Its N^2
-    cells are checked against the table ceiling before anything is listed."""
+    (i, j) counts the k-subspaces through points i and j.  Per block of
+    vertices one bincount counts each pair of distinct points once, on
+    either side of the diagonal, and one the points.  Its N^2 cells are
+    checked against the table ceiling before anything is listed."""
     N = gaussian_binomial(n, 1, ctx.q)
     check_budget(N * N, "Gram cells", cells=True)
     bases = enumerate_bases(ctx, n, k)
-    gram = np.zeros(N * N, dtype=np.int64)
-    # at least as many pairs per block as cells, which spreads each count array's cost
-    step = max(1, max(N * N, 1 << 18) // gaussian_binomial(k, 1, ctx.q) ** 2)
+    points = gaussian_binomial(k, 1, ctx.q)
+    first, second = np.triu_indices(points, 1)
+    half = np.zeros(N * N, dtype=np.int64)
+    diagonal = np.zeros(N, dtype=np.int64)
+    # up to N^2 / 2 pairs per block, which spreads each count array's cost
+    step = max(1, max(N * N, 1 << 18) // points**2)
     for lo in range(0, len(bases), step):
         ords = bases_point_ordinals(ctx, bases[lo:lo + step])
-        gram += np.bincount((ords[:, :, None] * N + ords[:, None, :]).ravel(), minlength=N * N)
-    return gram.reshape(N, N)
+        pairs = ords[:, first] * N
+        pairs += ords[:, second]
+        half += np.bincount(pairs.ravel(), minlength=N * N)
+        diagonal += np.bincount(ords.ravel(), minlength=N)
+    gram = half.reshape(N, N)
+    gram += gram.T
+    np.fill_diagonal(gram, diagonal)
+    return gram
 
 
 def verify_gram(ctx: FieldCtx, n: int, k: int) -> bool:
@@ -269,7 +281,6 @@ def certify_resolving_by_rank(family: SubspaceFamily) -> RankCertificate:
     One-directional: "inconclusive" does not mean "not resolving".
     """
     M = incidence_matrix(family)
-    first = family[0]
-    required = gaussian_binomial(first.n, 1, first.ctx.q)
+    required = gaussian_binomial(family.bases.shape[2], 1, family.ctx.q)
     r = exact_rank(M)
     return RankCertificate(r == required, r, required)

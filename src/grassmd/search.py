@@ -182,7 +182,7 @@ def metric_dimension_exact(g: GrassmannGraph, limit: int = DEFAULT_EXACT_LIMIT) 
     unreduced search for arbitrary graphs."""
     _check_limit(len(g), limit)
     mu, ords = _two_landmark_dimension(g.distance_rows())
-    return mu, SubspaceFamily(g.vertex(i) for i in ords)
+    return mu, SubspaceFamily.from_bases(g.ctx, g.bases[ords])
 
 
 def metric_dimension_greedy(g: GrassmannGraph) -> SubspaceFamily:
@@ -218,4 +218,4 @@ def metric_dimension_greedy(g: GrassmannGraph) -> SubspaceFamily:
         _, new_ids = np.unique(base + dist[best_v], return_inverse=True)
         class_ids = new_ids.astype(np.int32)
         unsplit = best_pairs
-    return SubspaceFamily(g.vertex(i) for i in chosen)
+    return SubspaceFamily.from_bases(g.ctx, g.bases[chosen])

@@ -1,23 +1,24 @@
 """Subspaces of V(n,q): canonical forms, enumeration, counting, incidence.
 
 A subspace is identified with the unique RREF basis of its row space, so
-equality and deduplication are tuple comparisons.  `enumerate_bases` is
+equality and deduplication are byte comparisons.  `enumerate_bases` is
 the one enumerator: it writes every RREF basis of every pivot pattern into
 one (V, k, n) uint8 array, the free slots filled with the base-q digits of
 a counter, and sorts the bases by their byte keys (`basis_keys`), so the
 order (lexicographic in the flattened basis) is a stable public contract.
 Every array row is a distinct subspace, so no rejection or hashing is
-needed.  `Subspace` objects are built from array rows only on request
-(`enumerate_k_subspaces`, `subspaces_from_bases`).  `gf_matmul` is the one
-array product of coefficient rows and bases over GF(q).
+needed.  A `SubspaceFamily` is its field and one (m, d, n) array of RREF
+bases; `Subspace` objects are built from array rows only at the API edge
+(iterating or indexing a family or graph, `enumerate_k_subspaces`).
+`is_rref` is the one RREF test, `gf_matmul` the one array product of
+coefficient rows and bases over GF(q), and `gf_rref` reduces with it.
 
 Projective points (1-subspaces) are numbered by their normalized
 representatives (first nonzero coordinate scaled to 1), in ascending
 big-endian integer encoding (`point_reps`).  The one incidence builder,
 `bases_point_ordinals`, lists the point ordinals of a whole array of bases
-at once; `bases_incidence_block` scatters them into dense 0/1 rows, and
-`incidence_block` does the same for a list of `Subspace` objects.  The
-tests check it against membership tests (`Subspace.contains`) and the
+at once, and `bases_incidence_block` scatters them into dense 0/1 rows.
+The tests check it against membership tests (`Subspace.contains`) and the
 product formula of `gaussian_binomial` against the Pascal recurrence.
 """
 from __future__ import annotations
@@ -100,26 +101,25 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 class Subspace:
     """A dim-dimensional subspace of V(n,q), held as its RREF basis."""
 
-    __slots__ = ("ctx", "n", "dim", "basis", "_pivots")
+    __slots__ = ("ctx", "n", "dim", "basis")
 
     def __init__(self, ctx: FieldCtx, n: int, basis: MatGFq):
         if basis.cols != n:
             raise InvalidArgs(f"basis has {basis.cols} columns, ambient is {n}")
-        rows, pivots = rref_rows(ctx, basis.data, n)
-        if rows != basis.data:
+        rows = np.array(basis.data, dtype=np.uint8).reshape(1, basis.rows, n)
+        if not is_rref(rows)[0]:
             raise InvalidArgs("basis rows are not in reduced row echelon form")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", basis.rows)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _from_rref(cls, ctx: FieldCtx, n: int, data: tuple, pivots) -> "Subspace":
-        """Wrap row tuples already in RREF, with their pivots; no checks."""
+    def _from_rref(cls, ctx: FieldCtx, n: int, data: tuple) -> "Subspace":
+        """Wrap row tuples already in RREF; no checks."""
         put = object.__setattr__
         basis = object.__new__(MatGFq)
         put(basis, "ctx", ctx)
@@ -131,7 +131,6 @@ class Subspace:
         put(sub, "n", n)
         put(sub, "dim", len(data))
         put(sub, "basis", basis)
-        put(sub, "_pivots", tuple(pivots))
         return sub
 
     @classmethod
@@ -139,18 +138,18 @@ class Subspace:
         """Canonicalize an arbitrary generating set."""
         rows = tuple(rows)
         gens = MatGFq(ctx, len(rows), n, rows)  # checks the shape and the entries
-        return cls._from_rref(ctx, n, *rref_rows(ctx, gens.data, n))
+        return cls._from_rref(ctx, n, rref_rows(ctx, gens.data, n)[0])
 
     @property
     def pivots(self) -> tuple:
-        return self._pivots
+        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis.data)
 
     def contains(self, v) -> bool:
         """Membership test by reduction against the RREF basis."""
         ctx = self.ctx
         add_t, mul_t, neg_t = ctx.add_table, ctx.mul_table, ctx.neg_table
         v = list(v)
-        for p, row in zip(self._pivots, self.basis.data):
+        for p, row in zip(self.pivots, self.basis.data):
             f = v[p]
             if f:
                 mrow = mul_t[neg_t[f]]
@@ -177,37 +176,60 @@ class Subspace:
 
 
 class SubspaceFamily:
-    """Ordered, duplicate-free list of subspaces."""
+    """Ordered, duplicate-free family of same-shape subspaces: the field
+    `ctx` and `bases`, the read-only (m, d, n) uint8 array of their RREF
+    bases, which kernels read in place; iteration and indexing build
+    `Subspace` objects.  No members give no field and shape (0, 0, 0)."""
 
-    __slots__ = ("members",)
+    __slots__ = ("ctx", "bases")
 
     def __init__(self, members):
+        """The family of `Subspace` objects of one field, ambient space and dimension."""
         members = tuple(members)
-        seen = set()
-        for s in members:
-            kk = (s.n, s.basis.data)
-            if kk in seen:
-                raise InvalidArgs(f"duplicate family member {s!r}")
-            seen.add(kk)
-        object.__setattr__(self, "members", members)
+        if len({(s.ctx, s.n, s.dim) for s in members}) > 1:
+            raise InvalidArgs("subspaces differ in field, ambient space or dimension")
+        shape = (len(members), members[0].dim, members[0].n) if members else (0, 0, 0)
+        self._hold(members[0].ctx if members else None,
+                   np.array([s.basis.data for s in members], dtype=np.uint8).reshape(shape))
+
+    @classmethod
+    def from_bases(cls, ctx: FieldCtx, bases: np.ndarray) -> "SubspaceFamily":
+        """The family of an (m, d, n) array of bases, trusted to be RREF
+        with entries below q."""
+        family = object.__new__(cls)
+        family._hold(ctx, bases)
+        return family
+
+    def _hold(self, ctx, bases):
+        """Keep a read-only copy of bases; refuse a repeated member."""
+        bases = np.array(bases, dtype=np.uint8)
+        bases.flags.writeable = False
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "bases", bases)
+        if len(bases) > 1:
+            first = np.unique(basis_keys(bases), return_index=True)[1]
+            if len(first) < len(bases):
+                repeat = np.setdiff1d(np.arange(len(bases)), first)[0]
+                raise InvalidArgs(f"duplicate family member {self[repeat]!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceFamily is immutable")
 
     def __len__(self):
-        return len(self.members)
+        return len(self.bases)
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(subspaces_from_bases(self.ctx, self.bases))
 
     def __getitem__(self, i):
-        return self.members[i]
+        return subspaces_from_bases(self.ctx, self.bases[i][None])[0]
 
     def __eq__(self, other):
-        return isinstance(other, SubspaceFamily) and self.members == other.members
+        return (isinstance(other, SubspaceFamily) and len(self) == len(other) and (
+            not len(self) or self.ctx == other.ctx and np.array_equal(self.bases, other.bases)))
 
     def __repr__(self):
-        return f"SubspaceFamily({len(self.members)} members)"
+        return f"SubspaceFamily({len(self)} members)"
 
 
 def enumerate_bases(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
@@ -246,9 +268,9 @@ def subspaces_from_bases(ctx: FieldCtx, bases: np.ndarray) -> list:
     them)."""
     n = bases.shape[2]
     out = []
-    # Equal rows and equal pivot patterns share one tuple: RREF rows are
-    # normalized vectors, so there are at most [n 1]_q distinct ones, and
-    # sharing them more than halves the memory of each object.
+    # Equal rows share one tuple: RREF rows are normalized vectors, so there
+    # are at most [n 1]_q distinct ones, and sharing them more than halves
+    # the memory of each object.
     shared = {}
     # The new objects form no reference cycles, so cyclic-collector passes
     # triggered by the allocations would only rescan them; on large lists
@@ -257,11 +279,9 @@ def subspaces_from_bases(ctx: FieldCtx, bases: np.ndarray) -> list:
     gc.disable()
     try:
         for lo in range(0, len(bases), 256):  # bounds the list temporaries
-            chunk = bases[lo:lo + 256]
-            for rows, piv in zip(chunk.tolist(), (chunk != 0).argmax(axis=2).tolist()):
+            for rows in bases[lo:lo + 256].tolist():
                 data = tuple([shared.setdefault(r, r) for r in map(tuple, rows)])
-                piv = tuple(piv)
-                out.append(Subspace._from_rref(ctx, n, data, shared.setdefault(piv, piv)))
+                out.append(Subspace._from_rref(ctx, n, data))
     finally:
         if enabled:
             gc.enable()
@@ -283,18 +303,6 @@ def point_reps(q: int, n: int):
             yield head + tail
 
 
-def basis_array(subspaces) -> np.ndarray:
-    """(S, d, n) uint8 RREF bases of same-shape subspaces, refusing an empty
-    list and mixed fields, ambient spaces or dimensions."""
-    if len(subspaces) == 0:
-        raise InvalidArgs("empty family or vertex list")
-    first = subspaces[0]
-    if any(s.ctx != first.ctx or s.n != first.n or s.dim != first.dim for s in subspaces):
-        raise InvalidArgs("subspaces differ in field, ambient space or dimension")
-    return np.array([s.basis.data for s in subspaces], dtype=np.uint8).reshape(
-        len(subspaces), first.dim, first.n)
-
-
 def gf_matmul(ctx: FieldCtx, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """coeffs @ bases over GF(q) for uint8 arrays, batched like np.matmul:
     (..., r, d) times (..., d, n) gives (..., r, n).  The one array
@@ -307,11 +315,45 @@ def gf_matmul(ctx: FieldCtx, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarra
     return out
 
 
+def gf_rref(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
+    """RREF of every (r, n) matrix of rank r in an (S, r, n) uint8 array:
+    Gauss-Jordan on all S at once, scaling and clearing by `gf_matmul`."""
+    add, neg, inv = (np.array(t, dtype=np.uint8) for t in (ctx.add_table, ctx.neg_table, ctx.inv_table))
+    m, at = np.array(mats, dtype=np.uint8), np.arange(len(mats))
+    for i in range(m.shape[1]):
+        rest = m[:, i:] != 0
+        assert rest.any(axis=(1, 2)).all(), "matrix rank below its row count"
+        col = rest.any(axis=1).argmax(axis=1)  # the leftmost column nonzero in rows i..
+        below = i + rest[at, :, col].argmax(axis=1)
+        row = m[at, below]
+        m[at, below] = m[:, i]
+        pivot = gf_matmul(ctx, inv[row[at, col], None, None], row[:, None])
+        f = neg[m[at, :, col]]
+        f[:, i] = 0
+        m = add[m, gf_matmul(ctx, f[:, :, None], pivot)]
+        m[:, i] = pivot[:, 0]
+    return m
+
+
+def is_rref(bases: np.ndarray) -> np.ndarray:
+    """(S,) bool: which bases of an (S, d, n) integer array are RREF: each
+    row led by a 1 (so none is zero), the leading columns increasing, and
+    each leading column zero outside its row."""
+    nonzero = bases != 0
+    lead = nonzero.argmax(axis=2)
+    ones = np.take_along_axis(bases, lead[:, :, None], axis=2)[:, :, 0] == 1
+    lead_columns = np.take_along_axis(nonzero, lead[:, None, :], axis=2)  # (S, d, d)
+    return (ones.all(axis=1) & (np.diff(lead, axis=1) > 0).all(axis=1)
+            & (lead_columns.sum(axis=1) == 1).all(axis=1))
+
+
 def basis_keys(bases: np.ndarray) -> np.ndarray:
     """Each (d, n) basis of an (S, d, n) uint8 array as one d·n-byte string.
     Entries are field encodings below 256, so byte order is the public
     order of `enumerate_bases` and its output is sorted by these keys."""
     width = math.prod(bases.shape[1:])
+    if not width:  # every zero-dimensional subspace has the one empty basis
+        return np.zeros(len(bases), dtype="S1")
     flat = np.ascontiguousarray(bases, dtype=np.uint8).reshape(len(bases), width)
     return flat.view(f"S{width}")[:, 0]
 
@@ -334,7 +376,8 @@ def bases_point_ordinals(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     # further right, and sit among themselves in encoding order
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     lead = weights[(vecs != 0).argmax(axis=2)]
-    return vecs @ weights - lead + (lead - 1) // (q - 1)
+    # einsum casts vecs to int64 a buffer at a time, not as one (S, P, n) copy
+    return np.einsum("spn,n->sp", vecs, weights) - lead + (lead - 1) // (q - 1)
 
 
 def bases_incidence_block(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
@@ -348,8 +391,3 @@ def bases_incidence_block(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     np.put_along_axis(out, bases_point_ordinals(ctx, bases), 1, axis=1)
     return out
 
-
-def incidence_block(subspaces) -> np.ndarray:
-    """`bases_incidence_block` for a list of same-shape `Subspace` objects."""
-    bases = basis_array(subspaces)
-    return bases_incidence_block(subspaces[0].ctx, bases)

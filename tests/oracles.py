@@ -6,15 +6,20 @@ membership tests, codes by stacked RREF ranks, graph distance by BFS,
 adjacency by one tuple RREF per candidate neighbour,
 small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
 distinguishers by comparing every entry of two rows, the greedy
-resolving set by one `np.unique` refinement per candidate, and the Gram
-table M^T M by a float64 product of the dense incidence matrix.
+resolving set by one `np.unique` refinement per candidate, the Gram
+table M^T M by a float64 product of the dense incidence matrix, and a
+family file by one `MatGFq` and one `Subspace` per block.
 """
 
 import numpy as np
 
+from grassmd.errors import InvalidArgs
+from grassmd.gfq import field_new
 from grassmd.grassmann import bfs_distances_from, distance
 from grassmd.linalg import MatGFq, mat_mul, rref_rows
 from grassmd.subspaces import (
+    Subspace,
+    SubspaceFamily,
     bases_incidence_block,
     enumerate_bases,
     enumerate_k_subspaces,
@@ -163,3 +168,43 @@ def gram_float_product(ctx, n: int, k: int) -> np.ndarray:
     dense (V, N) block; exact while every entry, at most V, is below 2^53."""
     a = bases_incidence_block(ctx, enumerate_bases(ctx, n, k)).astype(np.float64)
     return a.T @ a
+
+
+def parse_family_by_block(text: str) -> tuple:
+    """(ctx, n, k, SubspaceFamily) of a family file, checked block by
+    block: `MatGFq` checks the row lengths and entries, a Python RREF the
+    RREF form, and a list lookup the distinctness."""
+    data = []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            data.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise InvalidArgs(f"line {ln}: non-integer token in {raw!r}")
+    if not data:
+        raise InvalidArgs("empty family file")
+    header = data[0]
+    if len(header) != 4:
+        raise InvalidArgs(f"header must be `q n k m`, got {header}")
+    q, n, k, m = header
+    if k < 1 or n < k or m < 0:
+        raise InvalidArgs(f"bad header values q={q} n={n} k={k} m={m}")
+    body = data[1:]
+    if len(body) != m * k:
+        raise InvalidArgs(f"expected {m * k} basis rows, found {len(body)}")
+    ctx = field_new(q)
+    members = []
+    for b in range(m):
+        try:
+            rows, _ = rref_rows(ctx, MatGFq(ctx, k, n, body[b * k:(b + 1) * k]).data, n)
+            if rows != tuple(map(tuple, body[b * k:(b + 1) * k])):
+                raise InvalidArgs("basis rows are not in reduced row echelon form")
+        except InvalidArgs as e:
+            raise InvalidArgs(f"block {b}: {e}")
+        sub = Subspace.from_rows(ctx, n, rows)
+        if sub in members:
+            raise InvalidArgs(f"duplicate blocks: duplicate family member {sub!r}")
+        members.append(sub)
+    return ctx, n, k, SubspaceFamily(members)

@@ -183,3 +183,22 @@ def test_one_coefficient_basis_product():
             used = {name for _, name in uses.calls + uses.names} | imported
             assert not used & {"mat_mul", "rref_rows"}, path.stem
     assert loops == {"subspaces.gf_matmul"}
+
+
+def test_families_stay_arrays():
+    # the file format, the constructions, the search and the CLI read and
+    # write a family's basis array; none of them builds or converts
+    # `Subspace` objects through the tuple matrix or its RREF
+    src = Path(grassmd.__file__).parent
+    for stem in ("famfile", "constructions", "search", "cli"):
+        tree = ast.parse((src / f"{stem}.py").read_text())
+        uses = _Uses(stem)
+        uses.visit(tree)
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        used = {name for _, name in uses.calls + uses.names}
+        used |= {alias.name for node in imports for alias in node.names}
+        assert not used & {"MatGFq", "rref_rows", "subspaces_from_bases", "basis_array"}, stem
+        if stem == "famfile":
+            assert "linalg" not in {node.module for node in imports}
+    assert not hasattr(grassmd.subspaces, "basis_array")
+    assert not hasattr(grassmd.subspaces, "incidence_block")

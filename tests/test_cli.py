@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from grassmd import cli
 from grassmd.famfile import format_family, parse_family
 from grassmd.gfq import field_new
-from grassmd.subspaces import enumerate_k_subspaces
+from grassmd.subspaces import SubspaceFamily, enumerate_k_subspaces
 
 
 SCHEMA = json.loads(files("grassmd").joinpath("schema.json").read_text())
@@ -210,7 +210,7 @@ def test_incidence_cell_ceiling_exits_2(monkeypatch, tmp_path):
     # block, 35 x 15 = 525 cells, is over the 10 * 50 ceiling
     target = tmp_path / "fam.txt"
     subs = enumerate_k_subspaces(field_new(2), 4, 2)
-    target.write_text(format_family(2, 4, 2, subs))
+    target.write_text(format_family(2, 4, 2, SubspaceFamily(subs)))
     monkeypatch.setenv("GRASSMANN_BUDGET", "50")
     for argv in (["rank", "-f", str(target)], ["rank", "--all", "2", "4", "2"],
                  ["verify", "2", "4", "2", "-f", str(target)]):
@@ -435,6 +435,42 @@ def test_bounds_beyond_float_range_exit_2(extra):
     assert err.startswith("error:") and "float" in err
 
 
+# SHA-256 of `construct` on the benchmark's certify grid, the same values
+# as perfbench/workloads.py's CONSTRUCT_SHA256: the family file is a
+# byte-identical contract
+CONSTRUCT_SHA256 = {
+    ("spread", 2, 6, 2): "eb4da157e319abe814dc3b6f6791242df219b1aab69e2eaee55e585a6e23f056",
+    ("spread", 3, 6, 2): "197a378cc5ad5196ca53be6890b960d928df4656017cba7e16456fc70dd86803",
+    ("partition", 2, 7, 2): "b759690e03b0d352da2548e85a67cd9abc68be48da14bbf3a31a0ea5d7fd8fc5",
+    ("partition", 3, 5, 2): "8244833244b32c62933a6e013c03752e5fa80405a6eef2841350777ec8842009",
+    ("partition", 4, 4, 2): "1ef2f6b6f13d70d98c7ec9b6d7fc7974a7bb0c936b6482886ea7236bed1682d1",
+    ("greedy", 4, 4, 2): "7616b05d525e14998a4922cb724d0a00efef2f3775ed924ab4ba1456df4a5c0f",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(CONSTRUCT_SHA256))
+def test_construct_is_pinned(instance):
+    rc, out, _ = run(["construct", *map(str, instance)])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_SHA256[instance]
+
+
+# SHA-256 of the stdout of family exports and of the all-vertex rank,
+# taken before families became one basis array
+@pytest.mark.parametrize("argv,digest", [
+    (["spread", "2", "6", "3"], "203458bfb44faa84a3a46a4187b8ad1e21db88733c55047a6a243997e3c27341"),
+    (["spread", "3", "6", "2"], "4e69f1821f749a55dd567d5ba2ae774e6a9c8156a94c2f0d812803d8bf0b4365"),
+    (["partition", "2", "7", "2"], "b6481756c65cc50a1b6c038c1d4a415ca8afea21f582629ea7a02bf39eaf78e1"),
+    (["partition", "3", "5", "2"], "0d64be393de3108790c4788210e76c5b4c65113cf0cd5ceadc879577ab6dcfee"),
+    (["rank", "--all", "2", "6", "2", "--json"],
+     "df276ed92660187fd967e389793c76dd8cc05cd6bc3874ac465ad8751655858b"),
+])
+def test_family_exports_and_all_vertex_rank_are_pinned(argv, digest):
+    rc, out, _ = run(argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_construct_partition_2_10_2_is_pinned():
     # 1279 = [10 1]_2 + 2^8 [1 1]_2 members, built over GF(2^9) and GF(2^3)
     rc, out, _ = run(["construct", "partition", "2", "10", "2"])
@@ -486,7 +522,7 @@ def test_process_exit_1_prints_the_whole_json_line(tmp_path):
     fam = [s for s in enumerate_k_subspaces(ctx, 4, 2)
            if all(row[3] == 0 for row in s.basis.data)]
     target = tmp_path / "hyperplane.txt"
-    target.write_text(format_family(2, 4, 2, fam))
+    target.write_text(format_family(2, 4, 2, SubspaceFamily(fam)))
     argv = ["verify", "2", "4", "2", "-f", str(target), "--json"]
     proc = run_process(argv)
     assert (proc.returncode, proc.stderr) == (1, "")

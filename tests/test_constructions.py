@@ -39,7 +39,7 @@ def assert_exact_cover(q, n, parts):
     [(2, 4, 2, 5), (2, 6, 2, 21), (2, 6, 3, 9), (3, 4, 2, 10), (2, 4, 1, 15)],
 )
 def test_spread_partitions_nonzero_vectors(q, n, t, count):
-    members = build_spread(field_new(q), n, t).members
+    members = list(build_spread(field_new(q), n, t))
     assert len(members) == count == (q ** n - 1) // (q ** t - 1)
     assert all(m.dim == t for m in members)
     for a, b in itertools.combinations(members, 2):
@@ -70,8 +70,8 @@ def test_spread_is_deterministic():
 @pytest.mark.parametrize("q,n,k,size", [(2, 6, 2, 63), (3, 6, 2, 364), (2, 8, 3, 255)])
 def test_resolving_from_spread_sizes(q, n, k, size):
     fam = resolving_from_spread(field_new(q), n, k)
-    assert len(fam.members) == size == gaussian_binomial(n, 1, q)
-    assert all(m.dim == k and m.n == n for m in fam.members)
+    assert len(fam) == size == gaussian_binomial(n, 1, q)
+    assert all(m.dim == k and m.n == n for m in fam)
 
 
 def test_resolving_from_spread_verified_small():
@@ -97,8 +97,8 @@ def test_mixed_partition_structure(q, n, k):
     t = n % (k + 1)
     s = n - t
     assert (mp.s, mp.t) == (s, t)
-    spread_members = mp.spread_part.members
-    tail_members = mp.tail_part.members
+    spread_members = list(mp.spread_part)
+    tail_members = list(mp.tail_part)
     assert len(spread_members) == (q ** s - 1) // (q ** (k + 1) - 1)
     assert all(m.dim == k + 1 for m in spread_members)
     assert len(tail_members) == q ** s
@@ -127,8 +127,8 @@ def test_mixed_partition_rejects_divisible_n():
 )
 def test_resolving_from_partition_sizes(q, n, k, size):
     fam = resolving_from_partition(field_new(q), n, k)
-    assert len(fam.members) == size
-    assert all(m.dim == k and m.n == n for m in fam.members)
+    assert len(fam) == size
+    assert all(m.dim == k and m.n == n for m in fam)
     if n % (k + 1) == 1:
         # one available closed form: all points plus extra tail blocks
         assert size == gaussian_binomial(n, 1, q) + q ** (n - k) * gaussian_binomial(
@@ -147,7 +147,7 @@ def test_resolving_from_partition_verified(q, n, k):
 def test_greedy_rank_family(q, n, k):
     ctx = field_new(q)
     fam = resolving_greedy_rank(ctx, n, k)
-    assert len(fam.members) == gaussian_binomial(n, 1, q)
+    assert len(fam) == gaussian_binomial(n, 1, q)
     cert = certify_resolving_by_rank(fam)
     assert cert.certified
     assert is_resolving(fam, GrassmannGraph(ctx, n, k)).resolving
@@ -166,7 +166,7 @@ def test_constructions_are_vertices_of_the_right_graph():
     for build, n in [(resolving_from_spread, 6), (resolving_greedy_rank, 6),
                      (resolving_from_partition, 5)]:
         g = GrassmannGraph(ctx, n, 2)
-        for m in build(ctx, n, 2).members:
+        for m in build(ctx, n, 2):
             assert m.pivots == g.vertices[g.ordinal(m)].pivots
 
 

@@ -1,7 +1,7 @@
 """Family file format: round-trips and line-precise parse errors."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grassmd.errors import GrassmdError, InvalidArgs, NotPrimePower
@@ -9,6 +9,7 @@ from grassmd.famfile import format_family, parse_family
 from grassmd.gfq import field_new
 from grassmd.constructions import resolving_from_partition
 from grassmd.subspaces import SubspaceFamily, enumerate_k_subspaces
+from oracles import parse_family_by_block
 from strategies import rref_families
 
 
@@ -19,7 +20,7 @@ def test_round_trip():
     assert text.startswith("# one\n# two\n3 4 2 49\n")
     ctx2, n, k, parsed = parse_family(text)
     assert (ctx2.q, n, k) == (3, 4, 2)
-    assert [m.basis.data for m in parsed.members] == [m.basis.data for m in fam.members]
+    assert [m.basis.data for m in parsed] == [m.basis.data for m in fam]
     # formatting the parse gives identical bytes (minus comments)
     assert format_family(3, 4, 2, parsed) == format_family(3, 4, 2, fam)
 
@@ -27,7 +28,7 @@ def test_round_trip():
 def test_parse_ignores_comments_and_blank_lines():
     text = "# header comment\n\n2 3 2 1\n1 0 0\n# inline note\n0 1 0\n\n"
     ctx, n, k, fam = parse_family(text)
-    assert (ctx.q, n, k, len(fam.members)) == (2, 3, 2, 1)
+    assert (ctx.q, n, k, len(fam)) == (2, 3, 2, 1)
 
 
 def test_format_rejects_mismatched_family():
@@ -48,6 +49,7 @@ def test_format_rejects_mismatched_family():
         ("2 3 2 1\n1 0 0\n", "expected"),  # truncated block
         ("2 3 2 1\n1 0 0\n0 1 0\n1 0 0\n0 0 1\n", "expected"),  # trailing rows
         ("2 3 2 1\n1 0 2\n0 1 0\n", "entry"),  # 2 is not a GF(2) element
+        ("2 3 1 1\n1 0 99999999999999999999\n", "entry"),  # beyond int64, too
         ("2 3 2 1\n0 1 0\n1 0 0\n", "echelon"),  # not in canonical form
         ("2 3 2 2\n1 0 0\n0 1 0\n1 0 0\n0 1 0\n", "duplicate"),
     ],
@@ -109,3 +111,22 @@ def test_parse_fuzz_raises_only_grassmd_errors(text):
         parse_family(text)
     except GrassmdError:
         pass
+
+
+def parse_outcome(parse, text):
+    """(ctx, n, k, family) of a parse, or the class and message of its error."""
+    try:
+        return parse(text)
+    except GrassmdError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200), family_texts(), mutated_texts()))
+@example("2 3 2 2\n1 0 5\n0 1 0\n1 0\n0 1 0\n")  # an entry, then a short row
+@example("2 3 2 2\n0 1 0\n1 0 0\n1 0 0 0\n0 1 0\n")  # not RREF, then a long row
+@example("2 3 2 3\n1 0 0\n0 1 0\n0 1 0\n0 0 1\n1 0 0\n0 1 0\n")  # a repeat
+def test_parse_matches_the_block_by_block_oracle(text):
+    # the array parser accepts the same texts, returns equal families and
+    # refuses the rest with the same error, first offending block first
+    assert parse_outcome(parse_family, text) == parse_outcome(parse_family_by_block, text)

@@ -290,7 +290,7 @@ def test_incidence_rows_match_subspace_membership():
     idx = PointIndex(ctx, 4)
     M = incidence_matrix(fam)
     assert M.rows.shape == (6, len(idx)) and M.rows.dtype == np.uint8
-    for sub, row in zip(fam.members, M.rows.tolist()):
+    for sub, row in zip(fam, M.rows.tolist()):
         for p, bit in zip(idx.points, row):
             assert bit == (1 if sub.contains(p) else 0)
 
@@ -374,7 +374,7 @@ def test_certificate_on_greedy_family():
     assert cert.certified and cert.status == "certified"
     assert (cert.rank, cert.required) == (15, 15)
     # dropping a member must lose full point rank
-    smaller = SubspaceFamily(list(fam.members)[:-1])
+    smaller = SubspaceFamily(list(fam)[:-1])
     cert2 = certify_resolving_by_rank(smaller)
     assert not cert2.certified and cert2.status == "inconclusive"
     assert cert2.rank == 14

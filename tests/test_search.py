@@ -299,7 +299,7 @@ def test_exact_dimension_smallest_grassmann():
     assert [g.ordinal(s) for s in fam] == [0, 1, 2, 7, 9, 11]
     assert is_resolving(fam, g).resolving
     for i in range(6):
-        rest = SubspaceFamily([m for j, m in enumerate(fam.members) if j != i])
+        rest = SubspaceFamily([m for j, m in enumerate(fam) if j != i])
         assert not is_resolving(rest, g).resolving
 
 
@@ -314,7 +314,7 @@ def test_greedy_resolves_and_bounds_exact():
     fam = metric_dimension_greedy(g)
     assert is_resolving(fam, g).resolving
     # 6 is the exact optimum established above
-    assert len(fam.members) >= 6
+    assert len(fam) >= 6
 
 
 def test_search_sizes_chain_below_construction_sizes():
@@ -326,8 +326,8 @@ def test_search_sizes_chain_below_construction_sizes():
     greedy = metric_dimension_greedy(g)
     rank_based = resolving_greedy_rank(field_new(2), 4, 2)
     partition = resolving_from_partition(field_new(2), 4, 2)
-    assert 6 <= len(greedy.members) <= len(rank_based.members) <= len(partition.members)
-    assert len(rank_based.members) == 15 and len(partition.members) == 19
+    assert 6 <= len(greedy) <= len(rank_based) <= len(partition)
+    assert len(rank_based) == 15 and len(partition) == 19
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (2, 6, 2)])

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,17 +19,20 @@ from grassmd.constructions import (
     resolving_greedy_rank,
 )
 from grassmd.gfq import field_new
+from grassmd.linalg import rref_rows
 from grassmd.grassmann import GrassmannGraph
 from grassmd.subspaces import (
     BINOMIAL_MAX_DIGITS,
     Subspace,
     SubspaceFamily,
+    bases_incidence_block,
     check_budget,
     enumerate_bases,
     enumerate_k_subspaces,
     enumeration_budget,
     gaussian_binomial,
-    incidence_block,
+    gf_rref,
+    is_rref,
 )
 from oracles import PointIndex, gaussian_binomial_pascal, incidence_vector, mat
 from strategies import rref_families
@@ -297,6 +301,69 @@ def test_family_rejects_duplicates():
         SubspaceFamily([s, t])
 
 
+def test_family_is_a_read_only_copy_of_its_bases():
+    ctx = field_new(3)
+    bases = enumerate_bases(ctx, 4, 2)[:6].copy()
+    fam = SubspaceFamily.from_bases(ctx, bases)
+    bases[:] = 0
+    assert not fam.bases.flags.writeable and fam.bases.any()
+    assert list(fam) == enumerate_k_subspaces(ctx, 4, 2)[:6]
+    assert fam[-1] == fam[5] and len(fam) == 6
+    assert SubspaceFamily(fam) == fam != SubspaceFamily(list(fam)[:5])
+    assert SubspaceFamily([]) == SubspaceFamily.from_bases(ctx, bases[:0])
+    assert SubspaceFamily.from_bases(ctx, enumerate_bases(field_new(2), 4, 2)[:6]) != fam
+
+
+def test_family_refuses_repeats_and_mixed_shapes():
+    ctx = field_new(2)
+    bases = enumerate_bases(ctx, 4, 2)
+    # the first member seen twice in a scan in order is named: vertex 1
+    with pytest.raises(InvalidArgs) as exc:
+        SubspaceFamily.from_bases(ctx, bases[[3, 1, 2, 1, 3]])
+    assert str(exc.value) == f"duplicate family member {enumerate_k_subspaces(ctx, 4, 2)[1]!r}"
+    zero = Subspace.from_rows(ctx, 4, [[0, 0, 0, 0]])
+    with pytest.raises(InvalidArgs, match="duplicate family member"):
+        SubspaceFamily([zero, zero])
+    line = Subspace.from_rows(ctx, 4, [[1, 0, 0, 0]])
+    for other in (line, Subspace.from_rows(ctx, 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]),
+                  Subspace.from_rows(field_new(3), 4, [[1, 0, 0, 0], [0, 1, 0, 0]])):
+        with pytest.raises(InvalidArgs, match="differ in field, ambient space or dimension"):
+            SubspaceFamily([Subspace.from_rows(ctx, 4, [[1, 0, 0, 0], [0, 1, 0, 0]]), other])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_gf_rref_matches_the_tuple_rref(q):
+    # random full-rank matrices, reduced as one batch per shape
+    ctx = field_new(q)
+    rng = random.Random(q)
+    for r, n in [(1, 3), (2, 2), (2, 5), (3, 6), (4, 5)]:
+        mats = []
+        while len(mats) < 30:
+            m = [[rng.choice([0, 0, rng.randrange(q)]) for _ in range(n)] for _ in range(r)]
+            if len(rref_rows(ctx, m, n)[0]) == r:
+                mats.append(m)
+        got = gf_rref(ctx, np.array(mats, dtype=np.uint8))
+        assert [tuple(map(tuple, b)) for b in got.tolist()] == [rref_rows(ctx, m, n)[0] for m in mats]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_is_rref_matches_the_tuple_rref(q):
+    # a basis is RREF iff the tuple RREF leaves it unchanged; RREF bases
+    # with one entry changed, rows reversed or zeroed break each rule in turn
+    ctx = field_new(q)
+    rng = random.Random(10 + q)
+    for n, d in [(3, 1), (4, 2), (5, 3), (4, 4)]:
+        bases = enumerate_bases(ctx, n, d)
+        sample = bases[sorted(rng.sample(range(len(bases)), min(len(bases), 60)))].copy()
+        for b in sample[1::3]:
+            b[rng.randrange(d), rng.randrange(n)] = rng.randrange(q)
+        for b in sample[2::3]:
+            b[:] = b[::-1] if rng.random() < 0.5 else 0
+        want = [rref_rows(ctx, b, n)[0] == tuple(map(tuple, b)) for b in sample.tolist()]
+        assert is_rref(sample).tolist() == want
+        assert any(want) and (len(sample) == 1 or not all(want))
+
+
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3)])
 def test_point_index_basic(q, n):
     idx = PointIndex(field_new(q), n)
@@ -339,13 +406,15 @@ def test_incidence_vector_popcount_and_injectivity(q, n, k):
 @settings(max_examples=80, deadline=None)
 @given(rref_families())
 def test_incidence_block_matches_incidence_vector(members):
-    idx = PointIndex(members[0].ctx, members[0].n)
-    rows = [tuple(r) for r in incidence_block(members).tolist()]
-    assert rows == [incidence_vector(s, idx) for s in members]
+    fam = SubspaceFamily(dict.fromkeys(members))
+    idx = PointIndex(fam.ctx, fam.bases.shape[2])
+    rows = [tuple(r) for r in bases_incidence_block(fam.ctx, fam.bases).tolist()]
+    assert rows == [incidence_vector(s, idx) for s in fam]
 
 
 def test_incidence_block_refuses_too_many_cells_before_building(monkeypatch):
-    members = enumerate_k_subspaces(field_new(2), 5, 2)  # 155 x 31 = 4805 cells
+    ctx = field_new(2)
+    bases = enumerate_bases(ctx, 5, 2)  # 155 x 31 = 4805 cells
     monkeypatch.setenv("GRASSMANN_BUDGET", "400")  # ceiling 10 * 400 cells
 
     def unreachable(ctx, bases):
@@ -353,7 +422,7 @@ def test_incidence_block_refuses_too_many_cells_before_building(monkeypatch):
 
     monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", unreachable)
     with pytest.raises(BudgetExceeded, match="incidence cells"):
-        incidence_block(members)
+        bases_incidence_block(ctx, bases)
     monkeypatch.undo()
     monkeypatch.setenv("GRASSMANN_BUDGET", "481")
-    assert incidence_block(members).shape == (155, 31)
+    assert bases_incidence_block(ctx, bases).shape == (155, 31)
