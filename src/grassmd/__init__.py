@@ -31,7 +31,7 @@ from .errors import (
     TooLarge,
 )
 from .famfile import format_family, parse_family
-from .gfq import ExtensionField, FieldCtx, factor_prime_power, field_new
+from .gfq import FieldCtx, factor_prime_power, field_new
 from .grassmann import (
     GrassmannGraph,
     ResolvingVerdict,

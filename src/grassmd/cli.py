@@ -271,11 +271,26 @@ def _cmd_accept(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("binom", "graph", "spread", "partition", "construct", "verify", "rank",
+            "gram", "bounds", "metricdim", "accept")
+
+
+def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of cmd when cmd names one;
+    its usage lists every subcommand either way."""
     p = argparse.ArgumentParser(
         prog="grassmd",
         description="Resolving sets and metric dimension of Grassmann graphs, exactly.")
-    sub = p.add_subparsers(dest="cmd", required=True)
+    only = cmd in COMMANDS
+    sub = p.add_subparsers(dest="cmd", required=True,
+                           metavar="{" + ",".join(COMMANDS) + "}" if only else None)
+
+    def add(name, fn, help):
+        if only and name != cmd:
+            return None
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(fn=fn)
+        return sp
 
     def add_json(sp):
         sp.add_argument("--json", action="store_true", help="machine output to stdout")
@@ -284,83 +299,72 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             sp.add_argument(name, type=int, **kw)
 
-    sp = sub.add_parser("binom", help="Gaussian binomial [n k]_q")
-    add_ints(sp, "nkq")
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_binom)
+    if sp := add("binom", _cmd_binom, "Gaussian binomial [n k]_q"):
+        add_ints(sp, "nkq")
+        add_json(sp)
 
-    sp = sub.add_parser("graph", help="export the graph as an edge list")
-    sp.add_argument("action", choices=["export"])
-    add_ints(sp)
-    sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(fn=_cmd_graph)
+    if sp := add("graph", _cmd_graph, "export the graph as an edge list"):
+        sp.add_argument("action", choices=["export"])
+        add_ints(sp)
+        sp.add_argument("-o", "--output", default=None)
 
-    sp = sub.add_parser("spread", help="build a t-spread of V(n,q)")
-    add_ints(sp, "qnt")
-    sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(fn=_cmd_spread)
+    if sp := add("spread", _cmd_spread, "build a t-spread of V(n,q)"):
+        add_ints(sp, "qnt")
+        sp.add_argument("-o", "--output", default=None)
 
-    sp = sub.add_parser("partition", help="build a {k+1,t}-partition of V(n,q)")
-    add_ints(sp)
-    sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(fn=_cmd_partition)
+    if sp := add("partition", _cmd_partition, "build a {k+1,t}-partition of V(n,q)"):
+        add_ints(sp)
+        sp.add_argument("-o", "--output", default=None)
 
-    sp = sub.add_parser("construct", help="build a resolving family")
-    sp.add_argument("method", choices=["spread", "partition", "greedy"])
-    add_ints(sp)
-    sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(fn=_cmd_construct)
+    if sp := add("construct", _cmd_construct, "build a resolving family"):
+        sp.add_argument("method", choices=["spread", "partition", "greedy"])
+        add_ints(sp)
+        sp.add_argument("-o", "--output", default=None)
 
-    sp = sub.add_parser("verify", help="check a family file is resolving")
-    add_ints(sp)
-    sp.add_argument("-f", "--family", required=True,
-                    help="family file path, or - for stdin")
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_verify)
-
-    sp = sub.add_parser("rank", help="incidence rank and the rank certificate")
-    source = sp.add_mutually_exclusive_group()
-    source.add_argument("-f", "--family", default=None,
+    if sp := add("verify", _cmd_verify, "check a family file is resolving"):
+        add_ints(sp)
+        sp.add_argument("-f", "--family", required=True,
                         help="family file path, or - for stdin")
-    source.add_argument("--all", nargs=3, type=int, metavar=("q", "n", "k"),
-                        help="use all k-subspaces as the family")
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_rank)
+        add_json(sp)
 
-    sp = sub.add_parser("gram", help="entrywise Gram closed-form check")
-    add_ints(sp)
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_gram)
+    if sp := add("rank", _cmd_rank, "incidence rank and the rank certificate"):
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("-f", "--family", default=None,
+                            help="family file path, or - for stdin")
+        source.add_argument("--all", nargs=3, type=int, metavar=("q", "n", "k"),
+                            help="use all k-subspaces as the family")
+        add_json(sp)
 
-    sp = sub.add_parser("bounds", help="metric-dimension bound comparison")
-    add_ints(sp, nargs="?")
-    sp.add_argument("--grid", default=None,
-                    help="comma-separated q:n:k triples; prints CSV, or one "
-                         "JSON object with --json")
-    sp.add_argument("--log-base", choices=["e", "2", "10"], default="e")
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_bounds)
+    if sp := add("gram", _cmd_gram, "entrywise Gram closed-form check"):
+        add_ints(sp)
+        add_json(sp)
 
-    sp = sub.add_parser("metricdim", help="exact or greedy metric dimension")
-    sp.add_argument("method", choices=["exact", "greedy"])
-    add_ints(sp)
-    sp.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT,
-                    help="vertex ceiling for the exact search")
-    sp.add_argument("-o", "--output", default=None)
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_metricdim)
+    if sp := add("bounds", _cmd_bounds, "metric-dimension bound comparison"):
+        add_ints(sp, nargs="?")
+        sp.add_argument("--grid", default=None,
+                        help="comma-separated q:n:k triples; prints CSV, or one "
+                             "JSON object with --json")
+        sp.add_argument("--log-base", choices=["e", "2", "10"], default="e")
+        add_json(sp)
 
-    sp = sub.add_parser("accept", help="run the acceptance grid")
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_accept)
+    if sp := add("metricdim", _cmd_metricdim, "exact or greedy metric dimension"):
+        sp.add_argument("method", choices=["exact", "greedy"])
+        add_ints(sp)
+        sp.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT,
+                        help="vertex ceiling for the exact search")
+        sp.add_argument("-o", "--output", default=None)
+        add_json(sp)
+
+    if sp := add("accept", _cmd_accept, "run the acceptance grid"):
+        add_json(sp)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

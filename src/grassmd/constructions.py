@@ -18,7 +18,9 @@ Three constructions, all deterministic (no randomness, fixed tie-breaks):
 
 Field reduction: V(n,q) is GF(q^t)^(n/t) coordinate-wise, so the points of
 the big-field space expand to a t-spread; the expansion writes each big
-coordinate in power-basis GF(q)-coordinates.
+coordinate in power-basis GF(q)-coordinates.  Every GF(q^t) product here
+is one `gf_matmul` of such coordinate rows against the power-basis
+matrices of `gfq.power_basis_matrices`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgs, InvalidShape, NotDivisor
-from .gfq import ExtensionField, FieldCtx
+from .gfq import FieldCtx, digit_rows, gf_matmul, power_basis_matrices
 from .rank import row_rank_profile
 from .subspaces import (
     Subspace,
@@ -39,7 +41,6 @@ from .subspaces import (
     check_graph_shape,
     enumerate_bases,
     gaussian_binomial,
-    gf_matmul,
     gf_rref,
     point_reps,
 )
@@ -66,7 +67,8 @@ class MixedPartition(NamedTuple):
 
 def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
     """Field-reduction t-spread of V(n,q): t-subspaces partitioning its
-    nonzero vectors; exists iff t divides n.  The rows y^j·w of member <w>
+    nonzero vectors; exists iff t divides n.  The rows y^j·w of member <w>,
+    one `gf_matmul` of w's coordinates against the t power-basis matrices,
     are RREF: zero left of w's leading coordinate 1, the identity there."""
     if not 1 <= t <= n:
         raise InvalidArgs(f"need 1 <= t <= n, got n={n} t={t}")
@@ -74,10 +76,10 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
         raise NotDivisor(f"t={t} does not divide n={n}")
     count = (ctx.q**n - 1) // (ctx.q**t - 1)
     check_budget(count, f"members of a {t}-spread of V({n},{ctx.q})")
-    ext = ExtensionField(ctx, t)
-    powers = [ext.from_coords([0] * j + [1]) for j in range(t)]  # the power basis
-    bases = np.array([[sum((ext.coords(ext.mul(lam, w)) for w in rep), ()) for lam in powers]
-                      for rep in point_reps(ext.order, n // t)], dtype=np.uint8)
+    powers = power_basis_matrices(ctx, t)
+    # (R, n/t, t): the GF(q)-coordinates of each big coordinate of each point
+    reps = digit_rows(np.array(list(point_reps(ctx.q**t, n // t))), ctx.q, t)
+    bases = gf_matmul(ctx, reps[:, None], powers).reshape(-1, t, n)
     fam = SubspaceFamily.from_bases(ctx, bases)
     assert len(fam) == count
     return fam
@@ -128,12 +130,15 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
     tail lies in exactly one X_a.
     """
     s, t = _partition_shape(n, k)
-    ext_s = ExtensionField(ctx, s)
+    # the GF(q^s) ceiling before the spread is built
+    powers = power_basis_matrices(ctx, s)[:t]
     # a spread of V(s,q), zero-padded into the leading s coordinates
     w = np.pad(build_spread(ctx, s, k + 1).bases, ((0, 0), (0, 0), (0, t)))
-    tail = gf_rref(ctx, np.array([[ext_s.coords(ext_s.mul(a, ext_s.from_coords([0] * j + [1])))
-                                   + tuple(int(i == j) for i in range(t)) for j in range(t)]
-                                  for a in range(ext_s.order)], dtype=np.uint8))
+    # row j of X_a: the coordinates of a·y^j, then those of y^j in GF(q^t)
+    a = digit_rows(np.arange(ctx.q**s), ctx.q, s)[:, None, None]  # (q^s, 1, 1, s)
+    graphs = gf_matmul(ctx, a, powers)[:, :, 0]  # (q^s, t, s)
+    ids = np.broadcast_to(np.eye(t, dtype=np.uint8), (len(graphs), t, t))
+    tail = gf_rref(ctx, np.concatenate([graphs, ids], axis=2))
     z = SubspaceFamily.from_bases(ctx, w[:1, :k - t + 1])[0]  # inside W_1
     return MixedPartition(ctx, n, k, s, t, SubspaceFamily.from_bases(ctx, w),
                           SubspaceFamily.from_bases(ctx, tail), z)

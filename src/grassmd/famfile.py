@@ -57,22 +57,23 @@ def parse_family(text: str) -> tuple:
     ctx = field_new(q)
     # the blocks before the first one holding a row of another length
     whole = next((i // k for i, row in enumerate(body) if len(row) != n), m)
-    if whole:
-        # entries clipped to [-1, q]: a token beyond int64 is outside the field like any other
-        blocks = np.array([[min(max(x, -1), q) for x in row] for row in body[:whole * k]],
-                          dtype=np.int64).reshape(whole, k, n)
-        outside = (blocks < 0) | (blocks >= q)
-        bad = np.flatnonzero(outside.any(axis=(1, 2)) | ~is_rref(blocks))
-        if len(bad):
-            b = bad[0]
-            if outside[b].any():
-                entry = next(x for row in body[b * k:(b + 1) * k] for x in row if not 0 <= x < q)
-                raise InvalidArgs(f"block {b}: entry {entry} is not a GF({q}) encoding")
-            raise InvalidArgs(f"block {b}: basis rows are not in reduced row echelon form")
-    if whole < m:
-        raise InvalidArgs(f"block {whole}: data shape does not match {k}x{n}")
+    # entries clipped to [-1, q]: a token beyond int64 is outside the field like any other
+    blocks = np.array([[min(max(x, -1), q) for x in row] for row in body[:whole * k]],
+                      dtype=np.int64).reshape(whole, k, n)
+    outside = (blocks < 0) | (blocks >= q)
+    bad = np.flatnonzero(outside.any(axis=(1, 2)) | ~is_rref(blocks))
+    # a block repeating an earlier one is the first fault if no bad block precedes it
+    valid = bad[0] if len(bad) else whole
     try:
-        fam = SubspaceFamily.from_bases(ctx, blocks) if m else SubspaceFamily([])
+        fam = SubspaceFamily.from_bases(ctx, blocks[:valid]) if m else SubspaceFamily([])
     except InvalidArgs as e:
         raise InvalidArgs(f"duplicate blocks: {e}")
+    if len(bad):
+        b = bad[0]
+        if outside[b].any():
+            entry = next(x for row in body[b * k:(b + 1) * k] for x in row if not 0 <= x < q)
+            raise InvalidArgs(f"block {b}: entry {entry} is not a GF({q}) encoding")
+        raise InvalidArgs(f"block {b}: basis rows are not in reduced row echelon form")
+    if whole < m:
+        raise InvalidArgs(f"block {whole}: data shape does not match {k}x{n}")
     return ctx, n, k, fam

@@ -1,4 +1,4 @@
-"""Arithmetic for small prime-power finite fields GF(p^e).
+"""Arithmetic for small prime-power finite fields GF(p^e) and GF(q^t).
 
 One construction builds every field.  GF(q^t) is the power-basis extension
 of GF(q) by the lexicographically smallest monic irreducible polynomial of
@@ -7,19 +7,19 @@ integers with the constant term least significant.  This rule is
 deterministic and needs no external polynomial tables.  The element
 ``a_0 + a_1 y + ... + a_{t-1} y^{t-1}`` is encoded as the base-q integer
 with ``a_0`` least significant, so elements are plain integers in
-``[0, q^t)``.
+``[0, q^t)`` and `digit_rows` writes their GF(q)-coordinates.
 
-:class:`ExtensionField` is that construction.  Its products are polynomial
-products reduced on the fly: field-reduction spreads read V(n, q) as
-V(n/t, q^t), the power basis 1, y, ..., y^{t-1} supplies the
-GF(q)-coordinates, and the constructions make about order x t products,
-far fewer than an order x order table would cost to fill.
+Multiplication by y^j is GF(q)-linear.  `power_basis_matrices` returns its
+matrices in the power basis, the powers of the modulus's companion matrix,
+so every product in GF(q^t) is one `gf_matmul`, the one array product over
+GF(q): field-reduction spreads read V(n, q) as V(n/t, q^t), and the
+partition tail multiplies all of GF(q^s) by the power basis of GF(q^t).
 
-:class:`FieldCtx` is GF(q) for q <= DEFAULT_MAX_ORDER with the same
-arithmetic cached in tables: for q = p^e with e > 1 it tabulates
-``ExtensionField(field_new(p), e)``, and a prime field is plain mod-p
-arithmetic with the modulus x.  A context is immutable and safe to share;
-it is passed explicitly wherever elements are combined.
+:class:`FieldCtx` is GF(q) for q <= DEFAULT_MAX_ORDER in lookup tables:
+for q = p^e with e > 1 it tabulates those products over GF(p), and a
+prime field is plain mod-p arithmetic with the modulus x.  A context is
+immutable and safe to share; it is passed explicitly wherever elements are
+combined.
 
 The ceilings DEFAULT_MAX_ORDER (for GF(q)) and EXTENSION_MAX_ORDER (for
 GF(q^t)) are fixed; larger orders raise TooLarge.
@@ -28,6 +28,8 @@ GF(q^t)) are fixed; larger orders raise TooLarge.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NotPrimePower, TooLarge
 
@@ -66,19 +68,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 # zeros are permitted in intermediate values.
 
 
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return tuple(out)
-
-
 def _poly_rem(field, a, m):
     """Remainder of a modulo the monic polynomial m."""
     rem = list(a)
@@ -100,21 +89,11 @@ def _is_irreducible(field, m) -> bool:
         return False
     if deg == 1:
         return True
-    q = field.q
     for d in range(1, deg // 2 + 1):
-        for code in range(q**d):
-            div = _decode_poly(code, q, d) + (1,)
-            if not any(_poly_rem(field, m, div)):
+        for low in digit_rows(np.arange(field.q**d), field.q, d).tolist():
+            if not any(_poly_rem(field, m, (*low, 1))):
                 return False
     return True
-
-
-def _decode_poly(code: int, q: int, length: int):
-    digits = []
-    for _ in range(length):
-        digits.append(code % q)
-        code //= q
-    return tuple(digits)
 
 
 def _smallest_irreducible(field, deg: int):
@@ -123,12 +102,10 @@ def _smallest_irreducible(field, deg: int):
     Candidates are compared as base-q integers of their coefficient vector,
     constant term least significant, which is exactly ascending-code order.
     """
-    q = field.q
-    for code in range(q**deg):
-        cand = _decode_poly(code, q, deg) + (1,)
-        if _is_irreducible(field, cand):
-            return cand
-    raise AssertionError(f"no irreducible of degree {deg} over GF({q})")
+    for low in digit_rows(np.arange(field.q**deg), field.q, deg).tolist():
+        if _is_irreducible(field, (*low, 1)):
+            return (*low, 1)
+    raise AssertionError(f"no irreducible of degree {deg} over GF({field.q})")
 
 
 class FieldCtx:
@@ -142,14 +119,20 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.q = q
+        weights = p ** np.arange(e)
+        digits = digit_rows(np.arange(q), p, e)
+        add = (digits[:, None] + digits) % p @ weights
         if e == 1:
-            self.modulus = (0, 1)
-            add, mul = (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+            self.modulus, mul = (0, 1), np.outer(range(q), range(q)) % p
         else:
-            ext = ExtensionField(field_new(p), e)
-            self.modulus, add, mul = ext.modulus, ext.add, ext.mul
-        self.add_table = tuple(tuple(add(a, b) for b in range(q)) for a in range(q))
-        self.mul_table = tuple(tuple(mul(a, b) for b in range(q)) for a in range(q))
+            base = field_new(p)
+            self.modulus = _smallest_irreducible(base, e)
+            # entry (j, b) of the first product is y^j·b, and entry (a, b)
+            # of the second is the sum of a_j y^j·b over j, that is a·b
+            shifted = gf_matmul(base, digits, power_basis_matrices(base, e))
+            mul = gf_matmul(base, digits, shifted.reshape(e, q * e)).reshape(q, q, e) @ weights
+        self.add_table = tuple(map(tuple, add.tolist()))
+        self.mul_table = tuple(map(tuple, mul.tolist()))
         self.neg_table = tuple(row.index(0) for row in self.add_table)
         self.inv_table = (0,) + tuple(row.index(1) for row in self.mul_table[1:])
 
@@ -183,46 +166,41 @@ def field_new(q: int) -> FieldCtx:
     return FieldCtx(q)
 
 
-class ExtensionField:
-    """Degree-t power-basis extension GF(q^t) of a base GF(q).
+def digit_rows(values, q: int, width: int) -> np.ndarray:
+    """(..., width) uint8 array of the base-q digits of each integer in
+    values, least significant first: the element encoding of GF(q^width)
+    read back as GF(q)-coordinates in the power basis."""
+    return (np.asarray(values, dtype=np.int64)[..., None] // q ** np.arange(width) % q).astype(np.uint8)
 
-    Elements are integers in [0, q^t) whose base-q digits are the
-    coordinates over the power basis 1, y, ..., y^{t-1}; digit i is the
-    coefficient of y^i.  The modulus is the smallest monic irreducible of
-    degree t over the base (see the module docstring).
-    """
 
-    def __init__(self, base: FieldCtx, t: int):
-        if t < 1:
-            raise NotPrimePower(f"extension degree must be >= 1, got {t}")
-        self.base = base
-        self.t = t
-        self.order = base.q**t
-        if self.order > EXTENSION_MAX_ORDER:
-            raise TooLarge(
-                f"extension order {base.q}^{t} exceeds ceiling {EXTENSION_MAX_ORDER}"
-            )
-        self.modulus = _smallest_irreducible(base, t)
+def power_basis_matrices(ctx: FieldCtx, t: int) -> np.ndarray:
+    """GF(q^t) over GF(q) = ctx as a read-only (t, t, t) uint8 array: matrix
+    j maps the coordinate row of x to that of y^j·x.  Matrix 1 is the
+    companion matrix of the modulus and matrix j its j-th power."""
+    if t < 1:
+        raise NotPrimePower(f"extension degree must be >= 1, got {t}")
+    if ctx.q**t > EXTENSION_MAX_ORDER:
+        raise TooLarge(f"extension order {ctx.q}^{t} exceeds ceiling {EXTENSION_MAX_ORDER}")
+    modulus = _smallest_irreducible(ctx, t)
+    # y·y^i = y^(i+1) below the top, and y^t = -(m_0 + m_1 y + ... + m_(t-1) y^(t-1))
+    companion = np.eye(t, k=1, dtype=np.uint8)
+    companion[-1] = [ctx.neg_table[c] for c in modulus[:t]]
+    powers = [np.eye(t, dtype=np.uint8)]
+    for _ in range(1, t):
+        powers.append(gf_matmul(ctx, powers[-1], companion))
+    out = np.stack(powers)
+    out.flags.writeable = False
+    return out
 
-    def coords(self, a: int) -> tuple[FieldElement, ...]:
-        """Base-field coordinates of a over the power basis (length t)."""
-        return _decode_poly(a, self.base.q, self.t)
 
-    def from_coords(self, coords) -> int:
-        v = 0
-        for c in reversed(coords):
-            v = v * self.base.q + c
-        return v
-
-    def add(self, a: int, b: int) -> int:
-        base = self.base
-        return self.from_coords(
-            tuple(base.add(x, y) for x, y in zip(self.coords(a), self.coords(b)))
-        )
-
-    def mul(self, a: int, b: int) -> int:
-        prod = _poly_rem(self.base, _poly_mul(self.base, self.coords(a), self.coords(b)), self.modulus)
-        return self.from_coords(prod + (0,) * (self.t - len(prod)))
-
-    def __repr__(self):
-        return f"GF({self.base.q}^{self.t})"
+def gf_matmul(ctx: FieldCtx, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """coeffs @ bases over GF(q) for uint8 arrays, batched like np.matmul:
+    (..., r, d) times (..., d, n) gives (..., r, n).  The one array
+    product, of coefficient rows and bases and of GF(q^t) elements, by
+    table lookups."""
+    add = np.array(ctx.add_table, dtype=np.uint8)
+    mul = np.array(ctx.mul_table, dtype=np.uint8)
+    out = mul[coeffs[..., :, 0, None], bases[..., None, 0, :]]
+    for i in range(1, coeffs.shape[-1]):
+        out = add[out, mul[coeffs[..., :, i, None], bases[..., None, i, :]]]
+    return out

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, GrassmdError, InvalidArgs
-from .gfq import FieldCtx
+from .gfq import FieldCtx, gf_matmul
 from .linalg import intersect_dim
 from .subspaces import (
     Subspace,
@@ -51,7 +51,6 @@ from .subspaces import (
     check_graph_shape,
     enumerate_bases,
     gaussian_binomial,
-    gf_matmul,
     point_reps,
     subspaces_from_bases,
 )

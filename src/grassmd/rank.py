@@ -227,26 +227,29 @@ def gram_closed_form(ctx: FieldCtx, n: int, k: int) -> tuple:
 def gram_table(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
     """M^T M of the full incidence matrix M, an (N, N) int64 array: entry
     (i, j) counts the k-subspaces through points i and j.  Per block of
-    vertices one bincount counts each pair of distinct points once, on
-    either side of the diagonal, and one the points.  Its N^2 cells are
-    checked against the table ceiling before anything is listed."""
+    vertices, `np.unique` counts each pair i < j of their points into the
+    upper triangle and a bincount the points; the lower triangle is then
+    mirrored a block of rows at a time.  Its N^2 cells are checked against
+    the table ceiling before anything is listed."""
     N = gaussian_binomial(n, 1, ctx.q)
     check_budget(N * N, "Gram cells", cells=True)
     bases = enumerate_bases(ctx, n, k)
     points = gaussian_binomial(k, 1, ctx.q)
     first, second = np.triu_indices(points, 1)
-    half = np.zeros(N * N, dtype=np.int64)
+    gram = np.zeros((N, N), dtype=np.int64)
     diagonal = np.zeros(N, dtype=np.int64)
-    # up to N^2 / 2 pairs per block, which spreads each count array's cost
-    step = max(1, max(N * N, 1 << 18) // points**2)
+    # about 2^17 pairs per block, whatever N is
+    step = max(1, (1 << 18) // points**2)
     for lo in range(0, len(bases), step):
-        ords = bases_point_ordinals(ctx, bases[lo:lo + step])
+        ords = np.sort(bases_point_ordinals(ctx, bases[lo:lo + step]), axis=1)
         pairs = ords[:, first] * N
         pairs += ords[:, second]
-        half += np.bincount(pairs.ravel(), minlength=N * N)
+        cells, counts = np.unique(pairs, return_counts=True)
+        gram.reshape(-1)[cells] += counts
         diagonal += np.bincount(ords.ravel(), minlength=N)
-    gram = half.reshape(N, N)
-    gram += gram.T
+    rows = max(1, (1 << 18) // N)
+    for lo in range(0, N, rows):
+        gram[lo:lo + rows, :lo + rows] += gram[:lo + rows, lo:lo + rows].T
     np.fill_diagonal(gram, diagonal)
     return gram
 

@@ -10,8 +10,8 @@ Every array row is a distinct subspace, so no rejection or hashing is
 needed.  A `SubspaceFamily` is its field and one (m, d, n) array of RREF
 bases; `Subspace` objects are built from array rows only at the API edge
 (iterating or indexing a family or graph, `enumerate_k_subspaces`).
-`is_rref` is the one RREF test, `gf_matmul` the one array product of
-coefficient rows and bases over GF(q), and `gf_rref` reduces with it.
+`is_rref` is the one RREF test, and `gf_rref` reduces with `gfq.gf_matmul`,
+the one array product over GF(q).
 
 Projective points (1-subspaces) are numbered by their normalized
 representatives (first nonzero coordinate scaled to 1), in ascending
@@ -31,7 +31,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgs, TooLarge
-from .gfq import FieldCtx
+from .gfq import FieldCtx, gf_matmul
 from .linalg import MatGFq, rref_rows
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -301,18 +301,6 @@ def point_reps(q: int, n: int):
         head = (0,) * f + (1,)
         for tail in product(range(q), repeat=n - f - 1):
             yield head + tail
-
-
-def gf_matmul(ctx: FieldCtx, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """coeffs @ bases over GF(q) for uint8 arrays, batched like np.matmul:
-    (..., r, d) times (..., d, n) gives (..., r, n).  The one array
-    product of coefficient rows and bases, by table lookups."""
-    add = np.array(ctx.add_table, dtype=np.uint8)
-    mul = np.array(ctx.mul_table, dtype=np.uint8)
-    out = mul[coeffs[..., :, 0, None], bases[..., None, 0, :]]
-    for i in range(1, coeffs.shape[-1]):
-        out = add[out, mul[coeffs[..., :, i, None], bases[..., None, i, :]]]
-    return out
 
 
 def gf_rref(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:

@@ -7,14 +7,22 @@ adjacency by one tuple RREF per candidate neighbour,
 small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
 distinguishers by comparing every entry of two rows, the greedy
 resolving set by one `np.unique` refinement per candidate, the Gram
-table M^T M by a float64 product of the dense incidence matrix, and a
-family file by one `MatGFq` and one `Subspace` per block.
+table M^T M by a float64 product of the dense incidence matrix, a
+family file by one `MatGFq` and one `Subspace` per block, and GF(q^t)
+products by polynomial multiplication and reduction (`ExtensionField`),
+which the spread and the partition tail are rebuilt with.
 """
 
 import numpy as np
 
-from grassmd.errors import InvalidArgs
-from grassmd.gfq import field_new
+from grassmd.errors import InvalidArgs, NotPrimePower, TooLarge
+from grassmd.gfq import (
+    EXTENSION_MAX_ORDER,
+    FieldCtx,
+    _poly_rem,
+    _smallest_irreducible,
+    field_new,
+)
 from grassmd.grassmann import bfs_distances_from, distance
 from grassmd.linalg import MatGFq, mat_mul, rref_rows
 from grassmd.subspaces import (
@@ -208,3 +216,86 @@ def parse_family_by_block(text: str) -> tuple:
             raise InvalidArgs(f"duplicate blocks: duplicate family member {sub!r}")
         members.append(sub)
     return ctx, n, k, SubspaceFamily(members)
+
+
+def _poly_mul(field, a, b):
+    """Product of two polynomials over field, constant term first."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return tuple(out)
+
+
+class ExtensionField:
+    """Degree-t power-basis extension GF(q^t) of a base GF(q), one element
+    at a time: a product is a polynomial product reduced by the modulus.
+
+    Elements are integers in [0, q^t) whose base-q digits are the
+    coordinates over the power basis 1, y, ..., y^{t-1}; digit i is the
+    coefficient of y^i.  The modulus is the smallest monic irreducible of
+    degree t over the base, as in `grassmd.gfq`.
+    """
+
+    def __init__(self, base: FieldCtx, t: int):
+        if t < 1:
+            raise NotPrimePower(f"extension degree must be >= 1, got {t}")
+        self.base = base
+        self.t = t
+        self.order = base.q**t
+        if self.order > EXTENSION_MAX_ORDER:
+            raise TooLarge(
+                f"extension order {base.q}^{t} exceeds ceiling {EXTENSION_MAX_ORDER}"
+            )
+        self.modulus = _smallest_irreducible(base, t)
+
+    def coords(self, a: int) -> tuple:
+        """Base-field coordinates of a over the power basis (length t)."""
+        return tuple(a // self.base.q**i % self.base.q for i in range(self.t))
+
+    def from_coords(self, coords) -> int:
+        v = 0
+        for c in reversed(coords):
+            v = v * self.base.q + c
+        return v
+
+    def add(self, a: int, b: int) -> int:
+        base = self.base
+        return self.from_coords(
+            tuple(base.add(x, y) for x, y in zip(self.coords(a), self.coords(b)))
+        )
+
+    def mul(self, a: int, b: int) -> int:
+        prod = _poly_rem(self.base, _poly_mul(self.base, self.coords(a), self.coords(b)), self.modulus)
+        return self.from_coords(prod + (0,) * (self.t - len(prod)))
+
+    def __repr__(self):
+        return f"GF({self.base.q}^{self.t})"
+
+
+def spread_by_extension_field(ctx, n: int, t: int) -> SubspaceFamily:
+    """The field-reduction t-spread of V(n,q), member <w> spanned by the
+    rows y^j·w, each big coordinate multiplied by `ExtensionField.mul`."""
+    ext = ExtensionField(ctx, t)
+    powers = [ext.from_coords([0] * j + [1]) for j in range(t)]
+    return SubspaceFamily([
+        Subspace.from_rows(ctx, n, [sum((ext.coords(ext.mul(y, w)) for w in rep), ())
+                                    for y in powers])
+        for rep in point_reps(ext.order, n // t)])
+
+
+def partition_tail_by_extension_field(ctx, n: int, k: int) -> SubspaceFamily:
+    """The tail X_a = {(a·y^j, y^j)} of the mixed partition for
+    n = s + t, 0 < t < k+1, one `ExtensionField.mul` per row."""
+    t = n % (k + 1)
+    s = n - t
+    ext = ExtensionField(ctx, s)
+    return SubspaceFamily([
+        Subspace.from_rows(ctx, n, [ext.coords(ext.mul(a, ext.from_coords([0] * j + [1])))
+                                    + tuple(int(i == j) for i in range(t)) for j in range(t)])
+        for a in range(ext.order)])

@@ -72,6 +72,26 @@ def test_binom_usage_errors():
     assert run(["nosuchcmd"])[0] == 2
 
 
+def parse_outcome(parser, argv):
+    """Exit code, stdout and stderr of parsing argv, or the parsed namespace."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("cmd", cli.COMMANDS)
+def test_one_subcommand_parser_reads_like_the_full_one(cmd):
+    # a call naming a subcommand builds only its subparser; help, usage
+    # errors and parses must not tell the two parsers apart
+    full, one = cli.build_parser(), cli.build_parser(cmd)
+    assert "{" + ",".join(cli.COMMANDS) + "}" in full.format_usage()
+    for argv in ([cmd, "--help"], [cmd], [cmd, "--bogus"], [cmd, "2", "x"]):
+        assert parse_outcome(one, argv) == parse_outcome(full, argv), argv
+
+
 # --- construct / verify ---------------------------------------------------
 
 
@@ -478,6 +498,28 @@ def test_construct_partition_2_10_2_is_pinned():
     assert out.splitlines()[1] == "2 10 2 1279"
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8d19552944254366db2a52f4978c21cd9f273db9c4ae4c541792f56a3b574198")
+
+
+# SHA-256 of the stdout of constructions over GF(q^t) beyond the benchmark
+# grid, taken while GF(q^t) products were polynomial products
+@pytest.mark.parametrize("argv,digest", [
+    (["spread", "2", "12", "4"], "031640ca4d9a385c2e4fce28081e0412837799a5b86090fe6827cd51924564ac"),
+    (["spread", "4", "6", "3"], "0fef8f640e169ef6624c0ced546b419795505d11f4c379d68470f3d91b84d6b9"),
+    (["spread", "3", "8", "2"], "b27dcd37ebedf66ac60528d77a83e3d6577f0eb947eb66c4bdfcdaf840970078"),
+    (["spread", "2", "14", "7"], "a43befce1bad2c37292d0342f641ec45dac199db6f4c91f493fef16d50a31b10"),
+    (["partition", "2", "11", "3"], "84946f167b5224feacaedc82df6ab0b286710634e6b5caaba8360c27f113a88a"),
+    (["partition", "4", "5", "2"], "d4eeff0ae47eeda10437c0b1839b0ba9f7916ed95d9aa66d12e73c902c743cbc"),
+    (["construct", "partition", "3", "7", "2"],
+     "a4a8b1be5c4c834f4ba58be58559583767a6855a702631cc09fa3beb186bd75d"),
+    (["construct", "spread", "2", "12", "2"],
+     "3b2431d710422179afe9cdf6821ad8fa04608e72022a9aeee9cb238eedf577d4"),
+    (["construct", "partition", "2", "11", "2"],
+     "ebda09b01a7fc1ecab443b45c6d7819d85356af1aca76f8daf7ef31e821085a0"),
+])
+def test_extension_field_constructions_are_pinned(argv, digest):
+    rc, out, _ = run(argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_spread_command():

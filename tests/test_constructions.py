@@ -17,7 +17,12 @@ from grassmd.constructions import (
 )
 from grassmd.rank import certify_resolving_by_rank
 from grassmd.subspaces import gaussian_binomial
-from oracles import rank, stack
+from oracles import (
+    partition_tail_by_extension_field,
+    rank,
+    spread_by_extension_field,
+    stack,
+)
 
 
 def nonzero_vectors(q, n):
@@ -114,6 +119,22 @@ def test_mixed_partition_structure(q, n, k):
     w1 = spread_members[0]
     assert mp.Z.dim == k - t + 1
     assert rank(stack(w1.basis, mp.Z.basis)) == w1.dim
+
+
+# past the pinned outputs: other fields, degrees and ambient spaces
+@pytest.mark.parametrize("q,n,t", [(2, 10, 5), (2, 12, 6), (3, 9, 3), (5, 4, 2), (7, 6, 3),
+                                   (8, 6, 3), (11, 4, 2), (13, 3, 3), (16, 4, 2)])
+def test_spread_matches_the_polynomial_product_oracle(q, n, t):
+    ctx = field_new(q)
+    assert build_spread(ctx, n, t) == spread_by_extension_field(ctx, n, t)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 10, 3), (2, 13, 3), (3, 7, 3), (5, 5, 2), (7, 4, 2),
+                                   (8, 5, 2), (11, 5, 2), (16, 5, 2)])
+def test_partition_tail_matches_the_polynomial_product_oracle(q, n, k):
+    ctx = field_new(q)
+    tail = build_mixed_partition(ctx, n, k).tail_part
+    assert tail == partition_tail_by_extension_field(ctx, n, k)
 
 
 def test_mixed_partition_rejects_divisible_n():

@@ -126,6 +126,9 @@ def parse_outcome(parse, text):
 @example("2 3 2 2\n1 0 5\n0 1 0\n1 0\n0 1 0\n")  # an entry, then a short row
 @example("2 3 2 2\n0 1 0\n1 0 0\n1 0 0 0\n0 1 0\n")  # not RREF, then a long row
 @example("2 3 2 3\n1 0 0\n0 1 0\n0 1 0\n0 0 1\n1 0 0\n0 1 0\n")  # a repeat
+@example("2 3 1 3\n1 0 0\n1 0 0\n-1 1 0\n")  # a repeat, then an entry
+@example("2 3 1 3\n1 0 0\n1 0 0\n1 0\n")  # a repeat, then a short row
+@example("2 3 1 3\n1 0 0\n-1 1 0\n1 0 0\n")  # an entry, then a repeat
 def test_parse_matches_the_block_by_block_oracle(text):
     # the array parser accepts the same texts, returns equal families and
     # refuses the rest with the same error, first offending block first

@@ -1,20 +1,27 @@
-"""Finite-field arithmetic: table construction, axioms, extension fields."""
+"""Finite-field arithmetic: table construction, axioms, extension fields.
+
+The power-basis matrices of GF(q^t) are checked against `ExtensionField`,
+the polynomial-product arithmetic kept in the test oracles."""
 
 import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from grassmd.errors import NotPrimePower, TooLarge
 from grassmd.gfq import (
     DEFAULT_MAX_ORDER,
     EXTENSION_MAX_ORDER,
-    ExtensionField,
     FieldCtx,
+    digit_rows,
     factor_prime_power,
     field_new,
+    gf_matmul,
+    power_basis_matrices,
 )
+from oracles import ExtensionField
 
 
 def field_pow(ctx, a, e):
@@ -199,9 +206,38 @@ def test_extension_coords_are_base_digits():
 
 
 def test_extension_order_ceiling():
-    with pytest.raises(TooLarge):
-        ExtensionField(field_new(16), 4)
-    assert ExtensionField(field_new(16), 3).order == EXTENSION_MAX_ORDER
+    with pytest.raises(TooLarge, match="extension order 16\\^4 exceeds ceiling 4096"):
+        power_basis_matrices(field_new(16), 4)
+    assert power_basis_matrices(field_new(16), 3).shape == (3, 3, 3)
+    assert 16**3 == EXTENSION_MAX_ORDER
+    with pytest.raises(NotPrimePower, match="extension degree must be >= 1, got 0"):
+        power_basis_matrices(field_new(2), 0)
+
+
+def test_digit_rows_are_the_element_encoding():
+    # least significant digit first, as ExtensionField.coords
+    assert digit_rows([5, 6], 3, 2).tolist() == [[2, 1], [0, 2]]
+    assert digit_rows(np.arange(4096).reshape(64, 64), 2, 12).shape == (64, 64, 12)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_power_basis_matrices_multiply_by_powers_of_y(q):
+    # matrix j maps the coordinates of x to those of y^j·x in the
+    # polynomial-product oracle, for every t with q^t under the ceiling:
+    # all elements up to order 256, a seeded sample above
+    ctx, rng = field_new(q), random.Random(q)
+    t = 1
+    while q**t <= EXTENSION_MAX_ORDER:
+        ext, powers = ExtensionField(ctx, t), power_basis_matrices(ctx, t)
+        assert powers.shape == (t, t, t) and powers.dtype == np.uint8
+        assert not powers.flags.writeable
+        xs = range(ext.order) if ext.order <= 256 else rng.sample(range(ext.order), 64)
+        rows = digit_rows(list(xs), q, t)
+        for j in range(t):
+            y_j = ext.from_coords([0] * j + [1])
+            expected = digit_rows([ext.mul(y_j, x) for x in xs], q, t)
+            assert np.array_equal(gf_matmul(ctx, rows, powers[j]), expected), (t, j)
+        t += 1
 
 
 @pytest.mark.parametrize("q,t,seed", [(2, 10, 1), (3, 6, 2)])
