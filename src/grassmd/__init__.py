@@ -7,78 +7,48 @@ partitions, and a greedy rank heuristic, and certifies the results three
 independent ways: direct distance-vector comparison, point-incidence rank
 over the integers, and breadth-first search on the adjacency structure.
 
-The names of `bounds` load on first use, so a CLI call that does not ask
-for bounds does not import it.
+`import grassmd` loads none of its modules, nor numpy: each public name
+loads the module that defines it on first use (PEP 562), so a CLI call
+pays only for the modules its subcommand runs.
 """
 
-from .constructions import (
-    MixedPartition,
-    build_mixed_partition,
-    build_spread,
-    resolving_from_partition,
-    resolving_from_spread,
-    resolving_greedy_rank,
-)
-from .errors import (
-    BudgetExceeded,
-    DegenerateBound,
-    DimensionMismatch,
-    GrassmdError,
-    InvalidArgs,
-    InvalidShape,
-    NotDivisor,
-    NotPrimePower,
-    TooLarge,
-)
-from .famfile import format_family, parse_family
-from .gfq import FieldCtx, factor_prime_power, field_new
-from .grassmann import (
-    GrassmannGraph,
-    ResolvingVerdict,
-    bfs_distances_from,
-    codes_table,
-    distance,
-    edge_list,
-    is_resolving,
-)
-from .linalg import MatGFq, intersect_dim
-from .rank import (
-    IncidenceMatrix,
-    RankCertificate,
-    certify_resolving_by_rank,
-    exact_rank,
-    gram_closed_form,
-    incidence_matrix,
-    verify_gram,
-)
-from .search import (
-    metric_dimension_exact,
-    metric_dimension_from_distances,
-    metric_dimension_greedy,
-)
-from .subspaces import (
-    Subspace,
-    SubspaceFamily,
-    enumerate_bases,
-    enumerate_k_subspaces,
-    gaussian_binomial,
-)
+import importlib
 
-_BOUNDS_NAMES = frozenset({"BoundsReport", "babai_general", "babai_strong", "compare",
-                           "distance_class_size", "lower_bound"})
+# every public name, by the module that defines it
+_EXPORTS = {
+    "bounds": "BoundsReport babai_general babai_strong compare distance_class_size "
+              "lower_bound",
+    "constructions": "MixedPartition build_mixed_partition build_spread "
+                     "resolving_from_partition resolving_from_spread resolving_greedy_rank",
+    "errors": "BudgetExceeded DegenerateBound DimensionMismatch GrassmdError InvalidArgs "
+              "InvalidShape NotDivisor NotPrimePower TooLarge",
+    "famfile": "format_family parse_family",
+    "gfq": "FieldCtx factor_prime_power field_new",
+    "grassmann": "GrassmannGraph ResolvingVerdict bfs_distances_from codes_table distance "
+                 "edge_list is_resolving",
+    "linalg": "MatGFq intersect_dim",
+    "rank": "IncidenceMatrix RankCertificate certify_resolving_by_rank exact_rank "
+            "gram_closed_form incidence_matrix verify_gram",
+    "search": "metric_dimension_exact metric_dimension_from_distances "
+              "metric_dimension_greedy",
+    "subspaces": "Subspace SubspaceFamily enumerate_bases enumerate_k_subspaces "
+                 "gaussian_binomial",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__version__ = "0.1.0"
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _BOUNDS_NAMES:
-        from . import bounds
+    if name in _EXPORTS:  # `grassmd.rank` is the module, imported or not yet
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
-        return getattr(bounds, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__version__ = "0.1.0"
-
-# every class and function imported above, and the bounds names loaded on
-# demand: one list of exports, kept by the imports themselves
-__all__ = sorted(_BOUNDS_NAMES.union(name for name, value in globals().items()
-                                     if not name.startswith("_") and callable(value)))
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())

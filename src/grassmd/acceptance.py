@@ -319,7 +319,7 @@ def criterion_10() -> CriterionResult:
         and arg == 1
         and abs(bs - 29.3) <= 0.1
         and abs(bg - 84.1) <= 0.1
-        and abs(lb - 5.13) <= 0.01
+        and lb == 5
     )
     flags = {}
     flags_ok = True
@@ -334,7 +334,7 @@ def criterion_10() -> CriterionResult:
         "argmax_j": arg,
         "babai_strong": round(bs, 4),
         "babai_general": round(bg, 4),
-        "lower": round(lb, 4),
+        "lower": lb,
         "constructive_below_general": flags,
     }
     return _result(10, "bounds table", t0, ok, details)

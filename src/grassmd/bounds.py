@@ -2,9 +2,11 @@
 
 Three formulas are compared against the constructive bound [n 1]_q:
 
-* an information-theoretic lower bound log_k of the vertex count (each
-  added landmark multiplies the number of distinguishable codes by at
-  most k+1, and coarser: by k positive distances);
+* the lower bound: the least m with m + D^m >= N, where N is the vertex
+  count and D = min(k, n-k) the diameter.  Every vertex outside a
+  resolving set of size mu has a distinct code in {1..D}^mu, so
+  N <= mu + D^mu; m is found in exact integers.  log_k N is reported
+  beside it as an estimate;
 * the general distance-regular upper bound 4*sqrt(N)*log N;
 * the sharper bound 2k*N/(N - M)*log N, where M is the largest ball-slice
   q^(j^2) [n-k j]_q [k j]_q — the number of vertices at distance j from a
@@ -48,7 +50,22 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def lower_bound(q: int, n: int, k: int) -> float:
+def lower_bound(q: int, n: int, k: int) -> int:
+    """The least m with m + D^m >= [n k]_q, D = min(k, n-k) the diameter:
+    no resolving set of G_q(n,k) is smaller."""
+    if not 0 < k < n:
+        raise InvalidArgs(f"need 0 < k < n, got n={n} k={k}")
+    nv = gaussian_binomial(n, k, q)
+    diameter = min(k, n - k)
+    if diameter == 1:  # a complete graph: m + 1 >= N
+        return nv - 1
+    m, power = 0, 1
+    while m + power < nv:
+        m, power = m + 1, power * diameter
+    return m
+
+
+def log_estimate(q: int, n: int, k: int) -> float:
     """log base k of [n k]_q; approximate, not rounded up here."""
     if k < 2:
         raise InvalidArgs(f"need k >= 2, got {k}")
@@ -56,7 +73,7 @@ def lower_bound(q: int, n: int, k: int) -> float:
 
     nv = gaussian_binomial(n, k, q)
     with mpmath.workprec(_PRECISION_BITS):
-        return _finite(float(mpmath.log(mpmath.mpf(nv)) / mpmath.log(k)), "lower bound")
+        return _finite(float(mpmath.log(mpmath.mpf(nv)) / mpmath.log(k)), "log estimate")
 
 
 def babai_general(q: int, n: int, k: int, log_base: str = "e") -> float:
@@ -101,7 +118,8 @@ class BoundsReport(NamedTuple):
     n: int
     k: int
     num_vertices: int
-    lower_log: float
+    lower_bound: int  # the least m with m + D^m >= N
+    lower_log: float  # log_k N, an estimate
     babai_general: float
     babai_strong: float
     babai_M: int
@@ -126,7 +144,7 @@ def compare(q: int, n: int, k: int, log_base: str = "e") -> BoundsReport:
     """
     nv = gaussian_binomial(n, k, q)
     cons = gaussian_binomial(n, 1, q)
-    lower = lower_bound(q, n, k)
+    estimate = log_estimate(q, n, k)
     gen = babai_general(q, n, k, log_base)
     strong, big_m, arg = babai_strong(q, n, k, log_base)
     sizes = {"greedy": cons}
@@ -139,7 +157,8 @@ def compare(q: int, n: int, k: int, log_base: str = "e") -> BoundsReport:
         n=n,
         k=k,
         num_vertices=nv,
-        lower_log=lower,
+        lower_bound=lower_bound(q, n, k),
+        lower_log=estimate,
         babai_general=gen,
         babai_strong=strong,
         babai_M=big_m,
@@ -154,7 +173,7 @@ def compare(q: int, n: int, k: int, log_base: str = "e") -> BoundsReport:
 
 CSV_HEADER = (
     "q,n,k,num_vertices,lower_log,babai_general,babai_strong,babai_M,"
-    "constructive_bound,log_base"
+    "constructive_bound,log_base,lower_bound"
 )
 
 
@@ -162,5 +181,5 @@ def csv_row(r: BoundsReport) -> str:
     return (
         f"{r.q},{r.n},{r.k},{r.num_vertices},{r.lower_log:.4f},"
         f"{r.babai_general:.4f},{r.babai_strong:.4f},{r.babai_M},"
-        f"{r.constructive_bound},{r.log_base}"
+        f"{r.constructive_bound},{r.log_base},{r.lower_bound}"
     )

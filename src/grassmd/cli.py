@@ -4,31 +4,46 @@ Conventions: diagnostics go to stderr, data (files, tables, JSON) to
 stdout; exit 0 on success, 1 when a verification-style command finds a
 negative answer, 2 on bad usage or out-of-budget requests.  `-f -` reads
 the family from stdin so constructions pipe straight into `verify`.
+
+At start-up this module imports only the standard library and `errors`;
+each subcommand imports the modules it runs, so `binom` loads `gfq`,
+`linalg` and `subspaces`, and `verify` adds `famfile` and `grassmann`.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import sys
 import time
 from itertools import chain
 
-from .constructions import (
-    build_mixed_partition,
-    build_spread,
-    resolving_from_partition,
-    resolving_from_spread,
-    resolving_greedy_rank,
-)
 from .errors import GrassmdError, InvalidArgs
-from .famfile import format_family, parse_family
-from .gfq import field_new
-from .grassmann import GrassmannGraph, edge_rows, is_resolving
-from .rank import certify_resolving_by_rank, gram_closed_form, verify_gram
-from .search import DEFAULT_EXACT_LIMIT, metric_dimension_exact, metric_dimension_greedy
-from .subspaces import SubspaceFamily, enumerate_bases, gaussian_binomial
+
+# The names `perfbench/trace_child.py` reads on this module and rebinds to
+# timed wrappers, by the module that defines them.  Each loads its module
+# on first use, and a command calls the rebound name when there is one.
+_REBINDABLE = {
+    "format_family": "famfile", "parse_family": "famfile",
+    "resolving_from_spread": "constructions", "resolving_from_partition": "constructions",
+    "resolving_greedy_rank": "constructions",
+    "GrassmannGraph": "grassmann", "is_resolving": "grassmann",
+    "metric_dimension_exact": "search", "metric_dimension_greedy": "search",
+}
+
+
+def __getattr__(name):
+    if name not in _REBINDABLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_REBINDABLE[name]}", __package__), name)
+
+
+def _lookup(name):
+    """A name of `_REBINDABLE` as this module binds it: rebound, or from its module."""
+    scope = globals()
+    return scope[name] if name in scope else __getattr__(name)
 
 
 def _emit(chunks, path: str | None):
@@ -49,10 +64,12 @@ def _read_family_arg(path: str):
                 text = fh.read()
     except UnicodeDecodeError as e:
         raise InvalidArgs(f"family file {path} is not text: {e}")
-    return parse_family(text)
+    return _lookup("parse_family")(text)
 
 
 def _cmd_binom(args) -> int:
+    from .subspaces import gaussian_binomial
+
     value = gaussian_binomial(args.n, args.k, args.q)
     if args.json:
         print(json.dumps({"command": "binom", "n": args.n, "k": args.k,
@@ -63,8 +80,11 @@ def _cmd_binom(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .gfq import field_new
+    from .grassmann import edge_rows
+
     ctx = field_new(args.q)
-    g = GrassmannGraph(ctx, args.n, args.k)
+    g = _lookup("GrassmannGraph")(ctx, args.n, args.k)
     header = {"q": args.q, "n": args.n, "k": args.k, "vertices": len(g),
               "edges": sum(len(vs) for _, vs in edge_rows(g))}
     # one row's edges at a time: no list of all edges or of all lines
@@ -74,14 +94,22 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_spread(args) -> int:
+    from .constructions import build_spread
+    from .gfq import field_new
+
     ctx = field_new(args.q)
-    text = format_family(args.q, args.n, args.t, build_spread(ctx, args.n, args.t),
-                         comments=[f"{args.t}-spread of V({args.n},{args.q})"])
+    text = _lookup("format_family")(args.q, args.n, args.t, build_spread(ctx, args.n, args.t),
+                                    comments=[f"{args.t}-spread of V({args.n},{args.q})"])
     _emit([text], args.output)
     return 0
 
 
 def _cmd_partition(args) -> int:
+    from .constructions import build_mixed_partition
+    from .gfq import field_new
+    from .subspaces import SubspaceFamily
+
+    format_family = _lookup("format_family")
     ctx = field_new(args.q)
     part = build_mixed_partition(ctx, args.n, args.k)
     sections = [
@@ -99,14 +127,16 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .gfq import field_new
+
     ctx = field_new(args.q)
     builders = {
-        "spread": resolving_from_spread,
-        "partition": resolving_from_partition,
-        "greedy": resolving_greedy_rank,
+        "spread": "resolving_from_spread",
+        "partition": "resolving_from_partition",
+        "greedy": "resolving_greedy_rank",
     }
-    fam = builders[args.method](ctx, args.n, args.k)
-    text = format_family(
+    fam = _lookup(builders[args.method])(ctx, args.n, args.k)
+    text = _lookup("format_family")(
         args.q, args.n, args.k, fam,
         comments=[f"resolving family for G_{args.q}({args.n},{args.k}), "
                   f"method={args.method}, size={len(fam)}"])
@@ -120,8 +150,8 @@ def _cmd_verify(args) -> int:
         raise GrassmdError(
             f"family file is for q={ctx.q} n={n} k={k}, "
             f"arguments say q={args.q} n={args.n} k={args.k}")
-    g = GrassmannGraph(ctx, n, k)
-    verdict = is_resolving(fam, g)
+    g = _lookup("GrassmannGraph")(ctx, n, k)
+    verdict = _lookup("is_resolving")(fam, g)
     if args.json:
         print(json.dumps({
             "command": "verify", "q": args.q, "n": args.n, "k": args.k,
@@ -142,6 +172,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .gfq import field_new
+    from .rank import certify_resolving_by_rank
+    from .subspaces import SubspaceFamily, enumerate_bases
+
     if args.all is not None:
         q, n, k = args.all
         ctx = field_new(q)
@@ -165,6 +199,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    from .gfq import field_new
+    from .rank import gram_closed_form, verify_gram
+
     ctx = field_new(args.q)
     ok = verify_gram(ctx, args.n, args.k)
     diag, offdiag = gram_closed_form(ctx, args.n, args.k)
@@ -211,7 +248,8 @@ def _cmd_bounds(args) -> int:
         print(json.dumps({"command": "bounds", **rep.to_json()}))
     else:
         print(f"G_{rep.q}({rep.n},{rep.k}): {rep.num_vertices} vertices")
-        print(f"lower bound (log_k N):      {rep.lower_log:.4f}")
+        print(f"lower bound (m + D^m >= N): {rep.lower_bound}")
+        print(f"estimate (log_k N):         {rep.lower_log:.4f}")
         print(f"upper, general:             {rep.babai_general:.4f}")
         print(f"upper, strong (M={rep.babai_M}, j={rep.babai_argmax_j}): "
               f"{rep.babai_strong:.4f}")
@@ -223,13 +261,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_metricdim(args) -> int:
+    from .gfq import field_new
+
     ctx = field_new(args.q)
-    g = GrassmannGraph(ctx, args.n, args.k)
+    g = _lookup("GrassmannGraph")(ctx, args.n, args.k)
     t0 = time.perf_counter()
     if args.method == "exact":
-        mu, fam = metric_dimension_exact(g, args.limit)
+        mu, fam = _lookup("metric_dimension_exact")(g, args.limit)
     else:
-        fam = metric_dimension_greedy(g)
+        fam = _lookup("metric_dimension_greedy")(g)
         mu = None
     elapsed = time.perf_counter() - t0
     if args.json:
@@ -244,7 +284,8 @@ def _cmd_metricdim(args) -> int:
              f"vertices={len(g)} elapsed={elapsed:.2f}s")
     if mu is not None:
         stats = f"mu={mu} " + stats
-    _emit([format_family(args.q, args.n, args.k, fam), f"# {stats}\n"], args.output)
+    _emit([_lookup("format_family")(args.q, args.n, args.k, fam), f"# {stats}\n"],
+          args.output)
     return 0
 
 
@@ -348,6 +389,8 @@ def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
         add_json(sp)
 
     if sp := add("metricdim", _cmd_metricdim, "exact or greedy metric dimension"):
+        from .search import DEFAULT_EXACT_LIMIT
+
         sp.add_argument("method", choices=["exact", "greedy"])
         add_ints(sp)
         sp.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT,

@@ -118,14 +118,15 @@ def test_criterion_10_bound_values_pinned():
     assert details["argmax_j"] == 1
     assert details["babai_strong"] == pytest.approx(29.3, abs=0.1)
     assert details["babai_general"] == pytest.approx(84.1, abs=0.1)
-    assert details["lower"] == pytest.approx(5.13, abs=0.01)
+    assert details["lower"] == 5
     assert all(details["constructive_below_general"].values())
     # recompute through the public evaluators with the same tolerances
     bound, M, j = babai_strong(2, 4, 2)
     assert (M, j) == (18, 1)
     assert bound == pytest.approx(29.3, abs=0.1)
     assert babai_general(2, 4, 2) == pytest.approx(84.1, abs=0.1)
-    assert lower_bound(2, 4, 2) == pytest.approx(5.13, abs=0.01)
+    # the proven bound: 4 + 2^4 < 35 <= 5 + 2^5, and mu(G_2(4,2)) = 6
+    assert lower_bound(2, 4, 2) == 5
 
 
 def test_criterion_11_construct_output_is_reproducible():

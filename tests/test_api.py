@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -14,9 +16,41 @@ import pytest
 import grassmd
 
 
+# the public names: loading them on first use keeps the list
+PUBLIC_NAMES = [
+    "BoundsReport", "BudgetExceeded", "DegenerateBound", "DimensionMismatch", "FieldCtx",
+    "GrassmannGraph", "GrassmdError", "IncidenceMatrix", "InvalidArgs", "InvalidShape",
+    "MatGFq", "MixedPartition", "NotDivisor", "NotPrimePower", "RankCertificate",
+    "ResolvingVerdict", "Subspace", "SubspaceFamily", "TooLarge", "babai_general",
+    "babai_strong", "bfs_distances_from", "build_mixed_partition", "build_spread",
+    "certify_resolving_by_rank", "codes_table", "compare", "distance", "distance_class_size",
+    "edge_list", "enumerate_bases", "enumerate_k_subspaces", "exact_rank",
+    "factor_prime_power", "field_new", "format_family", "gaussian_binomial",
+    "gram_closed_form", "incidence_matrix", "intersect_dim", "is_resolving", "lower_bound",
+    "metric_dimension_exact", "metric_dimension_from_distances", "metric_dimension_greedy",
+    "parse_family", "resolving_from_partition", "resolving_from_spread",
+    "resolving_greedy_rank", "verify_gram",
+]
+
+
 def test_all_exports_resolve():
     for name in grassmd.__all__:
         assert hasattr(grassmd, name), name
+
+
+def test_namespace_is_pinned():
+    assert grassmd.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(grassmd))
+    namespace = {}
+    exec("from grassmd import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(PUBLIC_NAMES)
+    # each name is the object its module defines
+    rank = importlib.import_module("grassmd.rank")
+    assert namespace["exact_rank"] is rank.exact_rank
+    assert namespace["compare"] is importlib.import_module("grassmd.bounds").compare
+    assert grassmd.rank is rank and isinstance(rank, types.ModuleType)
+    # perfbench/trace_child.py wraps the re-export
+    assert rank.enumerate_k_subspaces is grassmd.enumerate_k_subspaces
 
 
 # What the benchmark harness (perfbench/) reads of the package; tier-1 does
@@ -56,22 +90,77 @@ def test_top_level_workflow():
     assert grassmd.certify_resolving_by_rank(fam).certified
 
 
-def run_python(code):
+def run_python(*args):
+    """stdout of `python ARGS` on this checkout's sources."""
     src = os.path.dirname(os.path.dirname(grassmd.__file__))
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, check=True).stdout
 
 
-def test_cli_import_skips_mpmath_and_acceptance():
+# `python -m grassmd.cli ARGV` in-process, reporting the grassmd modules
+# loaded when the interpreter exits
+CLI_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(m for m in sys.modules if m.split(".")[0] == "grassmd")))
+sys.argv = ["grassmd", *{argv!r}]
+runpy.run_module("grassmd.cli", run_name="__main__")
+"""
+
+# what every subcommand loads, and what each loads beyond that
+CLI_BASE_MODULES = {"grassmd", "grassmd.errors", "grassmd.gfq", "grassmd.linalg",
+                    "grassmd.subspaces"}
+CLI_MODULES = [
+    (["binom", "6", "3", "2"], set()),
+    (["construct", "spread", "2", "6", "2", "-o", "{fam}"], {"famfile", "rank", "constructions"}),
+    (["verify", "2", "6", "2", "-f", "{fam}"], {"famfile", "grassmann"}),
+    (["rank", "-f", "{fam}"], {"famfile", "rank"}),
+    (["metricdim", "greedy", "2", "4", "2", "--json"], {"grassmann", "search"}),
+]
+
+
+def test_cli_import_skips_mpmath_and_acceptance(tmp_path):
     # every subcommand pays for what `grassmd.cli` imports at start-up
     out = run_python(
-        "import sys, grassmd.cli\n"
+        "-c", "import sys, grassmd.cli\n"
         "print(sorted({'mpmath', 'grassmd.acceptance', 'grassmd.bounds'} & set(sys.modules)))\n"
         "import grassmd, grassmd.bounds\n"
         "print(grassmd.compare is grassmd.bounds.compare)\n")
     assert out.split() == ["[]", "True"]
+    out = run_python("-c", "import sys, grassmd\n"
+                     "print([m for m in sys.modules if m.startswith(('grassmd', 'numpy'))])\n")
+    assert out.split() == ["['grassmd']"]
+    # each subcommand loads its own modules and no others
+    fam = str(tmp_path / "fam.txt")
+    for argv, extra in CLI_MODULES:
+        argv = [a.format(fam=fam) for a in argv]
+        loaded = run_python("-c", CLI_PROBE.format(argv=argv)).splitlines()[-1]
+        expected = CLI_BASE_MODULES | {f"grassmd.{m}" for m in extra}
+        assert loaded == str(sorted(expected)), argv[0]
+
+
+# the span names `perfbench/trace_child.py` records for one CLI call
+TRACED_SPANS = [
+    (["construct", "spread", "3", "6", "2", "-o", "{fam}"],
+     {"cli.startup", "constructions.spread", "famfile.format"}),
+    (["verify", "3", "6", "2", "-f", "{fam}"],
+     {"cli.startup", "famfile.parse", "grassmann.graph", "grassmann.verdict"}),
+    (["rank", "-f", "{fam}"], {"cli.startup", "famfile.parse", "rank.exact", "rank.incidence"}),
+    (["metricdim", "greedy", "2", "5", "2", "--json"],
+     {"cli.startup", "grassmann.graph", "search.distance_rows", "search.greedy"}),
+]
+
+
+def test_trace_child_records_each_layer(tmp_path):
+    # the harness rebinds names on `grassmd.cli` and wraps module functions;
+    # each call must still reach the wrappers
+    script = Path(grassmd.__file__).parents[2] / "perfbench" / "trace_child.py"
+    fam, spans = str(tmp_path / "fam.txt"), tmp_path / "spans.json"
+    for argv, names in TRACED_SPANS:
+        argv = [a.format(fam=fam) for a in argv]
+        run_python(str(script), str(spans), str(time.perf_counter()), "0", "--", *argv)
+        assert {span["name"] for span in json.loads(spans.read_text())} == names, argv[0]
 
 
 def test_unknown_attribute_still_raises():
@@ -81,7 +170,7 @@ def test_unknown_attribute_still_raises():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_import_restores_the_collector_state(enabled):
-    out = run_python(f"import gc\n"
+    out = run_python("-c", f"import gc\n"
                      f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
                      f"import grassmd\n"
                      f"print(gc.isenabled())\n")

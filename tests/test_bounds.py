@@ -1,4 +1,4 @@
-"""Size bounds: logarithmic lower bound, Babai-style upper bounds, comparison."""
+"""Size bounds: the diameter lower bound, Babai-style upper bounds, comparison."""
 
 import math
 
@@ -12,19 +12,43 @@ from grassmd.bounds import (
     compare,
     csv_row,
     distance_class_size,
+    log_estimate,
     lower_bound,
 )
+from grassmd.gfq import field_new
+from grassmd.grassmann import GrassmannGraph
+from grassmd.search import metric_dimension_greedy
 from grassmd.subspaces import gaussian_binomial
 from oracles import gaussian_binomial_pascal
 
 
-def test_lower_bound_is_log_base_k():
+def test_log_estimate_is_log_base_k():
     # float recomputation, independent of the mpmath evaluation inside
     for q, n, k in [(2, 4, 2), (2, 6, 3), (3, 5, 2)]:
         nv = gaussian_binomial(n, k, q)
-        assert lower_bound(q, n, k) == pytest.approx(math.log(nv, k), abs=1e-9)
+        assert log_estimate(q, n, k) == pytest.approx(math.log(nv, k), abs=1e-9)
     with pytest.raises(InvalidArgs):
-        lower_bound(2, 4, 1)
+        log_estimate(2, 4, 1)
+
+
+def test_lower_bound_is_least_m_with_n_at_most_m_plus_d_to_the_m():
+    for q in (2, 3, 4, 5):
+        for n in range(2, 9):
+            for k in range(1, n):
+                nv, d, m = gaussian_binomial(n, k, q), min(k, n - k), lower_bound(q, n, k)
+                assert nv <= m + d ** m, (q, n, k)
+                assert m == 0 or nv > (m - 1) + d ** (m - 1), (q, n, k)
+
+
+def test_lower_bound_pinned_and_below_resolving_sets():
+    assert lower_bound(2, 4, 2) == 5  # 4 + 2^4 < 35 <= 5 + 2^5, and mu = 6
+    assert lower_bound(3, 4, 1) == 39  # the complete graph K_40
+    for q, n, k in [(2, 4, 2), (3, 4, 2), (2, 5, 2)]:
+        g = GrassmannGraph(field_new(q), n, k)
+        assert lower_bound(q, n, k) <= len(metric_dimension_greedy(g))
+    for n, k in [(4, 0), (4, 4), (4, 5)]:
+        with pytest.raises(InvalidArgs):
+            lower_bound(2, n, k)
 
 
 def test_babai_general_pinned():
@@ -106,6 +130,7 @@ def test_compare_report_fields():
     assert rep.constructive_below_general
     j = rep.to_json()
     assert j["babai_M"] == 18 and j["log_base"] == "e"
+    assert rep.lower_bound == j["lower_bound"] == 5
 
 
 def test_compare_spread_case():
@@ -142,4 +167,5 @@ def test_large_instance_stays_finite():
     rep = compare(3, 12, 6)
     assert rep.num_vertices == gaussian_binomial(12, 6, 3)
     assert rep.babai_general > rep.lower_log > 0
+    assert rep.lower_bound == lower_bound(3, 12, 6) > 0
     assert math.isfinite(rep.babai_general) and math.isfinite(rep.babai_strong)

@@ -266,6 +266,7 @@ def test_bounds_single_json():
     assert rc == 0
     payload = json.loads(out)
     assert payload["babai_M"] == 18 and payload["constructive_bound"] == 15
+    assert payload["lower_bound"] == 5
     check_schema(payload)
 
 
@@ -291,12 +292,14 @@ def test_bounds_grid_json_is_one_object():
     assert payload == {"command": "bounds", "grid": singles}
 
 
-# SHA-256 of these outputs before `bounds` was imported on demand and
-# BoundsReport became a NamedTuple
+# SHA-256 of these outputs once the integer lower bound m + D^m >= N joined
+# them; apart from it (a JSON field, a CSV column, one text line, and
+# `log_k N` relabelled as an estimate) they are the outputs pinned since
+# `bounds` was imported on demand and BoundsReport became a NamedTuple
 @pytest.mark.parametrize("argv,digest", [
-    (["2", "4", "2", "--json"], "2bf7415b3145b590c535c900ffb7a3f3aba0ddab3d9961678b00d24e867ff16c"),
-    (["3", "6", "2"], "c9f47d284b46287cdf4ee768b168dc1d588cbdd60d2e408b6d35317aef921c57"),
-    (["--grid", "2:4:2,3:6:2"], "fa291b96d9892348cc1b2aba7458e688693f5503ed3e603674e21e6d69996743"),
+    (["2", "4", "2", "--json"], "7536d36e1729ce7b949d574468909936619671b61dfe289162d6eea0ca2c8e68"),
+    (["3", "6", "2"], "aa0907e0f0ec1fa05eb2a2a2545a08e8a157c92e62c45f66b3862a4ab1abc15b"),
+    (["--grid", "2:4:2,3:6:2"], "9c1dfb42a1bdae60031defbbb4af49ddda8207f12a666cec0fb17e99ce60d4ab"),
 ])
 def test_bounds_output_is_pinned(argv, digest):
     rc, out, _ = run(["bounds", *argv])
