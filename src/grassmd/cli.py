@@ -264,6 +264,10 @@ def _cmd_metricdim(args) -> int:
     from .gfq import field_new
 
     ctx = field_new(args.q)
+    if args.method == "exact":
+        from .search import check_exact_graph
+
+        check_exact_graph(args.q, args.n, args.k, args.limit)
     g = _lookup("GrassmannGraph")(ctx, args.n, args.k)
     t0 = time.perf_counter()
     if args.method == "exact":

@@ -5,8 +5,9 @@ its own: Gaussian binomials by the Pascal recurrence, point incidence by
 membership tests, codes by stacked RREF ranks, graph distance by BFS,
 adjacency by one tuple RREF per candidate neighbour,
 small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
-distinguishers by comparing every entry of two rows, the greedy
-resolving set by one `np.unique` refinement per candidate, the Gram
+distinguishers by comparing every entry of two rows, a minimum hitting
+set by branch and bound pruned with the disjoint-packing bound alone, the
+greedy resolving set by one `np.unique` refinement per candidate, the Gram
 table M^T M by a float64 product of the dense incidence matrix, a
 family file by one `MatGFq` and one `Subspace` per block, and GF(q^t)
 products by polynomial multiplication and reduction (`ExtensionField`),
@@ -142,6 +143,44 @@ def pair_distinguishers(dist_rows) -> list:
                     m |= 1 << v
             out.append(m)
     return out
+
+
+def minimum_hitting_set_by_packing(sets: list, nv: int) -> tuple:
+    """(size, sorted vertex list) of a minimum hitting set: the same greedy
+    seed, branching order and pruning test as `search.minimum_hitting_set`,
+    with the pairwise-disjoint packing of uncovered sets as the only lower
+    bound and no repeated set dropped."""
+    sets = sorted((m for m in sets if m), key=int.bit_count)
+    uncovered, best = list(sets), []
+    while uncovered:  # greedy cover: the vertex in the most sets, smallest first
+        counts = [sum(m >> v & 1 for m in uncovered) for v in range(nv)]
+        v = max(range(nv), key=lambda v: counts[v])
+        best.append(v)
+        uncovered = [m for m in uncovered if not m >> v & 1]
+    best_size = len(best)
+
+    def packing(uncovered) -> int:
+        used = count = 0
+        for m in uncovered:
+            if not m & used:
+                used |= m
+                count += 1
+        return count
+
+    def rec(chosen, uncovered):
+        nonlocal best, best_size
+        if not uncovered:
+            if len(chosen) < best_size:
+                best, best_size = list(chosen), len(chosen)
+            return
+        if len(chosen) + packing(uncovered) >= best_size:
+            return
+        for v in range(nv):
+            if uncovered[0] >> v & 1:
+                rec(chosen + [v], [m for m in uncovered if not m >> v & 1])
+
+    rec([], sets)
+    return best_size, sorted(best)
 
 
 def greedy_ordinals(g) -> list:

@@ -353,6 +353,25 @@ def test_metricdim_exact_limit_is_enforced():
     assert "exceed" in err
 
 
+@pytest.mark.parametrize("n,vertices", [(10, 174251), (12, 2794155)])
+def test_metricdim_exact_refuses_over_limit_before_enumerating(monkeypatch, n, vertices):
+    # [n 2]_2 alone decides the refusal: the graph is never built, so the
+    # enumeration budget (2794155 > 10^6) is not what refuses G_2(12,2)
+    def no_graph(*args):
+        raise AssertionError("the graph was enumerated")
+
+    monkeypatch.setattr(cli, "GrassmannGraph", no_graph, raising=False)
+    rc, out, err = run(["metricdim", "exact", "2", str(n), "2"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {vertices} vertices exceed exact-search limit 120\n"
+
+
+def test_metricdim_exact_reports_field_and_shape_before_the_limit():
+    assert run(["metricdim", "exact", "6", "12", "2"])[2] == "error: 6 is not a prime power\n"
+    rc, _, err = run(["metricdim", "exact", "2", "12", "7"])
+    assert (rc, err) == (2, "error: need 2 <= k <= n/2, got n=12 k=7\n")
+
+
 def test_metricdim_witness_verifies():
     rc, famtext, _ = run(["metricdim", "greedy", "2", "4", "2"])
     body = "\n".join(ln for ln in famtext.splitlines() if not ln.startswith("#"))

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grassmd import search
@@ -17,6 +17,8 @@ from grassmd.errors import BudgetExceeded, InvalidArgs
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
 from grassmd.search import (
+    _greedy_cover,
+    _landmark_instances,
     _two_landmark_dimension,
     metric_dimension_exact,
     metric_dimension_from_distances,
@@ -25,7 +27,7 @@ from grassmd.search import (
     pair_distinguishers,
 )
 from grassmd.subspaces import SubspaceFamily
-from oracles import greedy_ordinals
+from oracles import greedy_ordinals, minimum_hitting_set_by_packing
 from oracles import pair_distinguishers as pair_distinguishers_oracle
 
 
@@ -109,6 +111,7 @@ def test_minimum_hitting_set_witness_follows_branch_order(sets, nv, picks):
     # the greedy cover takes 3 picks here, so the witness is the first optimum
     # the search meets; it branches on the smallest uncovered set, earliest
     # in input order among equals, and tries its vertices in ascending order
+    assert len(_greedy_cover(sorted(sets, key=int.bit_count), nv)) == 3
     assert minimum_hitting_set(sets, nv) == (2, picks)
 
 
@@ -135,6 +138,29 @@ def test_minimum_hitting_set_matches_brute_force(system):
     assert size == brute_force_hitting_size(sets, nv) == len(picks)
     mask = sum(1 << v for v in picks)
     assert all(s & mask for s in sets)
+
+
+@st.composite
+def sparse_set_systems(draw):
+    # sets of 1-4 vertices, often repeated: the greedy cover misses the
+    # optimum on about one system in twelve
+    nv = draw(st.integers(1, 12))
+    members = st.lists(st.integers(0, nv - 1), min_size=1, max_size=4)
+    sets = draw(st.lists(members.map(lambda vs: sum(1 << v for v in set(vs))), max_size=30))
+    return sets, nv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(set_systems(), sparse_set_systems()))
+@example(([0b11010, 0b10101001, 0b100000011, 0b111000000], 9))
+@example(([0b10100101, 0b1001001, 0b11010010, 0b111001, 0b11010100, 0b101000], 8))
+@example(([0b11, 0b11, 0b110, 0b1100, 0b1100, 0b1001], 4))
+def test_minimum_hitting_set_matches_packing_oracle(system):
+    # the stronger bound never exceeds the true minimum and the pruning test
+    # is unchanged, so the search records the same improvements: the same
+    # size and the same picks as the packing-only search
+    sets, nv = system
+    assert minimum_hitting_set(sets, nv) == minimum_hitting_set_by_packing(sets, nv)
 
 
 def test_pair_distinguishers_path():
@@ -289,6 +315,21 @@ def test_two_landmark_reduction_matches_unreduced(rows, mu):
     assert len(picks) == mu and picks[0] == 0
     codes = {tuple(row[v] for v in picks) for row in rows}
     assert len(codes) == len(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    bfs_rows(cycle_adj(7)), bfs_rows(petersen_adj()), bfs_rows(cube_adj()), bfs_rows(k33_adj()),
+    GrassmannGraph(field_new(2), 4, 2).distance_rows(),
+], ids=["C_7", "Petersen", "Q_3", "K_3,3", "G_2(4,2)"])
+def test_landmark_instances_match_packing_oracle(rows):
+    nv = len(rows)
+    instances = list(_landmark_instances(rows))
+    assert [r for r, _ in instances] == [list(rows[0]).index(j) for j in range(1, len(instances) + 1)]
+    for _, sets in instances:
+        assert minimum_hitting_set(sets, nv) == minimum_hitting_set_by_packing(sets, nv)
+    if nv < 35:  # the packing-only search takes about 5 s on G_2(4,2)'s unreduced sets
+        sets = pair_distinguishers(rows)
+        assert minimum_hitting_set(sets, nv) == minimum_hitting_set_by_packing(sets, nv)
 
 
 def test_exact_dimension_smallest_grassmann():
