@@ -25,7 +25,7 @@ _EXPORTS = {
     "famfile": "format_family parse_family",
     "gfq": "FieldCtx factor_prime_power field_new",
     "grassmann": "GrassmannGraph ResolvingVerdict bfs_distances_from codes_table distance "
-                 "edge_list is_resolving",
+                 "is_resolving",
     "linalg": "MatGFq intersect_dim",
     "rank": "IncidenceMatrix RankCertificate certify_resolving_by_rank exact_rank "
             "gram_closed_form incidence_matrix verify_gram",

@@ -26,7 +26,6 @@ from .constructions import (
 )
 from .gfq import field_new
 from .grassmann import GrassmannGraph, bfs_distances_from, is_resolving
-from .linalg import intersect_dim
 from .rank import (
     BareissEliminator,
     certify_resolving_by_rank,
@@ -35,7 +34,12 @@ from .rank import (
     verify_gram,
 )
 from .search import metric_dimension_exact, metric_dimension_from_distances
-from .subspaces import SubspaceFamily, enumerate_bases, gaussian_binomial
+from .subspaces import (
+    SubspaceFamily,
+    bases_point_ordinals,
+    enumerate_bases,
+    gaussian_binomial,
+)
 
 RANK_GRID = [
     ((2, 4, 2), 15),
@@ -222,31 +226,26 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Spread axioms, exhaustively: unique cover and trivial intersections."""
-    from itertools import product
+    """Spread axioms, exhaustively: unique cover and trivial intersections.
 
+    Scaling keeps a vector in a subspace, so both axioms are statements
+    about the [n 1]_q points: each lies in exactly one member (unique
+    cover) and in at most one (members pairwise trivial).  One bincount of
+    the members' point ordinals counts the members through every point."""
     t0 = time.perf_counter()
     details = {}
     ok = True
     for (q, n, t), want_count in SPREAD_GRID:
         ctx = field_new(q)
-        members = list(build_spread(ctx, n, t))
-        cover_ok = True
-        for v in product(range(q), repeat=n):
-            if not any(v):
-                continue
-            if sum(1 for m in members if m.contains(v)) != 1:
-                cover_ok = False
-                break
-        pair_ok = all(
-            intersect_dim(members[i].basis, members[j].basis) == 0
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        )
-        good = len(members) == want_count and cover_ok and pair_ok
+        fam = build_spread(ctx, n, t)
+        through = np.bincount(bases_point_ordinals(ctx, fam.bases).ravel(),
+                              minlength=gaussian_binomial(n, 1, q))
+        cover_ok = bool((through == 1).all())
+        pair_ok = bool((through <= 1).all())
+        good = len(fam) == want_count and cover_ok and pair_ok
         ok = ok and good
         details[f"{q},{n},t={t}"] = {
-            "members": len(members),
+            "members": len(fam),
             "expected": want_count,
             "unique_cover": cover_ok,
             "pairwise_trivial": pair_ok,

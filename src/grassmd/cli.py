@@ -119,7 +119,8 @@ def _cmd_partition(args) -> int:
                                 "spread part"]),
         format_family(args.q, args.n, part.t, part.tail_part,
                       comments=["tail part"]),
-        format_family(args.q, args.n, part.Z.dim, SubspaceFamily([part.Z]),
+        format_family(args.q, args.n, len(part.Z),
+                      SubspaceFamily.from_bases(ctx, part.Z[None]),
                       comments=["joining subspace Z"]),
     ]
     _emit(sections, args.output)

@@ -31,9 +31,7 @@ import numpy as np
 
 from .errors import InvalidArgs, InvalidShape, NotDivisor
 from .gfq import FieldCtx, digit_rows, gf_matmul, power_basis_matrices
-from .rank import row_rank_profile
 from .subspaces import (
-    Subspace,
     SubspaceFamily,
     bases_incidence_block,
     basis_keys,
@@ -51,8 +49,9 @@ class MixedPartition(NamedTuple):
 
     spread_part holds the W_i — a (k+1)-spread of the leading s coordinates,
     embedded in V(n,q); tail_part holds the q^s graph subspaces X_j covering
-    everything outside; Z is the fixed (k-t+1)-subspace inside W_1 used to
-    fatten each X_j to dimension k+1.
+    everything outside; Z, the read-only (k-t+1, n) RREF basis of the first
+    k-t+1 rows of W_1, spans the fixed subspace used to fatten each X_j to
+    dimension k+1.
     """
 
     ctx: FieldCtx
@@ -62,7 +61,7 @@ class MixedPartition(NamedTuple):
     t: int
     spread_part: SubspaceFamily
     tail_part: SubspaceFamily
-    Z: Subspace
+    Z: np.ndarray
 
 
 def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
@@ -139,9 +138,10 @@ def build_mixed_partition(ctx: FieldCtx, n: int, k: int) -> MixedPartition:
     graphs = gf_matmul(ctx, a, powers)[:, :, 0]  # (q^s, t, s)
     ids = np.broadcast_to(np.eye(t, dtype=np.uint8), (len(graphs), t, t))
     tail = gf_rref(ctx, np.concatenate([graphs, ids], axis=2))
-    z = SubspaceFamily.from_bases(ctx, w[:1, :k - t + 1])[0]  # inside W_1
-    return MixedPartition(ctx, n, k, s, t, SubspaceFamily.from_bases(ctx, w),
-                          SubspaceFamily.from_bases(ctx, tail), z)
+    spread = SubspaceFamily.from_bases(ctx, w)
+    # Z: leading rows of W_1's RREF basis, so RREF too; a read-only view
+    return MixedPartition(ctx, n, k, s, t, spread, SubspaceFamily.from_bases(ctx, tail),
+                          spread.bases[0, :k - t + 1])
 
 
 def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
@@ -155,7 +155,7 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     # X_j meets V(s,q) trivially and Z, the first k-t+1 rows of W_1, sits
     # inside it, so X_j + Z has dimension k+1
     w, x = part.spread_part.bases, part.tail_part.bases
-    z = np.broadcast_to(w[0, :k - part.t + 1], (len(x), k - part.t + 1, n))
+    z = np.broadcast_to(part.Z, (len(x), *part.Z.shape))
     fattened = gf_rref(ctx, np.concatenate([x, z], axis=1))
     fam = _k_subspaces_in(ctx, k, np.concatenate([w, fattened]))
     if part.t == 1:
@@ -167,6 +167,9 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
 def resolving_greedy_rank(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     """Keep each k-subspace (canonical order) whose incidence vector raises
     the exact rational rank; stops at full rank [n 1]_q."""
+    # imported here, so the spread and the partition do not load `rank`
+    from .rank import row_rank_profile
+
     check_graph_shape(n, k)
     target = gaussian_binomial(n, 1, ctx.q)
     bases = enumerate_bases(ctx, n, k)

@@ -17,7 +17,11 @@ partition tail multiplies all of GF(q^s) by the power basis of GF(q^t).
 
 :class:`FieldCtx` is GF(q) for q <= DEFAULT_MAX_ORDER in lookup tables:
 for q = p^e with e > 1 it tabulates those products over GF(p), and a
-prime field is plain mod-p arithmetic with the modulus x.  A context is
+prime field is plain mod-p arithmetic with the modulus x.  Each table is
+built once and kept twice: as tuples (`add_table`, `mul_table`,
+`neg_table`, `inv_table`) for element-wise code, and as read-only uint8
+arrays (`add_array`, `mul_array`, `neg_array`, `inv_array`) that the array
+kernels index without converting.  A context is
 immutable and safe to share; it is passed explicitly wherever elements are
 combined.
 
@@ -135,6 +139,11 @@ class FieldCtx:
         self.mul_table = tuple(map(tuple, mul.tolist()))
         self.neg_table = tuple(row.index(0) for row in self.add_table)
         self.inv_table = (0,) + tuple(row.index(1) for row in self.mul_table[1:])
+        arrays = [np.array(table, dtype=np.uint8) for table in
+                  (self.add_table, self.mul_table, self.neg_table, self.inv_table)]
+        for table in arrays:
+            table.flags.writeable = False
+        self.add_array, self.mul_array, self.neg_array, self.inv_array = arrays
 
     # -- element operations --------------------------------------------
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -198,8 +207,7 @@ def gf_matmul(ctx: FieldCtx, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarra
     (..., r, d) times (..., d, n) gives (..., r, n).  The one array
     product, of coefficient rows and bases and of GF(q^t) elements, by
     table lookups."""
-    add = np.array(ctx.add_table, dtype=np.uint8)
-    mul = np.array(ctx.mul_table, dtype=np.uint8)
+    add, mul = ctx.add_array, ctx.mul_array
     out = mul[coeffs[..., :, 0, None], bases[..., None, 0, :]]
     for i in range(1, coeffs.shape[-1]):
         out = add[out, mul[coeffs[..., :, i, None], bases[..., None, i, :]]]

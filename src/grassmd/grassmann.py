@@ -8,7 +8,8 @@ distance vector ("code") against S.
 A graph is its sorted (V, k, n) uint8 array of RREF bases from
 `subspaces.enumerate_bases`, which every method reads: an ordinal is a
 binary search of a basis's byte key (`subspaces.basis_keys`), and
-`Subspace` objects are built only on request.  One gather kernel fills
+`vertex(i)` builds a `Subspace` object only for a verdict's colliding
+pair or on request.  One gather kernel fills
 every code table, one (S, m) uint8 array, and with the family set to all
 vertices the read-only all-pairs distance table.  Two k-subspaces meeting
 in dimension j share exactly [j 1]_q points, so the shared-point count of
@@ -60,9 +61,9 @@ class GrassmannGraph:
     """The vertex array plus lazily built tables; 2 <= k <= n/2 enforced.
 
     `bases` is the read-only (V, k, n) uint8 array of RREF bases in public
-    order; `vertices`, a tuple of `Subspace`, is built on first use."""
+    order; `vertex(i)` builds one `Subspace` from its row."""
 
-    __slots__ = ("ctx", "n", "k", "bases", "_vertices", "_dist_rows", "_adj")
+    __slots__ = ("ctx", "n", "k", "bases", "_dist_rows", "_adj")
 
     def __init__(self, ctx: FieldCtx, n: int, k: int):
         check_graph_shape(n, k)
@@ -70,7 +71,7 @@ class GrassmannGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "bases", enumerate_bases(ctx, n, k))
-        for name in ("_vertices", "_dist_rows", "_adj"):
+        for name in ("_dist_rows", "_adj"):
             object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
@@ -78,12 +79,6 @@ class GrassmannGraph:
 
     def __len__(self):
         return len(self.bases)
-
-    @property
-    def vertices(self) -> tuple:
-        if self._vertices is None:
-            object.__setattr__(self, "_vertices", tuple(subspaces_from_bases(self.ctx, self.bases)))
-        return self._vertices
 
     def vertex(self, i: int) -> Subspace:
         """Vertex i, built from its array row alone."""
@@ -99,11 +94,6 @@ class GrassmannGraph:
             raise InvalidArgs(f"basis {bases[np.argmin(hit)].tolist()} is not a vertex "
                               f"of G_{self.ctx.q}({self.n},{self.k})")
         return found
-
-    def ordinal(self, s: Subspace) -> int:
-        if s.ctx != self.ctx:
-            raise InvalidArgs(f"{s!r} is not a vertex of G_{self.ctx.q}({self.n},{self.k})")
-        return int(self.ordinals(np.array([s.basis.data], dtype=np.uint8))[0])
 
     def distance_rows(self) -> np.ndarray:
         """Read-only (V, V) uint8 array, row i = distances from vertex i, read in place."""
@@ -132,8 +122,7 @@ class GrassmannGraph:
             reps = np.array(list(point_reps(q, n - k + 1)), dtype=np.uint8)
             check_budget(len(self) * len(coeffs) * len(reps), "adjacency candidates", cells=True)
             degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
-            add, mul, neg = (np.array(t, dtype=np.uint8)
-                             for t in (ctx.add_table, ctx.mul_table, ctx.neg_table))
+            add, mul, neg = ctx.add_array, ctx.mul_array, ctx.neg_array
             adj = np.empty((len(self), degree), dtype=np.int32 if len(self) < 2**31 else np.intp)
             step = max(1, CELLS_PER_BLOCK // (len(coeffs) * len(reps)))
             for lo in range(0, len(self), step):
@@ -353,8 +342,3 @@ def edge_rows(g: GrassmannGraph):
     in order, read off the distance table one row at a time."""
     for u, row in enumerate(g.distance_rows()):
         yield u, np.flatnonzero(row[u + 1:] == 1) + u + 1
-
-
-def edge_list(g: GrassmannGraph) -> list:
-    """Sorted 0-based ordinal pairs (u, v), u < v, of adjacent vertices."""
-    return [(u, v) for u, vs in edge_rows(g) for v in vs.tolist()]

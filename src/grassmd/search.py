@@ -48,6 +48,8 @@ copy, so the distance table's V^2 ceiling bounds the greedy too.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgs
@@ -79,18 +81,19 @@ def _members(mask: int):
 
 def _greedy_cover(sets: list, nv: int) -> list:
     """Cheap feasible hitting set: repeatedly take the vertex in the most
-    uncovered sets (smallest ordinal on ties)."""
-    uncovered = list(sets)
+    uncovered sets, repeats included (smallest ordinal on ties).  Each
+    distinct set is walked once, weighted by how often it occurs."""
+    uncovered = Counter(sets)
     chosen = []
     while uncovered:
         counts = [0] * nv
-        for m in uncovered:
+        for m, times in uncovered.items():
             for v in _members(m):
-                counts[v] += 1
+                counts[v] += times
         best = max(range(nv), key=lambda v: counts[v])
         chosen.append(best)
         bit = 1 << best
-        uncovered = [m for m in uncovered if not m & bit]
+        uncovered = {m: times for m, times in uncovered.items() if not m & bit}
     return chosen
 
 

@@ -18,8 +18,9 @@ representatives (first nonzero coordinate scaled to 1), in ascending
 big-endian integer encoding (`point_reps`).  The one incidence builder,
 `bases_point_ordinals`, lists the point ordinals of a whole array of bases
 at once, and `bases_incidence_block` scatters them into dense 0/1 rows.
-The tests check it against membership tests (`Subspace.contains`) and the
-product formula of `gaussian_binomial` against the Pascal recurrence.
+The tests check it against membership tests by reduction against the RREF
+basis, and the product formula of `gaussian_binomial` against the Pascal
+recurrence, both in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -139,22 +140,6 @@ class Subspace:
         rows = tuple(rows)
         gens = MatGFq(ctx, len(rows), n, rows)  # checks the shape and the entries
         return cls._from_rref(ctx, n, rref_rows(ctx, gens.data, n)[0])
-
-    @property
-    def pivots(self) -> tuple:
-        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis.data)
-
-    def contains(self, v) -> bool:
-        """Membership test by reduction against the RREF basis."""
-        ctx = self.ctx
-        add_t, mul_t, neg_t = ctx.add_table, ctx.mul_table, ctx.neg_table
-        v = list(v)
-        for p, row in zip(self.pivots, self.basis.data):
-            f = v[p]
-            if f:
-                mrow = mul_t[neg_t[f]]
-                v = [add_t[x][mrow[y]] for x, y in zip(v, row)]
-        return not any(v)
 
     def to_text(self) -> str:
         """dim lines of n space-separated element encodings."""
@@ -306,7 +291,7 @@ def point_reps(q: int, n: int):
 def gf_rref(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
     """RREF of every (r, n) matrix of rank r in an (S, r, n) uint8 array:
     Gauss-Jordan on all S at once, scaling and clearing by `gf_matmul`."""
-    add, neg, inv = (np.array(t, dtype=np.uint8) for t in (ctx.add_table, ctx.neg_table, ctx.inv_table))
+    add, neg, inv = ctx.add_array, ctx.neg_array, ctx.inv_array
     m, at = np.array(mats, dtype=np.uint8), np.arange(len(mats))
     for i in range(m.shape[1]):
         rest = m[:, i:] != 0

@@ -2,7 +2,9 @@
 
 Nothing in `grassmd` calls these.  Each computes its answer by a route of
 its own: Gaussian binomials by the Pascal recurrence, point incidence by
-membership tests, codes by stacked RREF ranks, graph distance by BFS,
+membership tests (reduction against a `Subspace`'s RREF basis), codes by
+stacked RREF ranks, graph distance by BFS, a graph's edges from its
+distance table,
 adjacency by one tuple RREF per candidate neighbour,
 small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
 distinguishers by comparing every entry of two rows, a minimum hitting
@@ -24,7 +26,7 @@ from grassmd.gfq import (
     _smallest_irreducible,
     field_new,
 )
-from grassmd.grassmann import bfs_distances_from, distance
+from grassmd.grassmann import bfs_distances_from, distance, edge_rows
 from grassmd.linalg import MatGFq, mat_mul, rref_rows
 from grassmd.subspaces import (
     Subspace,
@@ -34,6 +36,7 @@ from grassmd.subspaces import (
     enumerate_k_subspaces,
     gaussian_binomial,
     point_reps,
+    subspaces_from_bases,
 )
 
 
@@ -67,9 +70,43 @@ class PointIndex:
         return self._pos[self.normalize(v)]
 
 
+def pivots(s: Subspace) -> tuple:
+    """The leading column of each row of s's RREF basis."""
+    return tuple(next(c for c, x in enumerate(row) if x) for row in s.basis.data)
+
+
+def contains(s: Subspace, v) -> bool:
+    """Whether the vector v lies in s, by reduction against its RREF basis."""
+    ctx = s.ctx
+    add_t, mul_t, neg_t = ctx.add_table, ctx.mul_table, ctx.neg_table
+    v = list(v)
+    for p, row in zip(pivots(s), s.basis.data):
+        f = v[p]
+        if f:
+            mrow = mul_t[neg_t[f]]
+            v = [add_t[x][mrow[y]] for x, y in zip(v, row)]
+    return not any(v)
+
+
+def vertices(g) -> list:
+    """Every vertex of g as a `Subspace`, in ordinal order."""
+    return subspaces_from_bases(g.ctx, g.bases)
+
+
+def ordinal(g, s: Subspace) -> int:
+    """The ordinal of the vertex s of g, by `GrassmannGraph.ordinals`."""
+    return int(g.ordinals(np.array([s.basis.data], dtype=np.uint8))[0])
+
+
+def edge_list(g) -> list:
+    """Sorted ordinal pairs (u, v), u < v, of the vertices at distance 1 in
+    g's distance table."""
+    return [(u, v) for u, vs in edge_rows(g) for v in vs.tolist()]
+
+
 def incidence_vector(u, idx: PointIndex) -> tuple:
-    """0/1 membership of the points of idx in u, by `Subspace.contains`."""
-    return tuple(1 if u.contains(p) else 0 for p in idx.points)
+    """0/1 membership of the points of idx in u, by `contains`."""
+    return tuple(1 if contains(u, p) else 0 for p in idx.points)
 
 
 def code_of(w, family) -> tuple:
@@ -79,7 +116,7 @@ def code_of(w, family) -> tuple:
 
 def bfs_distance(g, a, b) -> int:
     """Shortest-path distance between two vertices, by breadth-first search."""
-    return bfs_distances_from(g, g.ordinal(a))[g.ordinal(b)]
+    return bfs_distances_from(g, ordinal(g, a))[ordinal(g, b)]
 
 
 def adjacency_lists(g) -> list:
@@ -90,9 +127,9 @@ def adjacency_lists(g) -> list:
     hyperplanes = enumerate_k_subspaces(ctx, k, k - 1)  # coefficient rows
     quotient = list(point_reps(q, n - k + 1))
     degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
-    index = {s.basis.data: i for i, s in enumerate(g.vertices)}
+    index = {s.basis.data: i for i, s in enumerate(vertices(g))}
     adj = []
-    for a in g.vertices:
+    for a in vertices(g):
         nbrs = set()
         for c in hyperplanes:
             h_rows, h_pivots = rref_rows(ctx, mat_mul(c.basis, a.basis).data, n)

@@ -12,9 +12,11 @@ from functools import lru_cache
 from importlib.resources import files
 
 import jsonschema
+import numpy as np
 import pytest
 
 from grassmd import acceptance
+from grassmd.subspaces import SubspaceFamily
 from grassmd.bounds import babai_general, babai_strong, lower_bound
 
 
@@ -91,6 +93,42 @@ def test_criterion_07_spreads_partition_the_nonzero_vectors():
         assert details[key]["members"] == members
         assert details[key]["unique_cover"] is True
         assert details[key]["pairwise_trivial"] is True
+
+
+def spread_with(monkeypatch, change):
+    """Criterion 7 over spreads whose basis arrays `change` rewrites."""
+    build = acceptance.build_spread
+
+    def changed(ctx, n, t):
+        fam = build(ctx, n, t)
+        return SubspaceFamily.from_bases(ctx, change(fam.bases))
+
+    monkeypatch.setattr(acceptance, "build_spread", changed)
+    return acceptance.criterion_7()
+
+
+@pytest.mark.parametrize("replace", [True, False], ids=["replaced", "added"])
+def test_criterion_07_fails_when_two_members_meet(monkeypatch, replace):
+    # <e_0, e_(n-t+1), ..., e_(n-1)> meets the first member, <e_(n-t), ...,
+    # e_(n-1)>, outside 0; in place of the last member it also leaves points
+    # uncovered, added as one more member it covers some twice and none zero
+    def meeting(bases):
+        _, t, n = bases.shape
+        extra = np.eye(n, dtype=np.uint8)[[0, *range(n - t + 1, n)]]
+        return np.concatenate([bases[:-1] if replace else bases, extra[None]])
+
+    res = spread_with(monkeypatch, meeting)
+    assert not res.passed
+    for details in res.details.values():
+        assert details["unique_cover"] is False and details["pairwise_trivial"] is False
+
+
+def test_criterion_07_fails_when_a_member_is_missing(monkeypatch):
+    res = spread_with(monkeypatch, lambda bases: bases[:-1])
+    assert not res.passed
+    for details in res.details.values():
+        assert details["unique_cover"] is False and details["pairwise_trivial"] is True
+        assert details["members"] == details["expected"] - 1
 
 
 def test_criterion_08_bfs_agrees_with_subspace_distance():

@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "ResolvingVerdict", "Subspace", "SubspaceFamily", "TooLarge", "babai_general",
     "babai_strong", "bfs_distances_from", "build_mixed_partition", "build_spread",
     "certify_resolving_by_rank", "codes_table", "compare", "distance", "distance_class_size",
-    "edge_list", "enumerate_bases", "enumerate_k_subspaces", "exact_rank",
+    "enumerate_bases", "enumerate_k_subspaces", "exact_rank",
     "factor_prime_power", "field_new", "format_family", "gaussian_binomial",
     "gram_closed_form", "incidence_matrix", "intersect_dim", "is_resolving", "lower_bound",
     "metric_dimension_exact", "metric_dimension_from_distances", "metric_dimension_greedy",
@@ -108,15 +108,18 @@ sys.argv = ["grassmd", *{argv!r}]
 runpy.run_module("grassmd.cli", run_name="__main__")
 """
 
-# what every subcommand loads, and what each loads beyond that
+# what every subcommand loads, and what each loads beyond that; the rows
+# share one family file, so those that overwrite it come after its readers
 CLI_BASE_MODULES = {"grassmd", "grassmd.errors", "grassmd.gfq", "grassmd.linalg",
                     "grassmd.subspaces"}
 CLI_MODULES = [
     (["binom", "6", "3", "2"], set()),
-    (["construct", "spread", "2", "6", "2", "-o", "{fam}"], {"famfile", "rank", "constructions"}),
+    (["construct", "spread", "2", "6", "2", "-o", "{fam}"], {"famfile", "constructions"}),
     (["verify", "2", "6", "2", "-f", "{fam}"], {"famfile", "grassmann"}),
     (["rank", "-f", "{fam}"], {"famfile", "rank"}),
     (["metricdim", "greedy", "2", "4", "2", "--json"], {"grassmann", "search"}),
+    (["construct", "partition", "2", "5", "2", "-o", "{fam}"], {"famfile", "constructions"}),
+    (["construct", "greedy", "2", "4", "2", "-o", "{fam}"], {"famfile", "rank", "constructions"}),
 ]
 
 
@@ -279,19 +282,33 @@ def test_one_coefficient_basis_product():
 
 
 def test_families_stay_arrays():
-    # the file format, the constructions, the search and the CLI read and
-    # write a family's basis array; none of them builds or converts
-    # `Subspace` objects through the tuple matrix or its RREF
+    # the file format, the constructions, the search, the rank certificate,
+    # the acceptance grid and the CLI read and write a family's basis array;
+    # none of them names `Subspace` or converts to it through the tuple
+    # matrix or its RREF
     src = Path(grassmd.__file__).parent
-    for stem in ("famfile", "constructions", "search", "cli"):
+    forbidden = {"Subspace", "MatGFq", "rref_rows", "subspaces_from_bases", "basis_array"}
+    for stem in ("famfile", "constructions", "search", "rank", "acceptance", "cli"):
         tree = ast.parse((src / f"{stem}.py").read_text())
         uses = _Uses(stem)
         uses.visit(tree)
         imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         used = {name for _, name in uses.calls + uses.names}
         used |= {alias.name for node in imports for alias in node.names}
-        assert not used & {"MatGFq", "rref_rows", "subspaces_from_bases", "basis_array"}, stem
-        if stem == "famfile":
-            assert "linalg" not in {node.module for node in imports}
+        assert not used & forbidden, (stem, used & forbidden)
+    # the tuple matrices stay behind the `Subspace` edge and the one
+    # independent distance route
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                importers.add(path.stem)
+    assert importers == {"subspaces", "grassmann"}
     assert not hasattr(grassmd.subspaces, "basis_array")
     assert not hasattr(grassmd.subspaces, "incidence_block")
+    # object helpers only the tests use live in tests/oracles.py
+    assert not hasattr(grassmd.subspaces.Subspace, "contains")
+    assert not hasattr(grassmd.subspaces.Subspace, "pivots")
+    for name in ("vertices", "_vertices", "ordinal"):
+        assert not hasattr(grassmd.grassmann.GrassmannGraph, name), name
+    assert not hasattr(grassmd.grassmann, "edge_list")

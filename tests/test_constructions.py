@@ -7,7 +7,7 @@ import pytest
 from grassmd.errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
-from grassmd.linalg import intersect_dim
+from grassmd.linalg import MatGFq, intersect_dim
 from grassmd.constructions import (
     build_mixed_partition,
     build_spread,
@@ -16,12 +16,14 @@ from grassmd.constructions import (
     resolving_greedy_rank,
 )
 from grassmd.rank import certify_resolving_by_rank
-from grassmd.subspaces import gaussian_binomial
+from grassmd.subspaces import Subspace, gaussian_binomial
 from oracles import (
+    contains,
+    ordinal,
     partition_tail_by_extension_field,
-    rank,
+    pivots,
     spread_by_extension_field,
-    stack,
+    vertices,
 )
 
 
@@ -35,7 +37,7 @@ def nonzero_vectors(q, n):
 def assert_exact_cover(q, n, parts):
     # every nonzero vector lies in exactly one part
     for v in nonzero_vectors(q, n):
-        hits = sum(1 for s in parts if s.contains(v))
+        hits = sum(1 for s in parts if contains(s, v))
         assert hits == 1, v
 
 
@@ -113,12 +115,14 @@ def test_mixed_partition_structure(q, n, k):
     # tail parts avoid the leading subspace spanned by the first s coordinates
     for m in tail_members:
         for v in nonzero_vectors(q, n):
-            if m.contains(v):
+            if contains(m, v):
                 assert any(v[s:]), v
-    # joining subspace sits inside the first spread part
+    # joining subspace: a read-only RREF basis of a subspace inside the
+    # first spread part
     w1 = spread_members[0]
-    assert mp.Z.dim == k - t + 1
-    assert rank(stack(w1.basis, mp.Z.basis)) == w1.dim
+    assert mp.Z.shape == (k - t + 1, n) and not mp.Z.flags.writeable
+    z = Subspace(ctx, n, MatGFq(ctx, *mp.Z.shape, mp.Z.tolist()))  # checks RREF
+    assert all(contains(w1, v) for v in z.basis.data)
 
 
 # past the pinned outputs: other fields, degrees and ambient spaces
@@ -187,8 +191,9 @@ def test_constructions_are_vertices_of_the_right_graph():
     for build, n in [(resolving_from_spread, 6), (resolving_greedy_rank, 6),
                      (resolving_from_partition, 5)]:
         g = GrassmannGraph(ctx, n, 2)
+        vs = vertices(g)
         for m in build(ctx, n, 2):
-            assert m.pivots == g.vertices[g.ordinal(m)].pivots
+            assert pivots(m) == pivots(vs[ordinal(g, m)])
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,19 @@ def test_tables_are_pinned():
     )
 
 
+def test_table_arrays_equal_the_tuples_and_refuse_writes():
+    # the array kernels index these; building them once per field must not
+    # let a caller change the field
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        ctx = FieldCtx(q)
+        for name in ("add", "mul", "neg", "inv"):
+            array = getattr(ctx, f"{name}_array")
+            assert array.dtype == np.uint8 and not array.flags.writeable, (q, name)
+            assert np.array_equal(array, np.array(getattr(ctx, f"{name}_table"))), (q, name)
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+
+
 def test_extension_gf27():
     ext = ExtensionField(field_new(3), 3)
     assert ext.order == 27

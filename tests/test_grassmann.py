@@ -18,12 +18,11 @@ from grassmd.grassmann import (
     bfs_distances_from,
     codes_table,
     distance,
-    edge_list,
     is_resolving,
 )
 from grassmd.linalg import intersect_dim
 from grassmd.subspaces import Subspace, SubspaceFamily, bases_point_ordinals, gaussian_binomial
-from oracles import adjacency_lists, bfs_distance, code_of
+from oracles import adjacency_lists, bfs_distance, code_of, edge_list, ordinal, vertices
 from strategies import rref_vertex_pairs
 
 
@@ -71,21 +70,18 @@ def test_graph_vertex_count_and_ordinals(q, n, k):
     g = graph(q, n, k)
     assert len(g) == gaussian_binomial(n, k, q)
     for i in (0, 1, len(g) - 1):
-        assert g.ordinal(g.vertex(i)) == i
+        assert ordinal(g, g.vertex(i)) == i
     assert np.array_equal(g.ordinals(g.bases), np.arange(len(g)))
 
 
-def test_ordinal_refuses_another_field_or_shape():
+def test_ordinals_refuse_a_non_vertex_basis():
+    # an entry outside GF(2), another ambient space, another dimension
     g = graph(2, 4, 2)
-    others = [Subspace.from_rows(field_new(3), 4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
-              Subspace.from_rows(field_new(4), 4, [(1, 0, 0, 0), (0, 1, 0, 3)]),
-              Subspace.from_rows(field_new(2), 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]),
-              Subspace.from_rows(field_new(2), 4, [(1, 0, 0, 0)])]
-    for s in others:
+    others = [[(1, 0, 0, 0), (0, 1, 0, 3)], [(1, 0, 0, 0), (0, 1, 0, 2)],
+              [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], [(1, 0, 0, 0)]]
+    for rows in others:
         with pytest.raises(InvalidArgs, match="is not a vertex"):
-            g.ordinal(s)
-    with pytest.raises(InvalidArgs, match="is not a vertex"):
-        g.ordinals(np.array([[[1, 0, 0, 0], [0, 1, 0, 2]]], dtype=np.uint8))
+            g.ordinals(np.array([rows], dtype=np.uint8))
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (3, 2), (5, 3)])
@@ -98,7 +94,7 @@ def test_graph_rejects_out_of_range_k(n, k):
 def test_distance_rows_structure(q, n, k):
     g = graph(q, n, k)
     rows = g.distance_rows()
-    nv = len(g.vertices)
+    nv = len(g)
     deg = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
     # one read-only array, the same object on every call
     assert isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and rows.shape == (nv, nv)
@@ -118,7 +114,7 @@ def test_distance_rows_structure(q, n, k):
 def test_distance_agrees_with_intersection_dim():
     g = graph(3, 4, 2)
     rng = random.Random(3)
-    vs = g.vertices
+    vs = vertices(g)
     for _ in range(200):
         a, b = rng.choice(vs), rng.choice(vs)
         assert distance(a, b) == 2 - intersect_dim(a.basis, b.basis)
@@ -131,10 +127,11 @@ def test_codes_table_matches_per_vertex_codes(q, n, k):
     # every cell of the shared-point kernel against the RREF route through
     # distance(), over prime and prime-power fields
     g = graph(q, n, k)
-    fam = SubspaceFamily(random.Random(q * 100 + n).sample(g.vertices, 7))
-    rows = codes_table(g.vertices, fam)
-    assert rows.dtype == np.uint8 and rows.shape == (len(g.vertices), 7)
-    for v, row in zip(g.vertices, rows):
+    vs = vertices(g)
+    fam = SubspaceFamily(random.Random(q * 100 + n).sample(vs, 7))
+    rows = codes_table(vs, fam)
+    assert rows.dtype == np.uint8 and rows.shape == (len(vs), 7)
+    for v, row in zip(vs, rows):
         assert tuple(row) == code_of(v, fam)
 
 
@@ -146,40 +143,39 @@ def test_codes_table_rejects_impossible_counts(monkeypatch):
         ords[:, 1] = ords[:, 0]
         return ords
 
-    g = graph(2, 4, 2)
-    fam = SubspaceFamily(list(g.vertices))
+    vs = vertices(graph(2, 4, 2))
+    fam = SubspaceFamily(vs)
     monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", doubled)
     with pytest.raises(GrassmdError, match=r"\[j 1\]_q"):
-        codes_table(g.vertices, fam)
+        codes_table(vs, fam)
 
 
 def test_codes_table_rejects_empty_family():
-    g = graph(2, 4, 2)
     with pytest.raises(InvalidArgs):
-        codes_table(g.vertices, SubspaceFamily([]))
+        codes_table(vertices(graph(2, 4, 2)), SubspaceFamily([]))
 
 
 def test_code_of_matches_distance():
     g = graph(2, 5, 2)
-    fam = SubspaceFamily([g.vertices[0], g.vertices[10], g.vertices[100]])
-    w = g.vertices[42]
+    fam = SubspaceFamily([g.vertex(0), g.vertex(10), g.vertex(100)])
+    w = g.vertex(42)
     assert code_of(w, fam) == tuple(distance(w, m) for m in fam)
 
 
 def test_full_vertex_set_is_resolving():
     g = graph(2, 4, 2)
-    verdict = is_resolving(SubspaceFamily(list(g.vertices)), g)
+    verdict = is_resolving(SubspaceFamily(vertices(g)), g)
     assert verdict.resolving and bool(verdict)
     assert verdict.ordinals is None and verdict.pair is None
 
 
 def test_single_member_collision_is_lexicographically_first():
     g = graph(2, 4, 2)
-    fam = SubspaceFamily([g.vertices[0]])
+    fam = SubspaceFamily([g.vertex(0)])
     verdict = is_resolving(fam, g)
     assert not verdict.resolving and not bool(verdict)
     # recompute the first colliding pair by brute force over all codes
-    codes = [code_of(v, fam) for v in g.vertices]
+    codes = [code_of(v, fam) for v in vertices(g)]
     expected = None
     for i in range(len(codes)):
         for j in range(i + 1, len(codes)):
@@ -190,7 +186,7 @@ def test_single_member_collision_is_lexicographically_first():
             break
     assert verdict.ordinals == expected
     a, b = verdict.pair
-    assert g.ordinal(a) == expected[0] and g.ordinal(b) == expected[1]
+    assert ordinal(g, a) == expected[0] and ordinal(g, b) == expected[1]
     assert code_of(a, fam) == code_of(b, fam)
 
 
@@ -207,14 +203,15 @@ def test_resolving_verdict_matches_profile_distinctness(q, n, k):
     # independent route: a family resolves iff the intersection-dimension
     # profiles of all vertices against it are pairwise distinct
     g = graph(q, n, k)
+    vs = vertices(g)
     rng = random.Random(90 * q + n)
     for size in (1, 2, 3, 5, 8):
         for _ in range(4):
-            picks = rng.sample(range(len(g.vertices)), size)
-            members = [g.vertices[i] for i in picks]
+            picks = rng.sample(range(len(vs)), size)
+            members = [vs[i] for i in picks]
             profiles = [
                 tuple(intersect_dim(v.basis, m.basis) for m in members)
-                for v in g.vertices
+                for v in vs
             ]
             expect = len(set(profiles)) == len(profiles)
             assert is_resolving(SubspaceFamily(members), g).resolving == expect
@@ -222,17 +219,17 @@ def test_resolving_verdict_matches_profile_distinctness(q, n, k):
 
 def test_code_against_all_vertices_has_one_zero():
     g = graph(2, 4, 2)
-    fam = SubspaceFamily(list(g.vertices))
+    fam = SubspaceFamily(vertices(g))
     for i in (0, 9, 34):
-        dists = code_of(g.vertices[i], fam)
+        dists = code_of(g.vertex(i), fam)
         assert dists.count(0) == 1 and dists[i] == 0
 
 
 def test_resolving_monotone_under_superset():
     g = graph(2, 4, 2)
-    base = [g.vertices[i] for i in (0, 1, 2, 7, 9, 11)]
+    base = [g.vertex(i) for i in (0, 1, 2, 7, 9, 11)]
     assert is_resolving(SubspaceFamily(base), g).resolving
-    bigger = base + [g.vertices[20]]
+    bigger = base + [g.vertex(20)]
     assert is_resolving(SubspaceFamily(bigger), g).resolving
 
 
@@ -246,7 +243,7 @@ def test_is_resolving_rejects_bad_input():
     with pytest.raises(InvalidArgs):
         is_resolving(SubspaceFamily([foreign]), g)
     with pytest.raises(InvalidArgs):  # a later member of the wrong shape
-        is_resolving(SubspaceFamily([g.vertices[0], foreign]), g)
+        is_resolving(SubspaceFamily([g.vertex(0), foreign]), g)
 
 
 def test_graph_budget(monkeypatch):
@@ -268,9 +265,9 @@ def test_distance_rows_budget(monkeypatch):
 def test_bfs_matches_algebraic_distance():
     g = graph(2, 4, 2)
     rows = g.distance_rows()
-    for src in range(len(g.vertices)):
+    for src in range(len(g)):
         assert bfs_distances_from(g, src) == list(rows[src])
-    a, b = g.vertices[0], g.vertices[34]
+    a, b = g.vertex(0), g.vertex(34)
     assert bfs_distance(g, a, b) == distance(a, b)
 
 
@@ -281,7 +278,7 @@ def test_adjacency_and_edge_list():
     assert len(edges) == 315  # 35 vertices, 18-regular
     assert all(i < j for i, j in edges)
     assert len(set(edges)) == len(edges)
-    deg = [0] * len(g.vertices)
+    deg = [0] * len(g)
     for i, j in edges:
         deg[i] += 1
         deg[j] += 1
@@ -307,14 +304,22 @@ def test_distance_table_build_peak_memory():
     assert peak < 1.5 * len(g) ** 2
 
 
-def test_verdict_builds_no_vertex_objects():
+def test_verdict_builds_no_vertex_objects(monkeypatch):
     g = graph(3, 4, 2)
     fam = SubspaceFamily([g.vertex(0), g.vertex(50)])
+    built = []
+
+    def counted(ctx, bases):
+        built.append(len(bases))
+        return subspaces_mod.subspaces_from_bases(ctx, bases)
+
+    monkeypatch.setattr(grassmann_mod, "subspaces_from_bases", counted)
     verdict = is_resolving(fam, g)
-    assert g._vertices is None  # only the two colliding vertices were built
+    assert built == [1, 1]  # only the two colliding vertices were built
     i, j = verdict.ordinals
-    assert verdict.pair == (g.vertices[i], g.vertices[j])
-    assert [g.vertex(i) for i in range(len(g))] == list(g.vertices)
+    vs = vertices(g)
+    assert verdict.pair == (vs[i], vs[j])
+    assert [g.vertex(i) for i in range(len(g))] == vs
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (2, 6, 3)])
@@ -322,9 +327,10 @@ def test_verdict_is_unchanged_when_every_digest_collides(monkeypatch, q, n, k):
     # a constant digest puts every row in one bucket, so the verdict and the
     # first pair come from the full-row comparisons alone
     g = graph(q, n, k)
+    vs = vertices(g)
     rng = random.Random(7 * q + n + k)
-    families = [SubspaceFamily(rng.sample(g.vertices, size)) for size in (1, 2, 3, 5, 9)]
-    families.append(SubspaceFamily(list(g.vertices)))  # resolving
+    families = [SubspaceFamily(rng.sample(vs, size)) for size in (1, 2, 3, 5, 9)]
+    families.append(SubspaceFamily(vs))  # resolving
     expected = [is_resolving(fam, g) for fam in families]
     assert any(v.resolving for v in expected) and not all(v.resolving for v in expected)
     calls = []
@@ -343,10 +349,11 @@ def test_first_collision_matches_brute_force_under_constant_digest(monkeypatch):
     monkeypatch.setattr(grassmann_mod, "_row_digests",
                         lambda rows: np.zeros((len(rows), 2), dtype=np.uint64))
     g = graph(2, 5, 2)
+    vs = vertices(g)
     rng = random.Random(11)
     for size in (1, 2, 3, 4):
-        fam = SubspaceFamily(rng.sample(g.vertices, size))
-        codes = [code_of(v, fam) for v in g.vertices]
+        fam = SubspaceFamily(rng.sample(vs, size))
+        codes = [code_of(v, fam) for v in vs]
         first = {}
         pairs = []
         for j, c in enumerate(codes):
@@ -360,13 +367,14 @@ def test_first_collision_matches_brute_force_under_constant_digest(monkeypatch):
 def test_code_table_ceiling_fires_before_points_are_listed(monkeypatch):
     # 35 family members x 15 points exceed the 10 * 50 cell ceiling
     g = graph(2, 4, 2)
-    fam = SubspaceFamily(list(g.vertices))
+    vs = vertices(g)
+    fam = SubspaceFamily(vs)
     monkeypatch.setenv("GRASSMANN_BUDGET", "50")
     monkeypatch.setattr(subspaces_mod, "bases_point_ordinals", unreachable)
     with pytest.raises(BudgetExceeded, match="incidence cells"):
         is_resolving(fam, g)
     with pytest.raises(BudgetExceeded, match="incidence cells"):
-        codes_table(g.vertices, fam)
+        codes_table(vs, fam)
 
 
 def test_distance_rows_ceiling_fires_before_the_kernel(monkeypatch):
@@ -392,7 +400,7 @@ def test_adjacency_comes_from_the_definition(monkeypatch, q, n, k):
     for i in range(0, len(g), max(1, len(g) // 15)):
         for j in adj[i]:
             assert i in adj[j]
-            assert distance(g.vertices[i], g.vertices[j]) == 1
+            assert distance(g.vertex(i), g.vertex(j)) == 1
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (5, 4, 2),

@@ -27,7 +27,7 @@ from grassmd.rank import (
 )
 from grassmd.constructions import resolving_greedy_rank
 from grassmd.subspaces import Subspace, SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
-from oracles import PointIndex, gram_float_product, incidence_vector
+from oracles import PointIndex, contains, gram_float_product, incidence_vector
 
 
 def fraction_rank(rows):
@@ -292,7 +292,7 @@ def test_incidence_rows_match_subspace_membership():
     assert M.rows.shape == (6, len(idx)) and M.rows.dtype == np.uint8
     for sub, row in zip(fam, M.rows.tolist()):
         for p, bit in zip(idx.points, row):
-            assert bit == (1 if sub.contains(p) else 0)
+            assert bit == (1 if contains(sub, p) else 0)
 
 
 @pytest.mark.parametrize(
