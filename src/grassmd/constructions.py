@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgs, InvalidShape, NotDivisor
-from .gfq import FieldCtx, digit_rows, gf_matmul, power_basis_matrices
+from .gfq import FieldCtx, digit_rows, gf_matmul, gf_rref, power_basis_matrices
 from .subspaces import (
     SubspaceFamily,
     bases_incidence_block,
@@ -39,7 +39,6 @@ from .subspaces import (
     check_graph_shape,
     enumerate_bases,
     gaussian_binomial,
-    gf_rref,
     point_reps,
 )
 

@@ -18,12 +18,12 @@ partition tail multiplies all of GF(q^s) by the power basis of GF(q^t).
 :class:`FieldCtx` is GF(q) for q <= DEFAULT_MAX_ORDER in lookup tables:
 for q = p^e with e > 1 it tabulates those products over GF(p), and a
 prime field is plain mod-p arithmetic with the modulus x.  Each table is
-built once and kept twice: as tuples (`add_table`, `mul_table`,
-`neg_table`, `inv_table`) for element-wise code, and as read-only uint8
-arrays (`add_array`, `mul_array`, `neg_array`, `inv_array`) that the array
-kernels index without converting.  A context is
-immutable and safe to share; it is passed explicitly wherever elements are
-combined.
+built once, as a read-only uint8 array (`add_array`, `mul_array`,
+`neg_array`, `inv_array`) that the array kernels index without converting.
+Those kernels are `gf_matmul`, the one product over GF(q), and `gf_rref`,
+the one RREF: Gauss-Jordan on a batch of matrices of any rank.  A context
+is immutable and safe to share; it is passed explicitly wherever elements
+are combined.
 
 The ceilings DEFAULT_MAX_ORDER (for GF(q)) and EXTENSION_MAX_ORDER (for
 GF(q^t)) are fixed; larger orders raise TooLarge.
@@ -36,8 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotPrimePower, TooLarge
-
-FieldElement = int
 
 DEFAULT_MAX_ORDER = 16
 EXTENSION_MAX_ORDER = 4096
@@ -69,11 +67,13 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 # -- polynomial helpers over a FieldCtx ---------------------------------------
 #
 # Polynomials are tuples of scalar encodings, constant term first.  Leading
-# zeros are permitted in intermediate values.
+# zeros are permitted in intermediate values.  The element loops index
+# `tables`, the field's (add, mul, neg) arrays as nested lists.
 
 
-def _poly_rem(field, a, m):
+def _poly_rem(tables, a, m):
     """Remainder of a modulo the monic polynomial m."""
+    add, mul, neg = tables
     rem = list(a)
     dm = len(m) - 1
     for i in range(len(rem) - 1, dm - 1, -1):
@@ -82,11 +82,11 @@ def _poly_rem(field, a, m):
             continue
         rem[i] = 0
         for j in range(dm):
-            rem[i - dm + j] = field.sub(rem[i - dm + j], field.mul(c, m[j]))
+            rem[i - dm + j] = add[rem[i - dm + j]][neg[mul[c][m[j]]]]
     return tuple(rem[:dm])
 
 
-def _is_irreducible(field, m) -> bool:
+def _is_irreducible(tables, q: int, m) -> bool:
     """Trial division of the monic polynomial m by all lower-degree monics."""
     deg = len(m) - 1
     if deg <= 0:
@@ -94,8 +94,8 @@ def _is_irreducible(field, m) -> bool:
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
-        for low in digit_rows(np.arange(field.q**d), field.q, d).tolist():
-            if not any(_poly_rem(field, m, (*low, 1))):
+        for low in digit_rows(np.arange(q**d), q, d).tolist():
+            if not any(_poly_rem(tables, m, (*low, 1))):
                 return False
     return True
 
@@ -106,8 +106,9 @@ def _smallest_irreducible(field, deg: int):
     Candidates are compared as base-q integers of their coefficient vector,
     constant term least significant, which is exactly ascending-code order.
     """
+    tables = [t.tolist() for t in (field.add_array, field.mul_array, field.neg_array)]
     for low in digit_rows(np.arange(field.q**deg), field.q, deg).tolist():
-        if _is_irreducible(field, (*low, 1)):
+        if _is_irreducible(tables, field.q, (*low, 1)):
             return (*low, 1)
     raise AssertionError(f"no irreducible of degree {deg} over GF({field.q})")
 
@@ -135,25 +136,12 @@ class FieldCtx:
             # of the second is the sum of a_j y^j·b over j, that is a·b
             shifted = gf_matmul(base, digits, power_basis_matrices(base, e))
             mul = gf_matmul(base, digits, shifted.reshape(e, q * e)).reshape(q, q, e) @ weights
-        self.add_table = tuple(map(tuple, add.tolist()))
-        self.mul_table = tuple(map(tuple, mul.tolist()))
-        self.neg_table = tuple(row.index(0) for row in self.add_table)
-        self.inv_table = (0,) + tuple(row.index(1) for row in self.mul_table[1:])
-        arrays = [np.array(table, dtype=np.uint8) for table in
-                  (self.add_table, self.mul_table, self.neg_table, self.inv_table)]
+        # -a solves a + x = 0, and 1/a solves a·x = 1 (0 stands in for 1/0)
+        neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
+        arrays = [np.array(table, dtype=np.uint8) for table in (add, mul, neg, inv)]
         for table in arrays:
             table.flags.writeable = False
         self.add_array, self.mul_array, self.neg_array, self.inv_array = arrays
-
-    # -- element operations --------------------------------------------
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.add_table[a][b]
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.add_table[a][self.neg_table[b]]
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.mul_table[a][b]
 
     def __eq__(self, other):
         return (
@@ -193,7 +181,7 @@ def power_basis_matrices(ctx: FieldCtx, t: int) -> np.ndarray:
     modulus = _smallest_irreducible(ctx, t)
     # y·y^i = y^(i+1) below the top, and y^t = -(m_0 + m_1 y + ... + m_(t-1) y^(t-1))
     companion = np.eye(t, k=1, dtype=np.uint8)
-    companion[-1] = [ctx.neg_table[c] for c in modulus[:t]]
+    companion[-1] = ctx.neg_array[list(modulus[:t])]
     powers = [np.eye(t, dtype=np.uint8)]
     for _ in range(1, t):
         powers.append(gf_matmul(ctx, powers[-1], companion))
@@ -207,8 +195,31 @@ def gf_matmul(ctx: FieldCtx, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarra
     (..., r, d) times (..., d, n) gives (..., r, n).  The one array
     product, of coefficient rows and bases and of GF(q^t) elements, by
     table lookups."""
+    if not coeffs.shape[-1]:  # the empty sum: np.matmul's zeros, in the product's shape
+        return np.matmul(coeffs, bases)
     add, mul = ctx.add_array, ctx.mul_array
     out = mul[coeffs[..., :, 0, None], bases[..., None, 0, :]]
     for i in range(1, coeffs.shape[-1]):
         out = add[out, mul[coeffs[..., :, i, None], bases[..., None, i, :]]]
     return out
+
+
+def gf_rref(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
+    """RREF of every (r, n) matrix, of any rank, in an (S, r, n) uint8 array:
+    Gauss-Jordan on all S at once, scaling and clearing by `gf_matmul`.  A
+    step on zero remaining rows scales by inv[0] = 0 and changes nothing."""
+    add, neg, inv = ctx.add_array, ctx.neg_array, ctx.inv_array
+    m, at = np.array(mats, dtype=np.uint8), np.arange(len(mats))
+    # min(r, n) steps suffice: n pivots leave every row past the n-th zero
+    for i in range(min(m.shape[1:])):
+        rest = m[:, i:] != 0
+        col = rest.any(axis=1).argmax(axis=1)  # the leftmost column nonzero in rows i..
+        below = i + rest[at, :, col].argmax(axis=1)
+        row = m[at, below]
+        m[at, below] = m[:, i]
+        pivot = gf_matmul(ctx, inv[row[at, col], None, None], row[:, None])
+        f = neg[m[at, :, col]]
+        f[:, i] = 0
+        m = add[m, gf_matmul(ctx, f[:, :, None], pivot)]
+        m[:, i] = pivot[:, 0]
+    return m

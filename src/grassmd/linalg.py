@@ -1,20 +1,23 @@
-"""Exact dense linear algebra over GF(q).
+"""Exact dense linear algebra over GF(q) on immutable tuple matrices.
 
-Everything here is Gauss-Jordan with full reduction: the reduced row
-echelon form is unique, so RREF bases double as canonical names for row
-spaces and all subspace comparisons reduce to tuple equality.  Matrices
-are immutable; operations return fresh objects.  Instances are desk-scale
-(a few hundred columns), so there is no sparse representation.
+`MatGFq` is a matrix at the API edge, such as a `Subspace`'s basis; a
+product is one `gfq.gf_matmul` and a rank is read off `gfq.gf_rref`.  RREF
+is unique, so RREF bases double as canonical names for row spaces and
+subspace comparisons reduce to tuple equality.
 """
 
 from __future__ import annotations
 
+import operator
+
+import numpy as np
+
 from .errors import DimensionMismatch, InvalidArgs
-from .gfq import FieldCtx
+from .gfq import FieldCtx, gf_matmul, gf_rref
 
 
 class MatGFq:
-    """Immutable matrix over GF(q); data is a tuple of row tuples."""
+    """Immutable matrix over GF(q); data is a tuple of row tuples of ints."""
 
     __slots__ = ("ctx", "rows", "cols", "data")
 
@@ -23,6 +26,10 @@ class MatGFq:
         if len(data) != rows or any(len(r) != cols for r in data):
             raise InvalidArgs(f"data shape does not match {rows}x{cols}")
         q = ctx.q
+        try:  # integers of any type pass; a float or a string would be truncated or parsed
+            data = tuple(tuple(map(operator.index, r)) for r in data)
+        except TypeError:
+            raise InvalidArgs(f"entries of a GF({q}) matrix must be integers") from None
         for r in data:
             for x in r:
                 if not 0 <= x < q:
@@ -40,41 +47,9 @@ class MatGFq:
         return f"MatGFq({self.ctx!r}, {self.rows}x{self.cols}, [{body}])"
 
 
-def rref_rows(ctx: FieldCtx, rows, cols: int):
-    """RREF of raw row tuples; returns (rows_without_zeros, pivot_columns)."""
-    work = [list(r) for r in rows]
-    add_t, mul_t, neg_t = ctx.add_table, ctx.mul_table, ctx.neg_table
-    inv_t = ctx.inv_table
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        row = work[r]
-        pv = row[c]
-        if pv != 1:
-            scale = inv_t[pv]
-            mrow = mul_t[scale]
-            work[r] = row = [mrow[x] for x in row]
-        for i in range(len(work)):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                mrow = mul_t[neg_t[f]]
-                other = work[i]
-                work[i] = [add_t[x][mrow[y]] for x, y in zip(other, row)]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+def as_array(m: MatGFq) -> np.ndarray:
+    """m as a (rows, cols) uint8 array."""
+    return np.array(m.data, dtype=np.uint8).reshape(m.rows, m.cols)
 
 
 def mat_mul(a: MatGFq, b: MatGFq) -> MatGFq:
@@ -83,29 +58,20 @@ def mat_mul(a: MatGFq, b: MatGFq) -> MatGFq:
         raise DimensionMismatch("contexts differ")
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    ctx = a.ctx
-    add_t, mul_t = ctx.add_table, ctx.mul_table
-    bt = tuple(zip(*b.data)) if b.rows else ()
-    out = []
-    for ar in a.data:
-        row = []
-        for bc in bt:
-            acc = 0
-            for x, y in zip(ar, bc):
-                if x and y:
-                    acc = add_t[acc][mul_t[x][y]]
-            row.append(acc)
-        out.append(tuple(row))
-    return MatGFq(ctx, a.rows, b.cols, out)
+    return MatGFq(a.ctx, a.rows, b.cols, gf_matmul(a.ctx, as_array(a), as_array(b)).tolist())
 
 
 def intersect_dim(a: MatGFq, b: MatGFq) -> int:
     """dim(rowspace(a) ∩ rowspace(b)) = rank a + rank b - rank of the stack.
 
-    Both inputs must already be in RREF, so their row counts are their ranks.
+    The three ranks come from one `gf_rref` batch: the stack, and the stack
+    with b's rows and with a's rows zeroed, so the inputs may have any rank.
     """
     if a.ctx != b.ctx:
         raise DimensionMismatch("contexts differ")
     if a.cols != b.cols:
         raise DimensionMismatch(f"column counts differ: {a.cols} vs {b.cols}")
-    return a.rows + b.rows - len(rref_rows(a.ctx, a.data + b.data, a.cols)[0])
+    stack = np.concatenate([as_array(a), as_array(b)])
+    in_a = (np.arange(len(stack)) < a.rows)[:, None]
+    ranks = gf_rref(a.ctx, [stack * in_a, stack * ~in_a, stack]).any(axis=2).sum(axis=1)
+    return int(ranks[0] + ranks[1] - ranks[2])

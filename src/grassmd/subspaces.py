@@ -10,8 +10,8 @@ Every array row is a distinct subspace, so no rejection or hashing is
 needed.  A `SubspaceFamily` is its field and one (m, d, n) array of RREF
 bases; `Subspace` objects are built from array rows only at the API edge
 (iterating or indexing a family or graph, `enumerate_k_subspaces`).
-`is_rref` is the one RREF test, and `gf_rref` reduces with `gfq.gf_matmul`,
-the one array product over GF(q).
+`is_rref` is the one RREF test; the reduction itself is `gfq.gf_rref`,
+which `Subspace.from_rows` calls on one generating set.
 
 Projective points (1-subspaces) are numbered by their normalized
 representatives (first nonzero coordinate scaled to 1), in ascending
@@ -32,8 +32,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgs, TooLarge
-from .gfq import FieldCtx, gf_matmul
-from .linalg import MatGFq, rref_rows
+from .gfq import FieldCtx, gf_matmul, gf_rref
+from .linalg import MatGFq, as_array
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -107,8 +107,7 @@ class Subspace:
     def __init__(self, ctx: FieldCtx, n: int, basis: MatGFq):
         if basis.cols != n:
             raise InvalidArgs(f"basis has {basis.cols} columns, ambient is {n}")
-        rows = np.array(basis.data, dtype=np.uint8).reshape(1, basis.rows, n)
-        if not is_rref(rows)[0]:
+        if not is_rref(as_array(basis)[None])[0]:
             raise InvalidArgs("basis rows are not in reduced row echelon form")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
@@ -139,7 +138,8 @@ class Subspace:
         """Canonicalize an arbitrary generating set."""
         rows = tuple(rows)
         gens = MatGFq(ctx, len(rows), n, rows)  # checks the shape and the entries
-        return cls._from_rref(ctx, n, rref_rows(ctx, gens.data, n)[0])
+        basis = gf_rref(ctx, as_array(gens)[None])[0]
+        return cls._from_rref(ctx, n, tuple(map(tuple, basis[basis.any(axis=1)].tolist())))
 
     def to_text(self) -> str:
         """dim lines of n space-separated element encodings."""
@@ -286,26 +286,6 @@ def point_reps(q: int, n: int):
         head = (0,) * f + (1,)
         for tail in product(range(q), repeat=n - f - 1):
             yield head + tail
-
-
-def gf_rref(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    """RREF of every (r, n) matrix of rank r in an (S, r, n) uint8 array:
-    Gauss-Jordan on all S at once, scaling and clearing by `gf_matmul`."""
-    add, neg, inv = ctx.add_array, ctx.neg_array, ctx.inv_array
-    m, at = np.array(mats, dtype=np.uint8), np.arange(len(mats))
-    for i in range(m.shape[1]):
-        rest = m[:, i:] != 0
-        assert rest.any(axis=(1, 2)).all(), "matrix rank below its row count"
-        col = rest.any(axis=1).argmax(axis=1)  # the leftmost column nonzero in rows i..
-        below = i + rest[at, :, col].argmax(axis=1)
-        row = m[at, below]
-        m[at, below] = m[:, i]
-        pivot = gf_matmul(ctx, inv[row[at, col], None, None], row[:, None])
-        f = neg[m[at, :, col]]
-        f[:, i] = 0
-        m = add[m, gf_matmul(ctx, f[:, :, None], pivot)]
-        m[:, i] = pivot[:, 0]
-    return m
 
 
 def is_rref(bases: np.ndarray) -> np.ndarray:

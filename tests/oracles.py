@@ -3,10 +3,10 @@
 Nothing in `grassmd` calls these.  Each computes its answer by a route of
 its own: Gaussian binomials by the Pascal recurrence, point incidence by
 membership tests (reduction against a `Subspace`'s RREF basis), codes by
-stacked RREF ranks, graph distance by BFS, a graph's edges from its
-distance table,
-adjacency by one tuple RREF per candidate neighbour,
-small matrices through plain Gauss-Jordan on `MatGFq` objects, pair
+stacked ranks, graph distance by BFS, a graph's edges from its distance
+table, adjacency by one tuple RREF per candidate neighbour, row reduction
+by Gauss-Jordan one element at a time on row tuples (`rref_rows`, which
+`gfq.gf_rref` is checked against and every subspace built here uses), pair
 distinguishers by comparing every entry of two rows, a minimum hitting
 set by branch and bound pruned with the disjoint-packing bound alone, the
 greedy resolving set by one `np.unique` refinement per candidate, the Gram
@@ -15,6 +15,8 @@ family file by one `MatGFq` and one `Subspace` per block, and GF(q^t)
 products by polynomial multiplication and reduction (`ExtensionField`),
 which the spread and the partition tail are rebuilt with.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from grassmd.gfq import (
     _smallest_irreducible,
     field_new,
 )
-from grassmd.grassmann import bfs_distances_from, distance, edge_rows
-from grassmd.linalg import MatGFq, mat_mul, rref_rows
+from grassmd.grassmann import bfs_distances_from, edge_rows
+from grassmd.linalg import MatGFq, mat_mul
 from grassmd.subspaces import (
     Subspace,
     SubspaceFamily,
@@ -38,6 +40,55 @@ from grassmd.subspaces import (
     point_reps,
     subspaces_from_bases,
 )
+
+
+@lru_cache(maxsize=None)
+def tables(ctx) -> tuple:
+    """ctx's (add, mul, neg, inv) arrays as nested lists, for the element
+    loops below."""
+    return tuple(t.tolist() for t in (ctx.add_array, ctx.mul_array, ctx.neg_array, ctx.inv_array))
+
+
+def rref_rows(ctx, rows, cols: int):
+    """RREF of raw row tuples by Gauss-Jordan one element at a time;
+    returns (rows_without_zeros, pivot_columns)."""
+    work = [list(r) for r in rows]
+    add_t, mul_t, neg_t, inv_t = tables(ctx)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        row = work[r]
+        pv = row[c]
+        if pv != 1:
+            scale = inv_t[pv]
+            mrow = mul_t[scale]
+            work[r] = row = [mrow[x] for x in row]
+        for i in range(len(work)):
+            if i == r:
+                continue
+            f = work[i][c]
+            if f:
+                mrow = mul_t[neg_t[f]]
+                other = work[i]
+                work[i] = [add_t[x][mrow[y]] for x, y in zip(other, row)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def subspace(ctx, n: int, rows) -> Subspace:
+    """The span of rows in V(n,q), reduced by `rref_rows`."""
+    return Subspace._from_rref(ctx, n, rref_rows(ctx, rows, n)[0])
 
 
 def gaussian_binomial_pascal(n: int, k: int, q: int) -> int:
@@ -63,7 +114,8 @@ class PointIndex:
     def normalize(self, v) -> tuple:
         """Scale the nonzero vector v so its first nonzero coordinate is 1."""
         lead = next(x for x in v if x)
-        mrow = self.ctx.mul_table[self.ctx.inv_table[lead]]
+        _, mul_t, _, inv_t = tables(self.ctx)
+        mrow = mul_t[inv_t[lead]]
         return tuple(mrow[y] for y in v)
 
     def index_of(self, v) -> int:
@@ -77,8 +129,7 @@ def pivots(s: Subspace) -> tuple:
 
 def contains(s: Subspace, v) -> bool:
     """Whether the vector v lies in s, by reduction against its RREF basis."""
-    ctx = s.ctx
-    add_t, mul_t, neg_t = ctx.add_table, ctx.mul_table, ctx.neg_table
+    add_t, mul_t, neg_t, _ = tables(s.ctx)
     v = list(v)
     for p, row in zip(pivots(s), s.basis.data):
         f = v[p]
@@ -110,8 +161,10 @@ def incidence_vector(u, idx: PointIndex) -> tuple:
 
 
 def code_of(w, family) -> tuple:
-    """Distances of w to the family members, from intersection dimensions."""
-    return tuple(distance(w, u) for u in family)
+    """Distances of w to the family members: the rank of w's basis stacked
+    on a member's, less k, by `rref_rows`."""
+    return tuple(len(rref_rows(w.ctx, w.basis.data + u.basis.data, w.n)[0]) - w.dim
+                 for u in family)
 
 
 def bfs_distance(g, a, b) -> int:
@@ -287,7 +340,7 @@ def parse_family_by_block(text: str) -> tuple:
                 raise InvalidArgs("basis rows are not in reduced row echelon form")
         except InvalidArgs as e:
             raise InvalidArgs(f"block {b}: {e}")
-        sub = Subspace.from_rows(ctx, n, rows)
+        sub = subspace(ctx, n, rows)
         if sub in members:
             raise InvalidArgs(f"duplicate blocks: duplicate family member {sub!r}")
         members.append(sub)
@@ -298,13 +351,14 @@ def _poly_mul(field, a, b):
     """Product of two polynomials over field, constant term first."""
     if not a or not b:
         return ()
+    add_t, mul_t, _, _ = tables(field)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
             if bj:
-                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+                out[i + j] = add_t[out[i + j]][mul_t[ai][bj]]
     return tuple(out)
 
 
@@ -341,13 +395,14 @@ class ExtensionField:
         return v
 
     def add(self, a: int, b: int) -> int:
-        base = self.base
+        add_t = tables(self.base)[0]
         return self.from_coords(
-            tuple(base.add(x, y) for x, y in zip(self.coords(a), self.coords(b)))
+            tuple(add_t[x][y] for x, y in zip(self.coords(a), self.coords(b)))
         )
 
     def mul(self, a: int, b: int) -> int:
-        prod = _poly_rem(self.base, _poly_mul(self.base, self.coords(a), self.coords(b)), self.modulus)
+        prod = _poly_rem(tables(self.base)[:3],
+                         _poly_mul(self.base, self.coords(a), self.coords(b)), self.modulus)
         return self.from_coords(prod + (0,) * (self.t - len(prod)))
 
     def __repr__(self):
@@ -360,8 +415,7 @@ def spread_by_extension_field(ctx, n: int, t: int) -> SubspaceFamily:
     ext = ExtensionField(ctx, t)
     powers = [ext.from_coords([0] * j + [1]) for j in range(t)]
     return SubspaceFamily([
-        Subspace.from_rows(ctx, n, [sum((ext.coords(ext.mul(y, w)) for w in rep), ())
-                                    for y in powers])
+        subspace(ctx, n, [sum((ext.coords(ext.mul(y, w)) for w in rep), ()) for y in powers])
         for rep in point_reps(ext.order, n // t)])
 
 
@@ -372,6 +426,6 @@ def partition_tail_by_extension_field(ctx, n: int, k: int) -> SubspaceFamily:
     s = n - t
     ext = ExtensionField(ctx, s)
     return SubspaceFamily([
-        Subspace.from_rows(ctx, n, [ext.coords(ext.mul(a, ext.from_coords([0] * j + [1])))
-                                    + tuple(int(i == j) for i in range(t)) for j in range(t)])
+        subspace(ctx, n, [ext.coords(ext.mul(a, ext.from_coords([0] * j + [1])))
+                          + tuple(int(i == j) for i in range(t)) for j in range(t)])
         for a in range(ext.order)])

@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from grassmd.gfq import field_new
+from grassmd.linalg import MatGFq
 from grassmd.subspaces import Subspace
 
 
@@ -15,7 +16,7 @@ def _rref_subspace(draw, ctx, n: int, d: int) -> Subspace:
         for c in range(p + 1, n):
             if c not in pivots:
                 rows[i][c] = draw(st.integers(0, ctx.q - 1))
-    return Subspace.from_rows(ctx, n, rows)
+    return Subspace(ctx, n, MatGFq(ctx, d, n, rows))
 
 
 @st.composite

@@ -262,7 +262,7 @@ def _accumulations(tree, module):
 
 def test_one_coefficient_basis_product():
     # the graph and the constructions use the array product, never the
-    # tuple product or a Python RREF per row
+    # tuple-matrix `mat_mul` or a Python RREF per row
     loops = set()
     for path in sorted(Path(grassmd.__file__).parent.glob("*.py")):
         text = path.read_text()
@@ -279,6 +279,23 @@ def test_one_coefficient_basis_product():
         # matrices; the polynomial product lives in the test oracles
         assert "ExtensionField" not in text and "_poly_mul" not in text, path.stem
     assert loops == {"gfq.gf_matmul"}
+
+
+def test_one_rref_one_product_one_table_form():
+    # GF(q) arithmetic is the read-only uint8 tables, row reduction is
+    # `gfq.gf_rref` and a product `gfq.gf_matmul`; the element-wise Python
+    # Gauss-Jordan is the tests' oracle
+    ctx = grassmd.field_new(4)
+    assert [name for name in dir(ctx) if name.endswith("_table")] == []
+    assert not {"add", "sub", "mul"} & set(dir(ctx))
+    homes = {}
+    for path in Path(grassmd.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "rref_rows" not in text, path.stem
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name in ("gf_rref", "gf_matmul"):
+                homes.setdefault(node.name, set()).add(path.stem)
+    assert homes == {"gf_rref": {"gfq"}, "gf_matmul": {"gfq"}}
 
 
 def test_families_stay_arrays():

@@ -27,7 +27,7 @@ from oracles import ExtensionField
 def field_pow(ctx, a, e):
     r = 1
     for _ in range(e):
-        r = ctx.mul(r, a)
+        r = ctx.mul_array[r, a]
     return r
 
 
@@ -96,39 +96,39 @@ def test_pinned_moduli_are_irreducible(q, modulus):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_field_axioms_exhaustive(q):
+    # every triple at once: a, b, c index the three axes
     ctx = FieldCtx(q)
-    els = range(q)
-    for a, b in itertools.product(els, els):
-        assert ctx.add(a, b) == ctx.add(b, a)
-        assert ctx.mul(a, b) == ctx.mul(b, a)
-    for a, b, c in itertools.product(els, els, els):
-        assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
-        assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-    for a in els:
-        assert ctx.add(a, 0) == a
-        assert ctx.mul(a, 1) == a
-        assert ctx.mul(a, 0) == 0
-        assert ctx.add(a, ctx.neg_table[a]) == 0
-        if a:
-            assert ctx.mul(a, ctx.inv_table[a]) == 1
+    add, mul, neg, inv = ctx.add_array, ctx.mul_array, ctx.neg_array, ctx.inv_array
+    a, b, c = np.ix_(range(q), range(q), range(q))
+    assert (add == add.T).all() and (mul == mul.T).all()
+    assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+    assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+    els = np.arange(q)
+    assert (add[els, 0] == els).all() and (mul[els, 1] == els).all() and not mul[els, 0].any()
+    assert not add[els, neg].any()
+    assert (mul[els[1:], inv[1:]] == 1).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_sub_and_div_consistency(q):
+    # (a - b) + b = a, and (a / b)·b = a for b != 0
     ctx = FieldCtx(q)
-    for a, b in itertools.product(range(q), range(q)):
-        assert ctx.add(ctx.sub(a, b), b) == a
+    add, mul, neg, inv = ctx.add_array, ctx.mul_array, ctx.neg_array, ctx.inv_array
+    a, b = np.ix_(range(q), range(q))
+    assert (add[add[a, neg[b]], b] == a).all()
+    assert (mul[mul[a, inv[b[:, 1:]]], b[:, 1:]] == a).all()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
 def test_frobenius_is_additive(q):
     # (a+b)^p == a^p + b^p in characteristic p
     ctx = FieldCtx(q)
+    add = ctx.add_array
     p, _ = factor_prime_power(q)
     for a, b in itertools.product(range(q), range(q)):
-        lhs = field_pow(ctx, ctx.add(a, b), p)
-        rhs = ctx.add(field_pow(ctx, a, p), field_pow(ctx, b, p))
+        lhs = field_pow(ctx, add[a, b], p)
+        rhs = add[field_pow(ctx, a, p), field_pow(ctx, b, p)]
         assert lhs == rhs
 
 
@@ -147,7 +147,7 @@ def test_multiplicative_group_is_cyclic(q):
     def order(a):
         x, m = a, 1
         while x != 1:
-            x = ctx.mul(x, a)
+            x = ctx.mul_array[x, a]
             m += 1
         return m
 
@@ -156,9 +156,11 @@ def test_multiplicative_group_is_cyclic(q):
 
 def test_tables_are_pinned():
     # every table of every GF(q), q <= 16: the rule that picks the modulus
-    # and the element encoding are part of the family-file format
+    # and the element encoding are part of the family-file format; the
+    # digest is of the tables as tuples of ints
     tables = [
-        (q, c.modulus, c.add_table, c.mul_table, c.neg_table, c.inv_table)
+        (q, c.modulus, *(tuple(map(tuple, t.tolist())) for t in (c.add_array, c.mul_array)),
+         *(tuple(t.tolist()) for t in (c.neg_array, c.inv_array)))
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
         for c in [FieldCtx(q)]
     ]
@@ -169,13 +171,17 @@ def test_tables_are_pinned():
 
 def test_table_arrays_equal_the_tuples_and_refuse_writes():
     # the array kernels index these; building them once per field must not
-    # let a caller change the field
+    # let a caller change the field.  Negatives and inverses equal the ones
+    # looked up in the rows of the tables as lists, inv[0] = 0 standing for 1/0
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         ctx = FieldCtx(q)
+        add, mul = ctx.add_array.tolist(), ctx.mul_array.tolist()
+        assert ctx.neg_array.tolist() == [row.index(0) for row in add], q
+        assert ctx.inv_array.tolist() == [0] + [row.index(1) for row in mul[1:]], q
         for name in ("add", "mul", "neg", "inv"):
             array = getattr(ctx, f"{name}_array")
             assert array.dtype == np.uint8 and not array.flags.writeable, (q, name)
-            assert np.array_equal(array, np.array(getattr(ctx, f"{name}_table"))), (q, name)
+            assert array.shape == (q,) * (2 if name in ("add", "mul") else 1), (q, name)
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
 

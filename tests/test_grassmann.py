@@ -20,9 +20,8 @@ from grassmd.grassmann import (
     distance,
     is_resolving,
 )
-from grassmd.linalg import intersect_dim
 from grassmd.subspaces import Subspace, SubspaceFamily, bases_point_ordinals, gaussian_binomial
-from oracles import adjacency_lists, bfs_distance, code_of, edge_list, ordinal, vertices
+from oracles import adjacency_lists, bfs_distance, code_of, edge_list, ordinal, rref_rows, vertices
 from strategies import rref_vertex_pairs
 
 
@@ -112,12 +111,13 @@ def test_distance_rows_structure(q, n, k):
 
 
 def test_distance_agrees_with_intersection_dim():
+    # k - dim(a ∩ b) = rank of the stacked bases - k, by the Python RREF
     g = graph(3, 4, 2)
     rng = random.Random(3)
     vs = vertices(g)
     for _ in range(200):
         a, b = rng.choice(vs), rng.choice(vs)
-        assert distance(a, b) == 2 - intersect_dim(a.basis, b.basis)
+        assert distance(a, b) == len(rref_rows(g.ctx, a.basis.data + b.basis.data, 4)[0]) - 2
 
 
 @pytest.mark.parametrize(
@@ -200,8 +200,9 @@ def test_verdict_truth_is_its_answer():
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2)])
 def test_resolving_verdict_matches_profile_distinctness(q, n, k):
-    # independent route: a family resolves iff the intersection-dimension
-    # profiles of all vertices against it are pairwise distinct
+    # independent route: a family resolves iff the distance profiles of all
+    # vertices against it, from stacked ranks by the Python RREF, are
+    # pairwise distinct
     g = graph(q, n, k)
     vs = vertices(g)
     rng = random.Random(90 * q + n)
@@ -209,10 +210,7 @@ def test_resolving_verdict_matches_profile_distinctness(q, n, k):
         for _ in range(4):
             picks = rng.sample(range(len(vs)), size)
             members = [vs[i] for i in picks]
-            profiles = [
-                tuple(intersect_dim(v.basis, m.basis) for m in members)
-                for v in vs
-            ]
+            profiles = [code_of(v, members) for v in vs]
             expect = len(set(profiles)) == len(profiles)
             assert is_resolving(SubspaceFamily(members), g).resolving == expect
 
@@ -400,7 +398,7 @@ def test_adjacency_comes_from_the_definition(monkeypatch, q, n, k):
     for i in range(0, len(g), max(1, len(g) // 15)):
         for j in adj[i]:
             assert i in adj[j]
-            assert distance(g.vertex(i), g.vertex(j)) == 1
+            assert code_of(g.vertex(i), [g.vertex(j)]) == (1,)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (5, 4, 2),

@@ -7,7 +7,7 @@ import pytest
 from grassmd.errors import DimensionMismatch, InvalidArgs
 from grassmd.gfq import field_new
 from grassmd.linalg import MatGFq, intersect_dim, mat_mul
-from oracles import mat, rank, rref, stack
+from oracles import mat, rank, rref, stack, tables
 
 
 # Helpers that nothing in the package needs; kept here, with the oracles,
@@ -126,12 +126,20 @@ def test_mat_mul_against_naive():
         a = random_mat(ctx, rng.randrange(1, 4), rng.randrange(1, 4), rng)
         b = random_mat(ctx, a.cols, rng.randrange(1, 4), rng)
         c = mat_mul(a, b)
+        add_t, mul_t, _, _ = tables(ctx)
         for i in range(a.rows):
             for j in range(b.cols):
                 acc = 0
                 for t in range(a.cols):
-                    acc = ctx.add(acc, ctx.mul(a.data[i][t], b.data[t][j]))
+                    acc = add_t[acc][mul_t[a.data[i][t]][b.data[t][j]]]
                 assert c.data[i][j] == acc
+
+
+def test_mat_mul_with_inner_dimension_zero_is_the_zero_matrix():
+    ctx = field_new(3)
+    a, b = MatGFq(ctx, 2, 0, [(), ()]), MatGFq(ctx, 0, 3, [])
+    assert mat_mul(a, b).data == ((0, 0, 0), (0, 0, 0))
+    assert mat_mul(b, MatGFq(ctx, 3, 1, [(1,), (2,), (0,)])).rows == 0
 
 
 def test_mat_rejects_bad_shapes():
@@ -156,6 +164,23 @@ def test_intersect_dim_pinned():
     b = rref(mat(ctx, [[1, 0, 0, 0], [0, 0, 1, 0]]))[0]
     assert intersect_dim(a, b) == 1
     assert intersect_dim(a, a) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_intersect_dim_takes_inputs_of_any_rank(q):
+    # repeated, dependent and zero rows: the ranks come from the reduction,
+    # not from the row counts
+    ctx = field_new(q)
+    assert intersect_dim(mat(ctx, [[1, 0], [1, 0]]), mat(ctx, [[1, 0]])) == 1
+    assert intersect_dim(mat(ctx, [[0, 0]]), mat(ctx, [[0, 0]])) == 0
+    assert intersect_dim(MatGFq(ctx, 0, 2, []), mat(ctx, [[1, 0]])) == 0
+    rng = random.Random(70 + q)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        a = random_mat(ctx, rng.randrange(1, 4), n, rng)
+        a = mat(ctx, a.data * 2)
+        b = random_mat(ctx, rng.randrange(1, 5), n, rng)
+        assert intersect_dim(a, b) == rank(a) + rank(b) - rank(stack(a, b))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -18,8 +18,7 @@ from grassmd.constructions import (
     resolving_from_spread,
     resolving_greedy_rank,
 )
-from grassmd.gfq import field_new
-from grassmd.linalg import rref_rows
+from grassmd.gfq import field_new, gf_rref
 from grassmd.grassmann import GrassmannGraph
 from grassmd.subspaces import (
     BINOMIAL_MAX_DIGITS,
@@ -31,10 +30,17 @@ from grassmd.subspaces import (
     enumerate_k_subspaces,
     enumeration_budget,
     gaussian_binomial,
-    gf_rref,
     is_rref,
 )
-from oracles import PointIndex, contains, gaussian_binomial_pascal, incidence_vector, mat, pivots
+from oracles import (
+    PointIndex,
+    contains,
+    gaussian_binomial_pascal,
+    incidence_vector,
+    mat,
+    pivots,
+    rref_rows,
+)
 from strategies import rref_families
 
 
@@ -262,6 +268,12 @@ def test_subspace_always_validates_and_from_rows_checks_its_input():
         Subspace.from_rows(ctx, 2, [[3, 0]])
     with pytest.raises(InvalidArgs, match="shape"):
         Subspace.from_rows(ctx, 2, [[1, 0, 0]])
+    # a float is not truncated to an element, nor a string parsed as one;
+    # numpy integers are integers
+    for entry in (1.5, "1"):
+        with pytest.raises(InvalidArgs, match="must be integers"):
+            Subspace.from_rows(field_new(3), 2, [[entry, 0]])
+    assert Subspace.from_rows(ctx, 2, np.array([[0, 1]])).basis.data == ((0, 1),)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (5, 3), (3, 2)])
@@ -333,17 +345,19 @@ def test_family_refuses_repeats_and_mixed_shapes():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_gf_rref_matches_the_tuple_rref(q):
-    # random full-rank matrices, reduced as one batch per shape
+    # random matrices of every rank, reduced as one batch per shape: a
+    # rank-r matrix ends in its r RREF rows and then zero rows
     ctx = field_new(q)
     rng = random.Random(q)
-    for r, n in [(1, 3), (2, 2), (2, 5), (3, 6), (4, 5)]:
-        mats = []
-        while len(mats) < 30:
-            m = [[rng.choice([0, 0, rng.randrange(q)]) for _ in range(n)] for _ in range(r)]
-            if len(rref_rows(ctx, m, n)[0]) == r:
-                mats.append(m)
-        got = gf_rref(ctx, np.array(mats, dtype=np.uint8))
-        assert [tuple(map(tuple, b)) for b in got.tolist()] == [rref_rows(ctx, m, n)[0] for m in mats]
+    for r, n in itertools.product(range(6), range(1, 7)):
+        mats = [[[rng.choice([0, 0, rng.randrange(q)]) for _ in range(n)] for _ in range(r)]
+                for _ in range(30)]
+        mats += [[row[:] for row in m[:1] * r] for m in mats[:5]]  # rank at most one
+        got = gf_rref(ctx, np.array(mats, dtype=np.uint8).reshape(len(mats), r, n))
+        for m, b in zip(mats, got.tolist()):
+            rows = rref_rows(ctx, m, n)[0]
+            assert tuple(map(tuple, b)) == rows + ((0,) * n,) * (r - len(rows)), m
+    assert len({len(rref_rows(ctx, m, 6)[0]) for m in mats}) > 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -382,7 +396,7 @@ def test_point_index_normalize_and_lookup():
     ctx = field_new(3)
     idx = PointIndex(ctx, 3)
     for p in idx.points:
-        doubled = tuple(ctx.mul(2, c) for c in p)
+        doubled = tuple(ctx.mul_array[2, c] for c in p)
         assert idx.normalize(doubled) == p
         assert idx.points[idx.index_of(doubled)] == p
 
