@@ -26,7 +26,7 @@ _EXPORTS = {
     "gfq": "FieldCtx factor_prime_power field_new",
     "grassmann": "GrassmannGraph ResolvingVerdict bfs_distances_from codes_table distance "
                  "is_resolving",
-    "linalg": "MatGFq intersect_dim",
+    "linalg": "MatGFq",
     "rank": "IncidenceMatrix RankCertificate certify_resolving_by_rank exact_rank "
             "gram_closed_form incidence_matrix verify_gram",
     "search": "metric_dimension_exact metric_dimension_from_distances "

@@ -4,7 +4,9 @@ One construction builds every field.  GF(q^t) is the power-basis extension
 of GF(q) by the lexicographically smallest monic irreducible polynomial of
 degree t over GF(q), where coefficient vectors are compared as base-q
 integers with the constant term least significant.  This rule is
-deterministic and needs no external polynomial tables.  The element
+deterministic and needs no external polynomial tables: the search runs
+once per field, trial division on a block of candidates at a time, each
+step a `gf_matmul` on GF(q)'s tables.  The element
 ``a_0 + a_1 y + ... + a_{t-1} y^{t-1}`` is encoded as the base-q integer
 with ``a_0`` least significant, so elements are plain integers in
 ``[0, q^t)`` and `digit_rows` writes their GF(q)-coordinates.
@@ -19,9 +21,10 @@ partition tail multiplies all of GF(q^s) by the power basis of GF(q^t).
 for q = p^e with e > 1 it tabulates those products over GF(p), and a
 prime field is plain mod-p arithmetic with the modulus x.  Each table is
 built once, as a read-only uint8 array (`add_array`, `mul_array`,
-`neg_array`, `inv_array`) that the array kernels index without converting.
-Those kernels are `gf_matmul`, the one product over GF(q), and `gf_rref`,
-the one RREF: Gauss-Jordan on a batch of matrices of any rank.  A context
+`neg_array`, `inv_array`) that the array kernels index without converting,
+and no other module reads the product or inverse table.  Those kernels are
+`gf_matmul`, the one product over GF(q), and `gf_rref`, the one RREF:
+Gauss-Jordan on a batch of matrices of any rank.  A context
 is immutable and safe to share; it is passed explicitly wherever elements
 are combined.
 
@@ -64,53 +67,37 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-# -- polynomial helpers over a FieldCtx ---------------------------------------
-#
-# Polynomials are tuples of scalar encodings, constant term first.  Leading
-# zeros are permitted in intermediate values.  The element loops index
-# `tables`, the field's (add, mul, neg) arrays as nested lists.
+# Candidate moduli are tried this many codes at a time, smallest first:
+# under the ceilings every field's smallest irreducible has a code below 32,
+# so one or two blocks decide.
+SEARCH_CODES = 16
 
 
-def _poly_rem(tables, a, m):
-    """Remainder of a modulo the monic polynomial m."""
-    add, mul, neg = tables
-    rem = list(a)
-    dm = len(m) - 1
-    for i in range(len(rem) - 1, dm - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        rem[i] = 0
-        for j in range(dm):
-            rem[i - dm + j] = add[rem[i - dm + j]][neg[mul[c][m[j]]]]
-    return tuple(rem[:dm])
-
-
-def _is_irreducible(tables, q: int, m) -> bool:
-    """Trial division of the monic polynomial m by all lower-degree monics."""
-    deg = len(m) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for low in digit_rows(np.arange(q**d), q, d).tolist():
-            if not any(_poly_rem(tables, m, (*low, 1))):
-                return False
-    return True
-
-
-def _smallest_irreducible(field, deg: int):
-    """Lexicographically smallest monic irreducible of the given degree.
+@lru_cache(maxsize=None)
+def _smallest_irreducible(field, deg: int) -> tuple:
+    """Lexicographically smallest monic irreducible of the given degree, as
+    its coefficients, constant term first.
 
     Candidates are compared as base-q integers of their coefficient vector,
     constant term least significant, which is exactly ascending-code order.
+    Trial division by the monics of each degree d <= deg/2 runs on a block
+    of candidates at once, one step ``add[rem, gf_matmul(-c, low)]`` per
+    leading coefficient c, and drops the candidates that some divisor leaves
+    no remainder; the first one left in a block is the answer.
     """
-    tables = [t.tolist() for t in (field.add_array, field.mul_array, field.neg_array)]
-    for low in digit_rows(np.arange(field.q**deg), field.q, deg).tolist():
-        if _is_irreducible(tables, field.q, (*low, 1)):
-            return (*low, 1)
-    raise AssertionError(f"no irreducible of degree {deg} over GF({field.q})")
+    q, add, neg = field.q, field.add_array, field.neg_array
+    for lo in range(q**deg, 2 * q**deg, SEARCH_CODES):  # leading coefficient 1
+        alive = digit_rows(np.arange(lo, min(lo + SEARCH_CODES, 2 * q**deg)), q, deg + 1)
+        for d in range(1, deg // 2 + 1):
+            low = digit_rows(np.arange(q**d), q, d)[:, None]  # divisor x^d + low, (D, 1, d)
+            rem = np.repeat(alive[:, None], len(low), axis=1)  # (C, D, deg + 1)
+            for i in range(deg, d - 1, -1):  # cancel the term of degree i by c·x^(i-d)·divisor
+                step = gf_matmul(field, neg[rem[:, :, i, None, None]], low)[:, :, 0]
+                rem[:, :, i - d:i] = add[rem[:, :, i - d:i], step]
+            alive = alive[rem[:, :, :d].any(axis=2).all(axis=1)]
+        if len(alive):
+            return tuple(alive[0].tolist())
+    raise AssertionError(f"no irreducible of degree {deg} over GF({q})")
 
 
 class FieldCtx:

@@ -24,8 +24,8 @@ determines its code), not the row.  Rows with equal digests are recomputed
 and compared in full, so the verdict and the lexicographically first
 colliding pair stay exact whatever the digest does.
 
-Two routes stay independent of the kernel: `distance` computes the
-intersection dimension from a stacked RREF rank, and `bfs_distances_from`
+Two routes stay independent of the kernel: `distance` reads the rank of
+the stacked bases off one `gf_rref`, and `bfs_distances_from`
 walks the adjacency array built from the definition of adjacency
 (`GrassmannGraph.adjacency`).  The tests compare the kernel against both,
 and the adjacency against a Python RREF per candidate, with the oracles in
@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, GrassmdError, InvalidArgs
-from .gfq import FieldCtx, gf_matmul
-from .linalg import intersect_dim
+from .gfq import FieldCtx, gf_matmul, gf_rref
+from .linalg import as_array
 from .subspaces import (
     Subspace,
     SubspaceFamily,
@@ -122,7 +122,7 @@ class GrassmannGraph:
             reps = np.array(list(point_reps(q, n - k + 1)), dtype=np.uint8)
             check_budget(len(self) * len(coeffs) * len(reps), "adjacency candidates", cells=True)
             degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
-            add, mul, neg = ctx.add_array, ctx.mul_array, ctx.neg_array
+            add, neg = ctx.add_array, ctx.neg_array
             adj = np.empty((len(self), degree), dtype=np.int32 if len(self) < 2**31 else np.intp)
             step = max(1, CELLS_PER_BLOCK // (len(coeffs) * len(reps)))
             for lo in range(0, len(self), step):
@@ -137,8 +137,8 @@ class GrassmannGraph:
                 lead = free[:, (reps != 0).argmax(axis=1)]
                 # RREF of H + <p>: column lead cleared from H's rows, rows ordered by pivot
                 f = np.take_along_axis(h, lead[:, None], axis=2).swapaxes(1, 2)  # (M, P, k-1)
-                rows = np.concatenate([add[h[:, None], mul[neg[f][..., None], p[:, :, None]]],
-                                       p[:, :, None]], axis=2).reshape(-1, k, n)
+                cleared = add[h[:, None], gf_matmul(ctx, neg[f][..., None], p[:, :, None])]
+                rows = np.concatenate([cleared, p[:, :, None]], axis=2).reshape(-1, k, n)
                 order = np.argsort((rows != 0).argmax(axis=2), axis=1)
                 ords = self.ordinals(rows[np.arange(len(rows))[:, None], order]).reshape(len(a), -1)
                 # own ordinal marked -1 and sorted first: the row is right when
@@ -165,12 +165,14 @@ class ResolvingVerdict(NamedTuple):
 
 
 def distance(a: Subspace, b: Subspace) -> int:
-    """k - dim(a ∩ b); zero iff a = b."""
+    """k - dim(a ∩ b) = dim(a + b) - k, the rank of the stacked bases less
+    k, from one `gf_rref`; zero iff a = b."""
     if a.ctx != b.ctx or a.n != b.n:
         raise DimensionMismatch("subspaces live in different spaces")
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    return a.dim - intersect_dim(a.basis, b.basis)
+    stacked = gf_rref(a.ctx, np.concatenate([as_array(a.basis), as_array(b.basis)])[None])
+    return int(stacked.any(axis=2).sum()) - a.dim
 
 
 # Shared-point counts are summed over about this many cells at a time: a

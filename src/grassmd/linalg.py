@@ -1,9 +1,9 @@
 """Exact dense linear algebra over GF(q) on immutable tuple matrices.
 
-`MatGFq` is a matrix at the API edge, such as a `Subspace`'s basis; a
-product is one `gfq.gf_matmul` and a rank is read off `gfq.gf_rref`.  RREF
-is unique, so RREF bases double as canonical names for row spaces and
-subspace comparisons reduce to tuple equality.
+`MatGFq` is a matrix at the API edge, such as a `Subspace`'s basis;
+`as_array` hands it to the array kernels of `gfq`, and a product is one
+`gfq.gf_matmul`.  RREF is unique, so RREF bases double as canonical names
+for row spaces and subspace comparisons reduce to tuple equality.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgs
-from .gfq import FieldCtx, gf_matmul, gf_rref
+from .gfq import FieldCtx, gf_matmul
 
 
 class MatGFq:
@@ -59,19 +59,3 @@ def mat_mul(a: MatGFq, b: MatGFq) -> MatGFq:
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions differ: {a.cols} vs {b.rows}")
     return MatGFq(a.ctx, a.rows, b.cols, gf_matmul(a.ctx, as_array(a), as_array(b)).tolist())
-
-
-def intersect_dim(a: MatGFq, b: MatGFq) -> int:
-    """dim(rowspace(a) ∩ rowspace(b)) = rank a + rank b - rank of the stack.
-
-    The three ranks come from one `gf_rref` batch: the stack, and the stack
-    with b's rows and with a's rows zeroed, so the inputs may have any rank.
-    """
-    if a.ctx != b.ctx:
-        raise DimensionMismatch("contexts differ")
-    if a.cols != b.cols:
-        raise DimensionMismatch(f"column counts differ: {a.cols} vs {b.cols}")
-    stack = np.concatenate([as_array(a), as_array(b)])
-    in_a = (np.arange(len(stack)) < a.rows)[:, None]
-    ranks = gf_rref(a.ctx, [stack * in_a, stack * ~in_a, stack]).any(axis=2).sum(axis=1)
-    return int(ranks[0] + ranks[1] - ranks[2])

@@ -218,8 +218,8 @@ def row_rank_profile(rows: np.ndarray) -> list:
 def gram_closed_form(ctx: FieldCtx, n: int, k: int) -> tuple:
     """(diagonal, off-diagonal) entries of M^T M for the full incidence
     matrix: ([n-1 k-1]_q, [n-2 k-2]_q)."""
-    if not 2 <= k <= n:
-        raise InvalidArgs(f"need 2 <= k <= n, got n={n} k={k}")
+    if not 2 <= k < n:  # k = n leaves b = diag - offdiag = 0, no certificate
+        raise InvalidArgs(f"need 2 <= k < n, got n={n} k={k}")
     q = ctx.q
     return gaussian_binomial(n - 1, k - 1, q), gaussian_binomial(n - 2, k - 2, q)
 

@@ -291,7 +291,10 @@ def point_reps(q: int, n: int):
 def is_rref(bases: np.ndarray) -> np.ndarray:
     """(S,) bool: which bases of an (S, d, n) integer array are RREF: each
     row led by a 1 (so none is zero), the leading columns increasing, and
-    each leading column zero outside its row."""
+    each leading column zero outside its row.  No rows are RREF, and a row
+    of length 0 is a zero row."""
+    if not bases.shape[2]:
+        return np.full(len(bases), not bases.shape[1])
     nonzero = bases != 0
     lead = nonzero.argmax(axis=2)
     ones = np.take_along_axis(bases, lead[:, :, None], axis=2)[:, :, 0] == 1

@@ -13,23 +13,22 @@ greedy resolving set by one `np.unique` refinement per candidate, the Gram
 table M^T M by a float64 product of the dense incidence matrix, a
 family file by one `MatGFq` and one `Subspace` per block, and GF(q^t)
 products by polynomial multiplication and reduction (`ExtensionField`),
-which the spread and the partition tail are rebuilt with.
+which the spread and the partition tail are rebuilt with.  Its modulus comes
+from `smallest_irreducible`, trial division of one candidate at a time on
+the tables as lists (`_poly_rem`, `_is_irreducible`), which the array
+search in `gfq` is checked against; `intersect_dim` takes the three ranks
+of two matrices of any rank from one `gf_rref` batch, a route other than
+`grassmann.distance`'s one stacked RREF.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from grassmd.errors import InvalidArgs, NotPrimePower, TooLarge
-from grassmd.gfq import (
-    EXTENSION_MAX_ORDER,
-    FieldCtx,
-    _poly_rem,
-    _smallest_irreducible,
-    field_new,
-)
+from grassmd.errors import DimensionMismatch, InvalidArgs, NotPrimePower, TooLarge
+from grassmd.gfq import EXTENSION_MAX_ORDER, FieldCtx, field_new, gf_rref
 from grassmd.grassmann import bfs_distances_from, edge_rows
-from grassmd.linalg import MatGFq, mat_mul
+from grassmd.linalg import MatGFq, as_array, mat_mul
 from grassmd.subspaces import (
     Subspace,
     SubspaceFamily,
@@ -218,6 +217,22 @@ def stack(a: MatGFq, b: MatGFq) -> MatGFq:
     return MatGFq(a.ctx, a.rows + b.rows, a.cols, a.data + b.data)
 
 
+def intersect_dim(a: MatGFq, b: MatGFq) -> int:
+    """dim(rowspace(a) ∩ rowspace(b)) = rank a + rank b - rank of the stack.
+
+    The three ranks come from one `gf_rref` batch: the stack, and the stack
+    with b's rows and with a's rows zeroed, so the inputs may have any rank.
+    """
+    if a.ctx != b.ctx:
+        raise DimensionMismatch("contexts differ")
+    if a.cols != b.cols:
+        raise DimensionMismatch(f"column counts differ: {a.cols} vs {b.cols}")
+    rows = np.concatenate([as_array(a), as_array(b)])
+    in_a = (np.arange(len(rows)) < a.rows)[:, None]
+    ranks = gf_rref(a.ctx, [rows * in_a, rows * ~in_a, rows]).any(axis=2).sum(axis=1)
+    return int(ranks[0] + ranks[1] - ranks[2])
+
+
 def pair_distinguishers(dist_rows) -> list:
     """Bitmask of distinguishing vertices for each pair {u,w}, u < w, in
     lexicographic pair order, one entry comparison at a time."""
@@ -362,6 +377,40 @@ def _poly_mul(field, a, b):
     return tuple(out)
 
 
+def _poly_rem(field, a, m):
+    """Remainder of a modulo the monic polynomial m, one element at a time."""
+    add_t, mul_t, neg_t, _ = tables(field)
+    rem = list(a)
+    dm = len(m) - 1
+    for i in range(len(rem) - 1, dm - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        rem[i] = 0
+        for j in range(dm):
+            rem[i - dm + j] = add_t[rem[i - dm + j]][neg_t[mul_t[c][m[j]]]]
+    return tuple(rem[:dm])
+
+
+def _monics(q: int, deg: int) -> list:
+    """The monic polynomials of degree deg over GF(q) in ascending code order:
+    the base-q digits of each code, constant term first, then the leading 1."""
+    return [tuple(code // q**i % q for i in range(deg)) + (1,) for code in range(q**deg)]
+
+
+def _is_irreducible(field, m) -> bool:
+    """Trial division of the monic polynomial m by all lower-degree monics."""
+    deg = len(m) - 1
+    divisors = (div for d in range(1, deg // 2 + 1) for div in _monics(field.q, d))
+    return deg >= 1 and all(any(_poly_rem(field, m, div)) for div in divisors)
+
+
+def smallest_irreducible(field, deg: int) -> tuple:
+    """The first monic irreducible of degree deg in ascending code order, by
+    `_is_irreducible` on one candidate at a time."""
+    return next(m for m in _monics(field.q, deg) if _is_irreducible(field, m))
+
+
 class ExtensionField:
     """Degree-t power-basis extension GF(q^t) of a base GF(q), one element
     at a time: a product is a polynomial product reduced by the modulus.
@@ -382,7 +431,7 @@ class ExtensionField:
             raise TooLarge(
                 f"extension order {base.q}^{t} exceeds ceiling {EXTENSION_MAX_ORDER}"
             )
-        self.modulus = _smallest_irreducible(base, t)
+        self.modulus = smallest_irreducible(base, t)
 
     def coords(self, a: int) -> tuple:
         """Base-field coordinates of a over the power basis (length t)."""
@@ -401,8 +450,8 @@ class ExtensionField:
         )
 
     def mul(self, a: int, b: int) -> int:
-        prod = _poly_rem(tables(self.base)[:3],
-                         _poly_mul(self.base, self.coords(a), self.coords(b)), self.modulus)
+        prod = _poly_rem(self.base, _poly_mul(self.base, self.coords(a), self.coords(b)),
+                         self.modulus)
         return self.from_coords(prod + (0,) * (self.t - len(prod)))
 
     def __repr__(self):

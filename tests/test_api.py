@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "certify_resolving_by_rank", "codes_table", "compare", "distance", "distance_class_size",
     "enumerate_bases", "enumerate_k_subspaces", "exact_rank",
     "factor_prime_power", "field_new", "format_family", "gaussian_binomial",
-    "gram_closed_form", "incidence_matrix", "intersect_dim", "is_resolving", "lower_bound",
+    "gram_closed_form", "incidence_matrix", "is_resolving", "lower_bound",
     "metric_dimension_exact", "metric_dimension_from_distances", "metric_dimension_greedy",
     "parse_family", "resolving_from_partition", "resolving_from_spread",
     "resolving_greedy_rank", "verify_gram",
@@ -296,6 +296,28 @@ def test_one_rref_one_product_one_table_form():
             if isinstance(node, ast.FunctionDef) and node.name in ("gf_rref", "gf_matmul"):
                 homes.setdefault(node.name, set()).add(path.stem)
     assert homes == {"gf_rref": {"gfq"}, "gf_matmul": {"gfq"}}
+
+
+def test_gfq_alone_reads_the_product_tables():
+    # outside `gfq`, products and inverses are `gf_matmul` and `gf_rref`
+    # calls; no table is converted to lists for a Python loop, and the
+    # polynomial trial division and the three-rank intersection dimension
+    # are the tests' oracles
+    tables = {"add_array", "mul_array", "neg_array", "inv_array"}
+    readers, listers, defined = set(), set(), set()
+    for path in Path(grassmd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("mul_array", "inv_array"):
+                readers.add(path.stem)
+            if isinstance(node, ast.stmt) and not hasattr(node, "body"):  # a simple statement
+                attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                if "tolist" in attrs and attrs & tables:
+                    listers.add(path.stem)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    assert readers == {"gfq"}
+    assert listers == set()
+    assert not defined & {"_poly_rem", "_is_irreducible", "intersect_dim"}
 
 
 def test_families_stay_arrays():

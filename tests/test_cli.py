@@ -249,6 +249,14 @@ def test_gram_is_not_limited_by_an_incidence_block(argv, out):
     assert run(["gram", *argv]) == (0, out, "")
 
 
+def test_gram_refuses_k_equal_to_n():
+    # k = n leaves one vertex and diag = offdiag, so b = 0 and the closed
+    # form certifies nothing; the table itself would match it
+    for argv in (["2", "3", "3"], ["3", "4", "4", "--json"]):
+        rc, out, err = run(["gram", *argv])
+        assert (rc, out) == (2, "") and "need 2 <= k < n" in err
+
+
 def test_gram_plain_and_json():
     rc, out, _ = run(["gram", "2", "4", "2"])
     assert (rc, out) == (0, "GRAM-OK diag=7 offdiag=1\n")

@@ -7,7 +7,7 @@ import pytest
 from grassmd.errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
-from grassmd.linalg import MatGFq, intersect_dim
+from grassmd.linalg import MatGFq
 from grassmd.constructions import (
     build_mixed_partition,
     build_spread,
@@ -19,6 +19,7 @@ from grassmd.rank import certify_resolving_by_rank
 from grassmd.subspaces import Subspace, gaussian_binomial
 from oracles import (
     contains,
+    intersect_dim,
     ordinal,
     partition_tail_by_extension_field,
     pivots,

@@ -15,13 +15,14 @@ from grassmd.gfq import (
     DEFAULT_MAX_ORDER,
     EXTENSION_MAX_ORDER,
     FieldCtx,
+    _smallest_irreducible,
     digit_rows,
     factor_prime_power,
     field_new,
     gf_matmul,
     power_basis_matrices,
 )
-from oracles import ExtensionField
+from oracles import ExtensionField, smallest_irreducible
 
 
 def field_pow(ctx, a, e):
@@ -92,6 +93,26 @@ def test_pinned_moduli_are_irreducible(q, modulus):
     if e == 4 and p == 2:
         # rootless quartic over GF(2) is reducible only if it is (x^2+x+1)^2
         assert modulus != (1, 0, 1, 0, 1)
+    assert smallest_irreducible(field_new(p), e) == modulus
+
+
+def test_a_field_searches_for_its_modulus_once():
+    # the multiplication table's power-basis matrices reuse the modulus
+    _smallest_irreducible.cache_clear()
+    FieldCtx(16)
+    info = _smallest_irreducible.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_modulus_search_matches_trial_division(q):
+    # the array search, a block of candidates at a time, against the
+    # oracle's trial division of one candidate at a time, for every GF(q^t)
+    # under the ceiling
+    ctx, t = field_new(q), 1
+    while q**t <= EXTENSION_MAX_ORDER:
+        assert _smallest_irreducible(ctx, t) == smallest_irreducible(ctx, t), t
+        t += 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])

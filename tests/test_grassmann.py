@@ -21,7 +21,16 @@ from grassmd.grassmann import (
     is_resolving,
 )
 from grassmd.subspaces import Subspace, SubspaceFamily, bases_point_ordinals, gaussian_binomial
-from oracles import adjacency_lists, bfs_distance, code_of, edge_list, ordinal, rref_rows, vertices
+from oracles import (
+    adjacency_lists,
+    bfs_distance,
+    code_of,
+    edge_list,
+    intersect_dim,
+    ordinal,
+    rref_rows,
+    vertices,
+)
 from strategies import rref_vertex_pairs
 
 
@@ -118,6 +127,17 @@ def test_distance_agrees_with_intersection_dim():
     for _ in range(200):
         a, b = rng.choice(vs), rng.choice(vs)
         assert distance(a, b) == len(rref_rows(g.ctx, a.basis.data + b.basis.data, 4)[0]) - 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(rref_vertex_pairs([(2, 4, 2), (3, 5, 2), (4, 4, 2), (2, 6, 3), (5, 5, 3), (9, 4, 2),
+                          (16, 3, 1), (2, 4, 4)]))
+def test_distance_equals_k_less_the_intersection_dim(case):
+    # one stacked RREF against the three-rank route of the oracle, and each
+    # vertex against itself
+    _, a, b = case
+    assert distance(a, b) == a.dim - intersect_dim(a.basis, b.basis)
+    assert distance(a, a) == distance(b, b) == 0
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ import pytest
 
 from grassmd.errors import DimensionMismatch, InvalidArgs
 from grassmd.gfq import field_new
-from grassmd.linalg import MatGFq, intersect_dim, mat_mul
-from oracles import mat, rank, rref, stack, tables
+from grassmd.linalg import MatGFq, mat_mul
+from oracles import intersect_dim, mat, rank, rref, stack, tables
 
 
 # Helpers that nothing in the package needs; kept here, with the oracles,

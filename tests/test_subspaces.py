@@ -20,6 +20,7 @@ from grassmd.constructions import (
 )
 from grassmd.gfq import field_new, gf_rref
 from grassmd.grassmann import GrassmannGraph
+from grassmd.linalg import MatGFq
 from grassmd.subspaces import (
     BINOMIAL_MAX_DIGITS,
     Subspace,
@@ -256,6 +257,22 @@ def test_subspace_requires_rref_basis():
         Subspace(ctx, 3, mat(ctx, [[0, 1, 0], [1, 0, 0]]))  # pivots out of order
     with pytest.raises(InvalidArgs):
         Subspace(ctx, 3, mat(ctx, [[1, 1, 0], [0, 1, 0]]))  # unreduced pivot col
+
+
+@pytest.mark.parametrize("dim,n", [(0, 0), (0, 3), (1, 0)])
+def test_empty_bases(dim, n):
+    # no rows is the zero subspace's RREF basis; a row of length 0 is a zero
+    # row, so no basis, while as generators it spans the zero subspace
+    ctx = field_new(3)
+    assert is_rref(np.zeros((2, dim, n), dtype=np.uint8)).tolist() == [dim == 0] * 2
+    basis = MatGFq(ctx, dim, n, [[]] * dim)
+    if dim:
+        with pytest.raises(InvalidArgs, match="reduced row echelon"):
+            Subspace(ctx, n, basis)
+    else:
+        assert Subspace(ctx, n, basis) == Subspace._from_rref(ctx, n, ())
+    zero = Subspace.from_rows(ctx, n, [[0] * n] * dim)
+    assert (zero.n, zero.dim, zero.basis.data) == (n, 0, ())
 
 
 def test_subspace_always_validates_and_from_rows_checks_its_input():
