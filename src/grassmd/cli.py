@@ -8,13 +8,15 @@ the family from stdin so constructions pipe straight into `verify`.
 At start-up this module imports only the standard library and `errors`;
 each subcommand imports the modules it runs, so `binom` loads `gfq`,
 `linalg` and `subspaces`, and `verify` adds `famfile` and `grassmann`.
+Commands read the package's public names through `_lookup`, so a name rebound
+on this module wins.  `run()` is the entry point of both the `grassmd` command
+and `python -m grassmd.cli`; `main(argv)` serves callers in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import json
 import sys
 import time
@@ -22,28 +24,18 @@ from itertools import chain
 
 from .errors import GrassmdError, InvalidArgs
 
-# The names `perfbench/trace_child.py` reads on this module and rebinds to
-# timed wrappers, by the module that defines them.  Each loads its module
-# on first use, and a command calls the rebound name when there is one.
-_REBINDABLE = {
-    "format_family": "famfile", "parse_family": "famfile",
-    "resolving_from_spread": "constructions", "resolving_from_partition": "constructions",
-    "resolving_greedy_rank": "constructions",
-    "GrassmannGraph": "grassmann", "is_resolving": "grassmann",
-    "metric_dimension_exact": "search", "metric_dimension_greedy": "search",
-}
-
 
 def __getattr__(name):
-    if name not in _REBINDABLE:
+    """The package's public names, read here unless rebound on this module."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_REBINDABLE[name]}", __package__), name)
+    return getattr(package, name)
 
 
 def _lookup(name):
-    """A name of `_REBINDABLE` as this module binds it: rebound, or from its module."""
-    scope = globals()
-    return scope[name] if name in scope else __getattr__(name)
+    """A public name as this module binds it: rebound, or the package's."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _emit(chunks, path: str | None):
@@ -85,8 +77,9 @@ def _cmd_graph(args) -> int:
 
     ctx = field_new(args.q)
     g = _lookup("GrassmannGraph")(ctx, args.n, args.k)
+    # G_q(n,k) is regular: V times the degree of vertex 0 counts each edge twice
     header = {"q": args.q, "n": args.n, "k": args.k, "vertices": len(g),
-              "edges": sum(len(vs) for _, vs in edge_rows(g))}
+              "edges": len(g) * int((g.distance_rows()[0] == 1).sum()) // 2}
     # one row's edges at a time: no list of all edges or of all lines
     rows = ("".join([f"{u} {v}\n" for v in vs.tolist()]) for u, vs in edge_rows(g))
     _emit(chain([json.dumps(header) + "\n"], rows), args.output)
@@ -400,8 +393,9 @@ def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
         add_ints(sp)
         sp.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT,
                         help="vertex ceiling for the exact search")
-        sp.add_argument("-o", "--output", default=None)
-        add_json(sp)
+        sink = sp.add_mutually_exclusive_group()
+        sink.add_argument("-o", "--output", default=None)
+        add_json(sink)
 
     if sp := add("accept", _cmd_accept, "run the acceptance grid"):
         add_json(sp)
@@ -422,10 +416,14 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> int:
+    """`main()` for the `grassmd` command and `python -m grassmd.cli`; what is
+    still alive then lives until exit, so it is frozen and shutdown's
+    collections skip it."""
     rc = main()
-    # Everything still alive is numpy's and grassmd's and stays alive until
-    # exit; frozen, it is skipped by the collections the interpreter runs
-    # while it shuts down.
     gc.freeze()
-    sys.exit(rc)
+    return rc
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -65,7 +65,7 @@ def parse_family(text: str) -> tuple:
     # a block repeating an earlier one is the first fault if no bad block precedes it
     valid = bad[0] if len(bad) else whole
     try:
-        fam = SubspaceFamily.from_bases(ctx, blocks[:valid]) if m else SubspaceFamily([])
+        fam = SubspaceFamily.from_bases(ctx, blocks[:valid])
     except InvalidArgs as e:
         raise InvalidArgs(f"duplicate blocks: {e}")
     if len(bad):

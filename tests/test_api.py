@@ -82,6 +82,21 @@ def test_benchmark_names_resolve():
     assert (M.m, M.N) == (35, 15)
 
 
+def test_cli_names_are_the_package_names():
+    # `grassmd.cli` keeps no name table of its own: the names the harness
+    # reads and rebinds on it are the package's
+    cli = importlib.import_module("grassmd.cli")
+    for name in BENCHMARK_NAMES["grassmd.cli"]:
+        if name != "main":
+            assert getattr(cli, name) is getattr(grassmd, name), name
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+    # only public names pass through: the package's `__path__` would make
+    # `cli` look like a package to the import system
+    assert not hasattr(cli, "__path__")
+    assert not hasattr(cli, "_REBINDABLE")
+
+
 def test_top_level_workflow():
     ctx = grassmd.field_new(2)
     g = grassmd.GrassmannGraph(ctx, 4, 2)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, JSON schema conformance."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -8,8 +9,10 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 import tracemalloc
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -355,6 +358,19 @@ def test_metricdim_json_is_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_metricdim_json_and_output_file_are_exclusive(monkeypatch, tmp_path):
+    # --json prints the witness and -o writes the family text, so the pair
+    # is a usage error, refused before the graph is enumerated
+    def no_graph(*args):
+        raise AssertionError("the graph was enumerated")
+
+    monkeypatch.setattr(cli, "GrassmannGraph", no_graph)
+    target = tmp_path / "f"
+    rc, out, err = run(["metricdim", "greedy", "2", "4", "2", "--json", "-o", str(target)])
+    assert (rc, out) == (2, "") and "not allowed with argument --json" in err
+    assert not target.exists()
+
+
 def test_metricdim_exact_limit_is_enforced():
     rc, _, err = run(["metricdim", "exact", "2", "4", "2", "--limit", "10"])
     assert rc == 2
@@ -571,13 +587,59 @@ def test_partition_command():
 # --- the command as a process ------------------------------------------------
 
 
-def run_process(argv):
-    """`python -m grassmd.cli ARGV` in a child process, on this checkout."""
+def run_process(argv, entry=("-m", "grassmd.cli")):
+    """`python ENTRY ARGV` in a child process, on this checkout; ENTRY is
+    `-m grassmd.cli` unless given."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, "-m", "grassmd.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *entry, *argv], env=env,
                           capture_output=True, text=True)
+
+
+def write_hyperplane_family(path):
+    """The 2-subspaces of the hyperplane x_4 = 0 of V(4,2): lines outside it
+    that meet it in the same point have the same code."""
+    ctx = field_new(2)
+    fam = [s for s in enumerate_k_subspaces(ctx, 4, 2)
+           if all(row[3] == 0 for row in s.basis.data)]
+    path.write_text(format_family(2, 4, 2, SubspaceFamily(fam)))
+    return str(path)
+
+
+def script_target():
+    """The installed `grassmd` command's target, `module:function`, from pyproject.toml."""
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    return tomllib.loads(pyproject.read_text())["project"]["scripts"]["grassmd"]
+
+
+def test_the_command_runs_what_the_main_block_runs():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    [stmt] = block.body
+    call = stmt.value.args[0]
+    assert ast.unparse(stmt) == f"sys.exit({call.func.id}())"
+    assert script_target() == f"grassmd.cli:{call.func.id}"
+
+
+def test_the_command_exits_like_python_m(tmp_path):
+    # the entry the installed script runs, `sys.exit(function())`, against
+    # `python -m grassmd.cli`: a resolving family, a collision, a usage error
+    module, function = script_target().split(":")
+    script = ("-c", f"import sys; from {module} import {function}; sys.exit({function}())")
+    spread = tmp_path / "spread.txt"
+    spread.write_text(run(["construct", "spread", "2", "6", "2"])[1])
+    cases = [["verify", "2", "6", "2", "-f", str(spread)],
+             ["verify", "2", "4", "2", "-f", write_hyperplane_family(tmp_path / "h.txt")],
+             ["metricdim", "greedy", "2", "4", "2", "--json", "-o", str(tmp_path / "f")]]
+    codes = []
+    for argv in cases:
+        by_script, by_module = run_process(argv, script), run_process(argv)
+        assert (by_script.returncode, by_script.stdout, by_script.stderr) == (
+            by_module.returncode, by_module.stdout, by_module.stderr), argv
+        codes.append(by_module.returncode)
+    assert codes == [0, 1, 2]
 
 
 def test_process_exit_0_writes_the_output_file(tmp_path):
@@ -588,14 +650,8 @@ def test_process_exit_0_writes_the_output_file(tmp_path):
 
 
 def test_process_exit_1_prints_the_whole_json_line(tmp_path):
-    # the 2-subspaces of the hyperplane x_4 = 0: lines outside it that meet
-    # it in the same point have the same code
-    ctx = field_new(2)
-    fam = [s for s in enumerate_k_subspaces(ctx, 4, 2)
-           if all(row[3] == 0 for row in s.basis.data)]
-    target = tmp_path / "hyperplane.txt"
-    target.write_text(format_family(2, 4, 2, SubspaceFamily(fam)))
-    argv = ["verify", "2", "4", "2", "-f", str(target), "--json"]
+    target = write_hyperplane_family(tmp_path / "hyperplane.txt")
+    argv = ["verify", "2", "4", "2", "-f", target, "--json"]
     proc = run_process(argv)
     assert (proc.returncode, proc.stderr) == (1, "")
     assert proc.stdout == run(argv)[1]
@@ -632,7 +688,7 @@ def test_empty_family_file_exits_2(tmp_path, argv):
     path = tmp_path / "empty.txt"
     path.write_text("2 4 2 0\n")
     rc, out, err = run(argv + ["-f", str(path)])
-    assert (rc, out) == (2, "") and err.startswith("error:") and "empty" in err
+    assert (rc, out, err) == (2, "", "error: empty family\n")
 
 
 QNK_COMMANDS = [["binom"], ["spread"], ["partition"], ["construct", "spread"],

@@ -31,6 +31,18 @@ def test_parse_ignores_comments_and_blank_lines():
     assert (ctx.q, n, k, len(fam)) == (2, 3, 2, 1)
 
 
+def test_an_empty_family_is_built_from_its_basis_array(monkeypatch):
+    # a `q n k 0` file's family comes from its (0, k, n) array, as every
+    # other file's does, never from the `Subspace`-list constructor
+    def no_list(self, members):
+        raise AssertionError("SubspaceFamily(members) was called")
+
+    monkeypatch.setattr(SubspaceFamily, "__init__", no_list)
+    ctx, n, k, fam = parse_family("3 5 2 0\n")
+    assert (ctx.q, n, k, len(fam)) == (3, 5, 2, 0)
+    assert fam.ctx is ctx and fam.bases.shape == (0, 2, 5)
+
+
 def test_format_rejects_mismatched_family():
     ctx = field_new(2)
     fam = SubspaceFamily(enumerate_k_subspaces(ctx, 4, 2)[:2])
