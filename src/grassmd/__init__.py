@@ -24,14 +24,14 @@ _EXPORTS = {
               "InvalidShape NotDivisor NotPrimePower TooLarge",
     "famfile": "format_family parse_family",
     "gfq": "FieldCtx factor_prime_power field_new",
-    "grassmann": "GrassmannGraph ResolvingVerdict bfs_distances_from codes_table distance "
+    "grassmann": "GrassmannGraph ResolvingVerdict bfs_distances_from codes_table "
                  "is_resolving",
-    "linalg": "MatGFq",
+    "linalg": "MatGFq Subspace distance",
     "rank": "IncidenceMatrix RankCertificate certify_resolving_by_rank exact_rank "
             "gram_closed_form incidence_matrix verify_gram",
     "search": "metric_dimension_exact metric_dimension_from_distances "
               "metric_dimension_greedy",
-    "subspaces": "Subspace SubspaceFamily enumerate_bases enumerate_k_subspaces "
+    "subspaces": "SubspaceFamily enumerate_bases enumerate_k_subspaces "
                  "gaussian_binomial",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

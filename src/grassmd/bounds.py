@@ -26,6 +26,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateBound, InvalidArgs, TooLarge
+from .gfq import factor_prime_power
 from .subspaces import gaussian_binomial
 
 LOG_BASES = ("e", "2", "10")
@@ -142,6 +143,7 @@ def compare(q: int, n: int, k: int, log_base: str = "e") -> BoundsReport:
     spread route when (k+1) | n, the t=1 partition route, and the greedy
     route, which always stops at exactly [n 1]_q.
     """
+    factor_prime_power(q)  # NotPrimePower when there is no field GF(q), TooLarge above 10^12
     nv = gaussian_binomial(n, k, q)
     cons = gaussian_binomial(n, 1, q)
     estimate = log_estimate(q, n, k)

@@ -6,8 +6,9 @@ negative answer, 2 on bad usage or out-of-budget requests.  `-f -` reads
 the family from stdin so constructions pipe straight into `verify`.
 
 At start-up this module imports only the standard library and `errors`;
-each subcommand imports the modules it runs, so `binom` loads `gfq`,
-`linalg` and `subspaces`, and `verify` adds `famfile` and `grassmann`.
+each subcommand imports the modules it runs, so `binom` loads `gfq` and
+`subspaces`, and `verify` adds `famfile` and `grassmann` (and `linalg`
+when it prints a colliding pair).
 Commands read the package's public names through `_lookup`, so a name rebound
 on this module wins.  `run()` is the entry point of both the `grassmd` command
 and `python -m grassmd.cli`; `main(argv)` serves callers in the same process.
@@ -225,14 +226,12 @@ def _cmd_bounds(args) -> int:
     if args.grid:
         if (args.q, args.n, args.k) != (None, None, None):
             raise InvalidArgs("bounds: give q n k or --grid, not both")
-        grid = _parse_grid(args.grid)
+        # every report is built before any is printed: a bad entry prints nothing
+        reports = [compare(q, n, k, args.log_base) for q, n, k in _parse_grid(args.grid)]
         if args.json:
-            print(json.dumps({"command": "bounds", "grid": [
-                compare(q, n, k, args.log_base).to_json() for q, n, k in grid]}))
-            return 0
-        print(CSV_HEADER)
-        for q, n, k in grid:
-            print(csv_row(compare(q, n, k, args.log_base)))
+            print(json.dumps({"command": "bounds", "grid": [r.to_json() for r in reports]}))
+        else:
+            print("\n".join([CSV_HEADER, *map(csv_row, reports)]))
         return 0
     if None in (args.q, args.n, args.k):
         print("bounds: need q n k or --grid", file=sys.stderr)

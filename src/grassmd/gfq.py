@@ -28,8 +28,10 @@ Gauss-Jordan on a batch of matrices of any rank.  A context
 is immutable and safe to share; it is passed explicitly wherever elements
 are combined.
 
-The ceilings DEFAULT_MAX_ORDER (for GF(q)) and EXTENSION_MAX_ORDER (for
-GF(q^t)) are fixed; larger orders raise TooLarge.
+The ceilings DEFAULT_MAX_ORDER (for GF(q)), EXTENSION_MAX_ORDER (for
+GF(q^t)) and FACTOR_MAX_ORDER (for `factor_prime_power`, whose trial
+division then takes at most 10^6 steps) are fixed; larger orders raise
+TooLarge.
 """
 
 from __future__ import annotations
@@ -42,12 +44,16 @@ from .errors import NotPrimePower, TooLarge
 
 DEFAULT_MAX_ORDER = 16
 EXTENSION_MAX_ORDER = 4096
+FACTOR_MAX_ORDER = 10**12
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise NotPrimePower."""
+    """Return (p, e) with q = p^e, or raise NotPrimePower; refuses q above
+    FACTOR_MAX_ORDER before any trial division."""
     if q < 2:
         raise NotPrimePower(f"field order must be >= 2, got {q}")
+    if q > FACTOR_MAX_ORDER:
+        raise TooLarge(f"field order {q} exceeds ceiling {FACTOR_MAX_ORDER}")
     p = None
     for d in range(2, q + 1):
         if d * d > q:
@@ -104,7 +110,7 @@ class FieldCtx:
     """GF(p^e) with table-driven arithmetic.  Immutable after construction."""
 
     def __init__(self, q: int):
-        # the ceiling first: factoring a huge q by trial division would hang
+        # the ceiling first, before factor_prime_power's trial division
         if q > DEFAULT_MAX_ORDER:
             raise TooLarge(f"field order {q} exceeds ceiling {DEFAULT_MAX_ORDER}")
         p, e = factor_prime_power(q)

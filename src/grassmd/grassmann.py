@@ -8,8 +8,8 @@ distance vector ("code") against S.
 A graph is its sorted (V, k, n) uint8 array of RREF bases from
 `subspaces.enumerate_bases`, which every method reads: an ordinal is a
 binary search of a basis's byte key (`subspaces.basis_keys`), and
-`vertex(i)` builds a `Subspace` object only for a verdict's colliding
-pair or on request.  One gather kernel fills
+`vertex(i)` builds a `Subspace` object (through `linalg`, imported then)
+only for a verdict's colliding pair or on request.  One gather kernel fills
 every code table, one (S, m) uint8 array, and with the family set to all
 vertices the read-only all-pairs distance table.  Two k-subspaces meeting
 in dimension j share exactly [j 1]_q points, so the shared-point count of
@@ -24,8 +24,8 @@ determines its code), not the row.  Rows with equal digests are recomputed
 and compared in full, so the verdict and the lexicographically first
 colliding pair stay exact whatever the digest does.
 
-Two routes stay independent of the kernel: `distance` reads the rank of
-the stacked bases off one `gf_rref`, and `bfs_distances_from`
+Two routes stay independent of the kernel: `linalg.distance` reads the
+rank of two stacked bases off one `gf_rref`, and `bfs_distances_from`
 walks the adjacency array built from the definition of adjacency
 (`GrassmannGraph.adjacency`).  The tests compare the kernel against both,
 and the adjacency against a Python RREF per candidate, with the oracles in
@@ -39,11 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GrassmdError, InvalidArgs
-from .gfq import FieldCtx, gf_matmul, gf_rref
-from .linalg import as_array
+from .errors import GrassmdError, InvalidArgs
+from .gfq import FieldCtx, gf_matmul
 from .subspaces import (
-    Subspace,
     SubspaceFamily,
     bases_incidence_block,
     bases_point_ordinals,
@@ -53,7 +51,6 @@ from .subspaces import (
     enumerate_bases,
     gaussian_binomial,
     point_reps,
-    subspaces_from_bases,
 )
 
 
@@ -80,8 +77,10 @@ class GrassmannGraph:
     def __len__(self):
         return len(self.bases)
 
-    def vertex(self, i: int) -> Subspace:
-        """Vertex i, built from its array row alone."""
+    def vertex(self, i: int):
+        """Vertex i as a `Subspace`, built from its array row alone."""
+        from .linalg import subspaces_from_bases
+
         return subspaces_from_bases(self.ctx, self.bases[i:i + 1])[0]
 
     def ordinals(self, bases: np.ndarray) -> np.ndarray:
@@ -162,17 +161,6 @@ class ResolvingVerdict(NamedTuple):
 
     def __bool__(self):
         return self.resolving
-
-
-def distance(a: Subspace, b: Subspace) -> int:
-    """k - dim(a ∩ b) = dim(a + b) - k, the rank of the stacked bases less
-    k, from one `gf_rref`; zero iff a = b."""
-    if a.ctx != b.ctx or a.n != b.n:
-        raise DimensionMismatch("subspaces live in different spaces")
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    stacked = gf_rref(a.ctx, np.concatenate([as_array(a.basis), as_array(b.basis)])[None])
-    return int(stacked.any(axis=2).sum()) - a.dim
 
 
 # Shared-point counts are summed over about this many cells at a time: a

@@ -8,10 +8,9 @@ a counter, and sorts the bases by their byte keys (`basis_keys`), so the
 order (lexicographic in the flattened basis) is a stable public contract.
 Every array row is a distinct subspace, so no rejection or hashing is
 needed.  A `SubspaceFamily` is its field and one (m, d, n) array of RREF
-bases; `Subspace` objects are built from array rows only at the API edge
-(iterating or indexing a family or graph, `enumerate_k_subspaces`).
-`is_rref` is the one RREF test; the reduction itself is `gfq.gf_rref`,
-which `Subspace.from_rows` calls on one generating set.
+bases.  Building a family from `Subspace` objects, iterating or indexing
+it and `enumerate_k_subspaces` cross to objects through `linalg`, which
+they import when they run.  `is_rref` is the one RREF test.
 
 Projective points (1-subspaces) are numbered by their normalized
 representatives (first nonzero coordinate scaled to 1), in ascending
@@ -24,7 +23,6 @@ recurrence, both in `tests/oracles.py`.
 """
 from __future__ import annotations
 
-import gc
 import math
 import os
 from itertools import combinations, product
@@ -32,8 +30,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgs, TooLarge
-from .gfq import FieldCtx, gf_matmul, gf_rref
-from .linalg import MatGFq, as_array
+from .gfq import FieldCtx, gf_matmul
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -99,67 +96,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-class Subspace:
-    """A dim-dimensional subspace of V(n,q), held as its RREF basis."""
-
-    __slots__ = ("ctx", "n", "dim", "basis")
-
-    def __init__(self, ctx: FieldCtx, n: int, basis: MatGFq):
-        if basis.cols != n:
-            raise InvalidArgs(f"basis has {basis.cols} columns, ambient is {n}")
-        if not is_rref(as_array(basis)[None])[0]:
-            raise InvalidArgs("basis rows are not in reduced row echelon form")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", basis.rows)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def _from_rref(cls, ctx: FieldCtx, n: int, data: tuple) -> "Subspace":
-        """Wrap row tuples already in RREF; no checks."""
-        put = object.__setattr__
-        basis = object.__new__(MatGFq)
-        put(basis, "ctx", ctx)
-        put(basis, "rows", len(data))
-        put(basis, "cols", n)
-        put(basis, "data", data)
-        sub = object.__new__(cls)
-        put(sub, "ctx", ctx)
-        put(sub, "n", n)
-        put(sub, "dim", len(data))
-        put(sub, "basis", basis)
-        return sub
-
-    @classmethod
-    def from_rows(cls, ctx: FieldCtx, n: int, rows) -> "Subspace":
-        """Canonicalize an arbitrary generating set."""
-        rows = tuple(rows)
-        gens = MatGFq(ctx, len(rows), n, rows)  # checks the shape and the entries
-        basis = gf_rref(ctx, as_array(gens)[None])[0]
-        return cls._from_rref(ctx, n, tuple(map(tuple, basis[basis.any(axis=1)].tolist())))
-
-    def to_text(self) -> str:
-        """dim lines of n space-separated element encodings."""
-        return "\n".join(" ".join(map(str, row)) for row in self.basis.data)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ctx == other.ctx
-            and self.n == other.n
-            and self.basis.data == other.basis.data
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.q, self.n, self.basis.data))
-
-    def __repr__(self):
-        return f"Subspace(q={self.ctx.q}, n={self.n}, dim={self.dim}, [{'; '.join(' '.join(map(str, r)) for r in self.basis.data)}])"
-
-
 class SubspaceFamily:
     """Ordered, duplicate-free family of same-shape subspaces: the field
     `ctx` and `bases`, the read-only (m, d, n) uint8 array of their RREF
@@ -170,12 +106,9 @@ class SubspaceFamily:
 
     def __init__(self, members):
         """The family of `Subspace` objects of one field, ambient space and dimension."""
-        members = tuple(members)
-        if len({(s.ctx, s.n, s.dim) for s in members}) > 1:
-            raise InvalidArgs("subspaces differ in field, ambient space or dimension")
-        shape = (len(members), members[0].dim, members[0].n) if members else (0, 0, 0)
-        self._hold(members[0].ctx if members else None,
-                   np.array([s.basis.data for s in members], dtype=np.uint8).reshape(shape))
+        from .linalg import bases_of
+
+        self._hold(*bases_of(members))
 
     @classmethod
     def from_bases(cls, ctx: FieldCtx, bases: np.ndarray) -> "SubspaceFamily":
@@ -204,9 +137,13 @@ class SubspaceFamily:
         return len(self.bases)
 
     def __iter__(self):
+        from .linalg import subspaces_from_bases
+
         return iter(subspaces_from_bases(self.ctx, self.bases))
 
     def __getitem__(self, i):
+        from .linalg import subspaces_from_bases
+
         return subspaces_from_bases(self.ctx, self.bases[i][None])[0]
 
     def __eq__(self, other):
@@ -247,34 +184,10 @@ def enumerate_bases(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
     return out
 
 
-def subspaces_from_bases(ctx: FieldCtx, bases: np.ndarray) -> list:
-    """`Subspace` objects for an (S, d, n) array of RREF bases, which are
-    trusted to be RREF with entries below q (as `enumerate_bases` makes
-    them)."""
-    n = bases.shape[2]
-    out = []
-    # Equal rows share one tuple: RREF rows are normalized vectors, so there
-    # are at most [n 1]_q distinct ones, and sharing them more than halves
-    # the memory of each object.
-    shared = {}
-    # The new objects form no reference cycles, so cyclic-collector passes
-    # triggered by the allocations would only rescan them; on large lists
-    # those passes took half the time.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for lo in range(0, len(bases), 256):  # bounds the list temporaries
-            for rows in bases[lo:lo + 256].tolist():
-                data = tuple([shared.setdefault(r, r) for r in map(tuple, rows)])
-                out.append(Subspace._from_rref(ctx, n, data))
-    finally:
-        if enabled:
-            gc.enable()
-    return out
-
-
 def enumerate_k_subspaces(ctx: FieldCtx, n: int, k: int) -> list:
     """All k-subspaces of V(n,q), sorted by flattened-basis encoding."""
+    from .linalg import subspaces_from_bases
+
     return subspaces_from_bases(ctx, enumerate_bases(ctx, n, k))
 
 

@@ -18,7 +18,7 @@ from `smallest_irreducible`, trial division of one candidate at a time on
 the tables as lists (`_poly_rem`, `_is_irreducible`), which the array
 search in `gfq` is checked against; `intersect_dim` takes the three ranks
 of two matrices of any rank from one `gf_rref` batch, a route other than
-`grassmann.distance`'s one stacked RREF.
+`linalg.distance`'s one stacked RREF.
 """
 
 from functools import lru_cache
@@ -28,16 +28,14 @@ import numpy as np
 from grassmd.errors import DimensionMismatch, InvalidArgs, NotPrimePower, TooLarge
 from grassmd.gfq import EXTENSION_MAX_ORDER, FieldCtx, field_new, gf_rref
 from grassmd.grassmann import bfs_distances_from, edge_rows
-from grassmd.linalg import MatGFq, as_array, mat_mul
+from grassmd.linalg import MatGFq, Subspace, as_array, mat_mul, subspaces_from_bases
 from grassmd.subspaces import (
-    Subspace,
     SubspaceFamily,
     bases_incidence_block,
     enumerate_bases,
     enumerate_k_subspaces,
     gaussian_binomial,
     point_reps,
-    subspaces_from_bases,
 )
 
 

@@ -3,8 +3,7 @@
 from hypothesis import strategies as st
 
 from grassmd.gfq import field_new
-from grassmd.linalg import MatGFq
-from grassmd.subspaces import Subspace
+from grassmd.linalg import MatGFq, Subspace
 
 
 def _rref_subspace(draw, ctx, n: int, d: int) -> Subspace:

@@ -114,27 +114,32 @@ def run_python(*args):
                           text=True, check=True).stdout
 
 
-# `python -m grassmd.cli ARGV` in-process, reporting the grassmd modules
-# loaded when the interpreter exits
+# `python -m grassmd.cli ARGV` in-process, reporting its exit code and the
+# grassmd modules loaded by then
 CLI_PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: print(sorted(m for m in sys.modules if m.split(".")[0] == "grassmd")))
+import runpy, sys
 sys.argv = ["grassmd", *{argv!r}]
-runpy.run_module("grassmd.cli", run_name="__main__")
+try:
+    runpy.run_module("grassmd.cli", run_name="__main__")
+except SystemExit as e:
+    print(e.code, sorted(m for m in sys.modules if m.split(".")[0] == "grassmd"))
 """
 
-# what every subcommand loads, and what each loads beyond that; the rows
-# share one family file, so those that overwrite it come after its readers
-CLI_BASE_MODULES = {"grassmd", "grassmd.errors", "grassmd.gfq", "grassmd.linalg",
-                    "grassmd.subspaces"}
+# what every subcommand loads, what each loads beyond that, and its exit
+# code; the rows share one family file, so those that overwrite it come
+# after its readers.  Only printing a colliding pair loads `linalg`.
+CLI_BASE_MODULES = {"grassmd", "grassmd.errors", "grassmd.gfq", "grassmd.subspaces"}
 CLI_MODULES = [
-    (["binom", "6", "3", "2"], set()),
-    (["construct", "spread", "2", "6", "2", "-o", "{fam}"], {"famfile", "constructions"}),
-    (["verify", "2", "6", "2", "-f", "{fam}"], {"famfile", "grassmann"}),
-    (["rank", "-f", "{fam}"], {"famfile", "rank"}),
-    (["metricdim", "greedy", "2", "4", "2", "--json"], {"grassmann", "search"}),
-    (["construct", "partition", "2", "5", "2", "-o", "{fam}"], {"famfile", "constructions"}),
-    (["construct", "greedy", "2", "4", "2", "-o", "{fam}"], {"famfile", "rank", "constructions"}),
+    (["binom", "6", "3", "2"], set(), 0),
+    (["construct", "spread", "2", "6", "2", "-o", "{fam}"], {"famfile", "constructions"}, 0),
+    (["verify", "2", "6", "2", "-f", "{fam}"], {"famfile", "grassmann"}, 0),
+    (["rank", "-f", "{fam}"], {"famfile", "rank"}, 0),
+    (["metricdim", "greedy", "2", "4", "2", "--json"], {"grassmann", "search"}, 0),
+    (["construct", "partition", "2", "5", "2", "-o", "{fam}"], {"famfile", "constructions"}, 0),
+    (["construct", "greedy", "2", "4", "2", "-o", "{fam}"], {"famfile", "rank", "constructions"}, 0),
+    # a 2-spread of V(4,2) is not resolving for G_2(4,2)
+    (["spread", "2", "4", "2", "-o", "{fam}"], {"famfile", "constructions"}, 0),
+    (["verify", "2", "4", "2", "-f", "{fam}"], {"famfile", "grassmann", "linalg"}, 1),
 ]
 
 
@@ -151,11 +156,11 @@ def test_cli_import_skips_mpmath_and_acceptance(tmp_path):
     assert out.split() == ["['grassmd']"]
     # each subcommand loads its own modules and no others
     fam = str(tmp_path / "fam.txt")
-    for argv, extra in CLI_MODULES:
+    for argv, extra, code in CLI_MODULES:
         argv = [a.format(fam=fam) for a in argv]
         loaded = run_python("-c", CLI_PROBE.format(argv=argv)).splitlines()[-1]
         expected = CLI_BASE_MODULES | {f"grassmd.{m}" for m in extra}
-        assert loaded == str(sorted(expected)), argv[0]
+        assert loaded == f"{code} {sorted(expected)}", argv[0]
 
 
 # the span names `perfbench/trace_child.py` records for one CLI call
@@ -350,19 +355,30 @@ def test_families_stay_arrays():
         used = {name for _, name in uses.calls + uses.names}
         used |= {alias.name for node in imports for alias in node.names}
         assert not used & forbidden, (stem, used & forbidden)
-    # the tuple matrices stay behind the `Subspace` edge and the one
-    # independent distance route
-    importers = set()
+    # the tuple-object edge is one module, which no module imports at module
+    # level: the functions that take or hand out objects import it when they
+    # run, and no other module reads a `Subspace`'s basis or dimension
+    edge = {"Subspace", "subspaces_from_bases", "bases_of", "distance", "MatGFq",
+            "as_array", "mat_mul"}
+    importers, homes, readers = set(), {}, set()
     for path in src.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "linalg":
                 importers.add(path.stem)
-    assert importers == {"subspaces", "grassmann"}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in edge:
+                homes.setdefault(node.name, set()).add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr in ("basis", "dim"):
+                readers.add(path.stem)
+    assert importers == set()
+    assert homes == {name: {"linalg"} for name in edge}
+    assert readers == {"linalg"}
     assert not hasattr(grassmd.subspaces, "basis_array")
     assert not hasattr(grassmd.subspaces, "incidence_block")
     # object helpers only the tests use live in tests/oracles.py
-    assert not hasattr(grassmd.subspaces.Subspace, "contains")
-    assert not hasattr(grassmd.subspaces.Subspace, "pivots")
+    assert not hasattr(grassmd.linalg.Subspace, "contains")
+    assert not hasattr(grassmd.linalg.Subspace, "pivots")
     for name in ("vertices", "_vertices", "ordinal"):
         assert not hasattr(grassmd.grassmann.GrassmannGraph, name), name
     assert not hasattr(grassmd.grassmann, "edge_list")

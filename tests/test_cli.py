@@ -325,6 +325,18 @@ def test_bounds_grid_excludes_positionals(qnk):
     assert err.startswith("error:") and "--grid" in err
 
 
+@pytest.mark.parametrize("argv,err", [
+    # there is no field GF(6), so no graph G_6(4,2) to bound
+    (["6", "4", "2"], "6 is not a prime power"),
+    (["--grid", "2:4:2,6:4:2"], "6 is not a prime power"),
+    (["--grid", "2:4:2,6:4:2", "--json"], "6 is not a prime power"),
+    # every report is built before the CSV header is printed
+    (["--grid", "2:4:2,2:4:3"], "need k <= n-k, got n=4 k=3"),
+])
+def test_bounds_refusals_print_nothing(argv, err):
+    assert run(["bounds", *argv]) == (2, "", f"error: {err}\n")
+
+
 def test_bounds_log_base():
     rc, out, _ = run(["bounds", "2", "4", "2", "--log-base", "2", "--json"])
     payload = json.loads(out)
@@ -489,6 +501,20 @@ def test_astronomical_binomials_exit_2_promptly(argv):
     rc, out, err = run(argv)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "digits" in err
+    assert time.perf_counter() - t0 < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", str(2**61 - 1), "4", "2"],
+    ["bounds", str(2**3217 - 1), "6", "3"],
+    ["bounds", "--grid", f"2:4:2,{2**61 - 1}:4:2"],
+])
+def test_huge_field_orders_exit_2_promptly(argv):
+    # a q above gfq.FACTOR_MAX_ORDER is refused before trial division
+    # looks for its prime, which took minutes for 2^61 - 1
+    t0 = time.perf_counter()
+    rc, out, err = run(argv)
+    assert rc == 2 and out == "" and "exceeds ceiling" in err
     assert time.perf_counter() - t0 < 5
 
 

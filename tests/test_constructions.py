@@ -7,7 +7,7 @@ import pytest
 from grassmd.errors import BudgetExceeded, InvalidArgs, InvalidShape, NotDivisor
 from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph, is_resolving
-from grassmd.linalg import MatGFq
+from grassmd.linalg import MatGFq, Subspace
 from grassmd.constructions import (
     build_mixed_partition,
     build_spread,
@@ -16,7 +16,7 @@ from grassmd.constructions import (
     resolving_greedy_rank,
 )
 from grassmd.rank import certify_resolving_by_rank
-from grassmd.subspaces import Subspace, gaussian_binomial
+from grassmd.subspaces import gaussian_binomial
 from oracles import (
     contains,
     intersect_dim,

@@ -14,6 +14,7 @@ from grassmd.errors import NotPrimePower, TooLarge
 from grassmd.gfq import (
     DEFAULT_MAX_ORDER,
     EXTENSION_MAX_ORDER,
+    FACTOR_MAX_ORDER,
     FieldCtx,
     _smallest_irreducible,
     digit_rows,
@@ -62,6 +63,13 @@ def test_factor_prime_power(q, p, e):
 def test_factor_rejects_non_prime_powers(q):
     with pytest.raises(NotPrimePower):
         factor_prime_power(q)
+
+
+def test_factor_ceiling():
+    # trial division stops at 10^6 steps: a larger q is refused before it
+    assert factor_prime_power(999999999989) == (999999999989, 1)  # the largest prime <= 10^12
+    with pytest.raises(TooLarge):
+        factor_prime_power(FACTOR_MAX_ORDER + 1)
 
 
 def test_order_ceiling():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from grassmd import grassmann as grassmann_mod
+from grassmd import linalg as linalg_mod
 from grassmd import subspaces as subspaces_mod
 from grassmd.errors import BudgetExceeded, DimensionMismatch, GrassmdError, InvalidArgs
 from grassmd.gfq import field_new
@@ -17,10 +18,10 @@ from grassmd.grassmann import (
     ResolvingVerdict,
     bfs_distances_from,
     codes_table,
-    distance,
     is_resolving,
 )
-from grassmd.subspaces import Subspace, SubspaceFamily, bases_point_ordinals, gaussian_binomial
+from grassmd.linalg import Subspace, distance
+from grassmd.subspaces import SubspaceFamily, bases_point_ordinals, gaussian_binomial
 from oracles import (
     adjacency_lists,
     bfs_distance,
@@ -326,12 +327,14 @@ def test_verdict_builds_no_vertex_objects(monkeypatch):
     g = graph(3, 4, 2)
     fam = SubspaceFamily([g.vertex(0), g.vertex(50)])
     built = []
+    build = linalg_mod.subspaces_from_bases
 
     def counted(ctx, bases):
         built.append(len(bases))
-        return subspaces_mod.subspaces_from_bases(ctx, bases)
+        return build(ctx, bases)
 
-    monkeypatch.setattr(grassmann_mod, "subspaces_from_bases", counted)
+    # `vertex` imports it from `linalg` when it runs, so the patch is seen
+    monkeypatch.setattr(linalg_mod, "subspaces_from_bases", counted)
     verdict = is_resolving(fam, g)
     assert built == [1, 1]  # only the two colliding vertices were built
     i, j = verdict.ordinals

@@ -26,7 +26,8 @@ from grassmd.rank import (
     verify_gram,
 )
 from grassmd.constructions import resolving_greedy_rank
-from grassmd.subspaces import Subspace, SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
+from grassmd.linalg import Subspace
+from grassmd.subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
 from oracles import PointIndex, contains, gram_float_product, incidence_vector
 
 

@@ -20,10 +20,9 @@ from grassmd.constructions import (
 )
 from grassmd.gfq import field_new, gf_rref
 from grassmd.grassmann import GrassmannGraph
-from grassmd.linalg import MatGFq
+from grassmd.linalg import MatGFq, Subspace
 from grassmd.subspaces import (
     BINOMIAL_MAX_DIGITS,
-    Subspace,
     SubspaceFamily,
     bases_incidence_block,
     check_budget,
