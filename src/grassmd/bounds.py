@@ -15,14 +15,15 @@ Three formulas are compared against the constructive bound [n 1]_q:
 "log" in the two upper bounds defaults to the natural logarithm; the base
 is switchable and recorded in every report, since qualitative comparisons
 can flip for borderline instances.  Evaluation goes through exact big
-integers and 96-bit floating point, so double rounding on huge Gaussian
-binomials is not a concern.  mpmath is imported inside the functions that
-use it, so importing the package does not pay for it.
+integers and the standard library's `decimal` at 40 significant digits
+(about 133 bits), so double rounding on huge Gaussian binomials is not a
+concern; each result is then rounded once to a float.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 from typing import NamedTuple
 
 from .errors import DegenerateBound, InvalidArgs, TooLarge
@@ -30,17 +31,14 @@ from .gfq import factor_prime_power
 from .subspaces import gaussian_binomial
 
 LOG_BASES = ("e", "2", "10")
-_PRECISION_BITS = 96
 
 
-def _log(x, base: str = "e"):
-    import mpmath
-
-    v = mpmath.log(mpmath.mpf(x))
+def _log(x, base: str = "e") -> Decimal:
+    v = Decimal(x).ln()
     if base == "e":
         return v
     if base in ("2", "10"):
-        return v / mpmath.log(int(base))
+        return v / Decimal(base).ln()
     raise InvalidArgs(f"log base must be one of {LOG_BASES}, got {base!r}")
 
 
@@ -70,20 +68,16 @@ def log_estimate(q: int, n: int, k: int) -> float:
     """log base k of [n k]_q; approximate, not rounded up here."""
     if k < 2:
         raise InvalidArgs(f"need k >= 2, got {k}")
-    import mpmath
-
     nv = gaussian_binomial(n, k, q)
-    with mpmath.workprec(_PRECISION_BITS):
-        return _finite(float(mpmath.log(mpmath.mpf(nv)) / mpmath.log(k)), "log estimate")
+    with localcontext(Context(prec=40)):
+        return _finite(float(_log(nv) / _log(k)), "log estimate")
 
 
 def babai_general(q: int, n: int, k: int, log_base: str = "e") -> float:
     """4 * sqrt(N) * log N with N = [n k]_q."""
-    import mpmath
-
     nv = gaussian_binomial(n, k, q)
-    with mpmath.workprec(_PRECISION_BITS):
-        return _finite(float(4 * mpmath.sqrt(mpmath.mpf(nv)) * _log(nv, log_base)),
+    with localcontext(Context(prec=40)):
+        return _finite(float(4 * Decimal(nv).sqrt() * _log(nv, log_base)),
                        "general upper bound")
 
 
@@ -105,12 +99,8 @@ def babai_strong(q: int, n: int, k: int, log_base: str = "e") -> tuple:
             big_m, arg = term, j
     if big_m >= nv:
         raise DegenerateBound(f"M={big_m} >= N={nv}")
-    import mpmath
-
-    with mpmath.workprec(_PRECISION_BITS):
-        bound = float(
-            2 * k * mpmath.mpf(nv) / mpmath.mpf(nv - big_m) * _log(nv, log_base)
-        )
+    with localcontext(Context(prec=40)):
+        bound = float(2 * k * Decimal(nv) / (nv - big_m) * _log(nv, log_base))
     return _finite(bound, "strong upper bound"), big_m, arg
 
 

@@ -1,8 +1,8 @@
 """Family file format.
 
-Plain text: a header line ``q n k m`` (space-separated decimals), then m
-blocks of k lines, each line n space-separated element encodings — the
-RREF rows of one subspace.  Lines starting with ``#`` and blank lines are
+Plain text: a header line ``q n k m``, then m blocks of k lines, each line
+n element encodings (the RREF rows of one subspace), every number an ASCII
+``-?[0-9]+`` between spaces.  Lines starting with ``#`` and blank lines are
 comments.  Every block must already be a reduced row echelon basis and
 blocks must be pairwise distinct; the writer emits exactly this shape, so
 construct -> file -> verify round-trips byte-identically.  Both directions
@@ -12,11 +12,16 @@ at once and reports the first offending one.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import InvalidArgs
 from .gfq import field_new
 from .subspaces import SubspaceFamily, is_rref
+
+# int() alone would also read "+1", "0_1" and non-ASCII digits
+_FOREIGN = re.compile(r"[^-0-9\s]")
 
 
 def format_family(q: int, n: int, k: int, family: SubspaceFamily, comments=()) -> str:
@@ -40,6 +45,8 @@ def parse_family(text: str) -> tuple:
         if not line or line.startswith("#"):
             continue
         try:
+            if _FOREIGN.search(line):
+                raise ValueError
             data.append([int(tok) for tok in line.split()])
         except ValueError:
             raise InvalidArgs(f"line {ln}: non-integer token in {raw!r}")

@@ -18,14 +18,20 @@ from `smallest_irreducible`, trial division of one candidate at a time on
 the tables as lists (`_poly_rem`, `_is_irreducible`), which the array
 search in `gfq` is checked against; `intersect_dim` takes the three ranks
 of two matrices of any rank from one `gf_rref` batch, a route other than
-`linalg.distance`'s one stacked RREF.
+`linalg.distance`'s one stacked RREF.  The three float bounds are evaluated
+in mpmath at 96 bits (`log_estimate_mpmath`, `babai_general_mpmath`,
+`babai_strong_mpmath`), which `bounds`' 40-digit `decimal` evaluation is
+checked against.
 """
 
+import re
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
-from grassmd.errors import DimensionMismatch, InvalidArgs, NotPrimePower, TooLarge
+from grassmd.bounds import LOG_BASES, _finite, distance_class_size
+from grassmd.errors import DegenerateBound, DimensionMismatch, InvalidArgs, NotPrimePower, TooLarge
 from grassmd.gfq import EXTENSION_MAX_ORDER, FieldCtx, field_new, gf_rref
 from grassmd.grassmann import bfs_distances_from, edge_rows
 from grassmd.linalg import MatGFq, Subspace, as_array, mat_mul, subspaces_from_bases
@@ -329,10 +335,10 @@ def parse_family_by_block(text: str) -> tuple:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            data.append([int(tok) for tok in line.split()])
-        except ValueError:
+        tokens = line.split()
+        if not all(re.fullmatch("-?[0-9]+", tok) for tok in tokens):
             raise InvalidArgs(f"line {ln}: non-integer token in {raw!r}")
+        data.append([int(tok) for tok in tokens])
     if not data:
         raise InvalidArgs("empty family file")
     header = data[0]
@@ -476,3 +482,51 @@ def partition_tail_by_extension_field(ctx, n: int, k: int) -> SubspaceFamily:
         subspace(ctx, n, [ext.coords(ext.mul(a, ext.from_coords([0] * j + [1])))
                           + tuple(int(i == j) for i in range(t)) for j in range(t)])
         for a in range(ext.order)])
+
+
+_PRECISION_BITS = 96
+
+
+def _log_mpmath(x, base: str = "e"):
+    v = mpmath.log(mpmath.mpf(x))
+    if base == "e":
+        return v
+    if base in ("2", "10"):
+        return v / mpmath.log(int(base))
+    raise InvalidArgs(f"log base must be one of {LOG_BASES}, got {base!r}")
+
+
+def log_estimate_mpmath(q: int, n: int, k: int) -> float:
+    """`bounds.log_estimate` at 96-bit mpmath precision."""
+    if k < 2:
+        raise InvalidArgs(f"need k >= 2, got {k}")
+    nv = gaussian_binomial(n, k, q)
+    with mpmath.workprec(_PRECISION_BITS):
+        return _finite(float(mpmath.log(mpmath.mpf(nv)) / mpmath.log(k)), "log estimate")
+
+
+def babai_general_mpmath(q: int, n: int, k: int, log_base: str = "e") -> float:
+    """`bounds.babai_general` at 96-bit mpmath precision."""
+    nv = gaussian_binomial(n, k, q)
+    with mpmath.workprec(_PRECISION_BITS):
+        return _finite(float(4 * mpmath.sqrt(mpmath.mpf(nv)) * _log_mpmath(nv, log_base)),
+                       "general upper bound")
+
+
+def babai_strong_mpmath(q: int, n: int, k: int, log_base: str = "e") -> tuple:
+    """`bounds.babai_strong` at 96-bit mpmath precision."""
+    if k > n - k:
+        raise InvalidArgs(f"need k <= n-k, got n={n} k={k}")
+    nv = gaussian_binomial(n, k, q)
+    big_m, arg = 1, 0
+    for j in range(k + 1):
+        term = distance_class_size(q, n, k, j)
+        if term > big_m:
+            big_m, arg = term, j
+    if big_m >= nv:
+        raise DegenerateBound(f"M={big_m} >= N={nv}")
+    with mpmath.workprec(_PRECISION_BITS):
+        bound = float(
+            2 * k * mpmath.mpf(nv) / mpmath.mpf(nv - big_m) * _log_mpmath(nv, log_base)
+        )
+    return _finite(bound, "strong upper bound"), big_m, arg

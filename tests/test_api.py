@@ -163,6 +163,23 @@ def test_cli_import_skips_mpmath_and_acceptance(tmp_path):
         assert loaded == f"{code} {sorted(expected)}", argv[0]
 
 
+def test_no_module_imports_mpmath():
+    # numpy is the one runtime dependency: the bound formulas run on the
+    # standard library's `decimal`, and mpmath is the tests' oracle
+    importers = set()
+    for path in Path(grassmd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "mpmath" for m in modules):
+                importers.add(path.stem)
+    assert importers == set()
+
+
 # the span names `perfbench/trace_child.py` records for one CLI call
 TRACED_SPANS = [
     (["construct", "spread", "3", "6", "2", "-o", "{fam}"],

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
-from grassmd.errors import InvalidArgs
+from grassmd import bounds
+from grassmd.errors import GrassmdError, InvalidArgs
 from grassmd.bounds import (
     CSV_HEADER,
+    LOG_BASES,
     babai_general,
     babai_strong,
     compare,
@@ -19,11 +21,16 @@ from grassmd.gfq import field_new
 from grassmd.grassmann import GrassmannGraph
 from grassmd.search import metric_dimension_greedy
 from grassmd.subspaces import gaussian_binomial
-from oracles import gaussian_binomial_pascal
+from oracles import (
+    babai_general_mpmath,
+    babai_strong_mpmath,
+    gaussian_binomial_pascal,
+    log_estimate_mpmath,
+)
 
 
 def test_log_estimate_is_log_base_k():
-    # float recomputation, independent of the mpmath evaluation inside
+    # float recomputation, independent of the decimal evaluation inside
     for q, n, k in [(2, 4, 2), (2, 6, 3), (3, 5, 2)]:
         nv = gaussian_binomial(n, k, q)
         assert log_estimate(q, n, k) == pytest.approx(math.log(nv, k), abs=1e-9)
@@ -169,3 +176,29 @@ def test_large_instance_stays_finite():
     assert rep.babai_general > rep.lower_log > 0
     assert rep.lower_bound == lower_bound(3, 12, 6) > 0
     assert math.isfinite(rep.babai_general) and math.isfinite(rep.babai_strong)
+
+
+def _outcome(q, n, k, log_base):
+    """compare's JSON, or the type and message of the error it raises."""
+    try:
+        return compare(q, n, k, log_base).to_json()
+    except GrassmdError as e:
+        return type(e).__name__, str(e)
+
+
+def test_compare_matches_the_mpmath_oracle(monkeypatch):
+    # the 40-digit decimal evaluation rounds to the same floats as the
+    # 96-bit mpmath one, and fails with the same errors
+    grid = [(q, n, k, base) for q in (2, 3, 4, 5, 7, 8, 9, 16, 1009)
+            for n in range(1, 31) for k in range(n + 1) for base in LOG_BASES]
+    grid.append((2, 1900, 7, "e"))  # [1900 7]_2: sqrt(N) overflows a float
+    got = [_outcome(*case) for case in grid]
+    assert got[-1] == ("TooLarge", "general upper bound is too large for a float")
+    # k = 0, which `compare` refuses first: N = 1 and log N = 0
+    for q, n, base in [(2, 1, "e"), (3, 4, "2"), (1009, 30, "10")]:
+        assert babai_general(q, n, 0, base) == babai_general_mpmath(q, n, 0, base) == 0.0
+    monkeypatch.setattr(bounds, "log_estimate", log_estimate_mpmath)
+    monkeypatch.setattr(bounds, "babai_general", babai_general_mpmath)
+    monkeypatch.setattr(bounds, "babai_strong", babai_strong_mpmath)
+    expected = [_outcome(*case) for case in grid]
+    assert [case for case, a, b in zip(grid, got, expected) if a != b] == []

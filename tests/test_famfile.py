@@ -64,6 +64,14 @@ def test_format_rejects_mismatched_family():
         ("2 3 1 1\n1 0 99999999999999999999\n", "entry"),  # beyond int64, too
         ("2 3 2 1\n0 1 0\n1 0 0\n", "echelon"),  # not in canonical form
         ("2 3 2 2\n1 0 0\n0 1 0\n1 0 0\n0 1 0\n", "duplicate"),
+        # tokens int() reads but the format never writes
+        ("2 4 2 1\n1 0 0_0 0\n0 +1 0 0\n", "line 2: non-integer"),
+        ("2 3 2 1\n1 0 +0\n0 1 0\n", "line 2: non-integer"),
+        ("2 3 2 1\n1 0 \u0660\n0 1 0\n", "line 2: non-integer"),  # ARABIC-INDIC ZERO
+        ("2 3 2 \uff11\n1 0 0\n0 1 0\n", "line 1: non-integer"),  # FULLWIDTH ONE
+        # negative values are tokens that the value checks refuse
+        ("2 3 2 1\n1 0 -1\n0 1 0\n", "entry -1 is not"),
+        ("2 3 -2 1\n", "bad header"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -141,6 +149,9 @@ def parse_outcome(parse, text):
 @example("2 3 1 3\n1 0 0\n1 0 0\n-1 1 0\n")  # a repeat, then an entry
 @example("2 3 1 3\n1 0 0\n1 0 0\n1 0\n")  # a repeat, then a short row
 @example("2 3 1 3\n1 0 0\n-1 1 0\n1 0 0\n")  # an entry, then a repeat
+@example("2 3 2 1\n1 0 +1\n0 1 0_0\n")  # tokens int() reads but the format does not
+@example("2 3 1 1\n1 0 \uff10\n")  # a non-ASCII digit
+@example("2 3 1 1\n1\u00a00 0\n")  # a non-ASCII separator
 def test_parse_matches_the_block_by_block_oracle(text):
     # the array parser accepts the same texts, returns equal families and
     # refuses the rest with the same error, first offending block first
