@@ -1,6 +1,7 @@
 """The acceptance grid: eleven self-contained checks over fixed instances.
 
-Each criterion function runs its instances, measures wall time, and
+Each criterion is a check over its instances, and one runner, the
+`_criterion` decorator, times it, runs the check on every instance and
 returns a CriterionResult with enough detail to diagnose a failure.  The
 CLI `accept` command prints these as a table; the test suite asserts each
 one individually.  Expected constants here were derived independently
@@ -90,8 +91,25 @@ class CriterionResult:
         }
 
 
-def _result(num, title, started, ok, details) -> CriterionResult:
-    return CriterionResult(num, title, ok, time.perf_counter() - started, details)
+def _criterion(num, title, instances=None, **notes):
+    """Criterion `num` of the check it decorates, timed whole: the check
+    gives (good, detail) per `key: args` instance, each detail goes under
+    its key and the notes after them, and all must be good.  With no
+    instances, `check()` runs once and its detail is the whole details."""
+    def criterion(check):
+        def run() -> CriterionResult:
+            started = time.perf_counter()
+            if instances is None:
+                ok, details = check()
+            else:
+                checked = {key: check(*args) for key, args in instances.items()}
+                ok = all(good for good, _ in checked.values())
+                details = {key: detail for key, (_, detail) in checked.items()} | notes
+            return CriterionResult(num, title, ok, time.perf_counter() - started, details)
+
+        return run
+
+    return criterion
 
 
 def _bareiss_rank(M) -> int:
@@ -103,185 +121,148 @@ def _bareiss_rank(M) -> int:
     return bar.rank
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "full incidence rank grid",
+            {f"{q},{n},{k}": (q, n, k, want) for (q, n, k), want in RANK_GRID},
+            targets="informational: <5s fast total, <60s bareiss total")
+def criterion_1(q, n, k, want):
     """Full-incidence rank equals [n 1]_q on the grid, both rank paths."""
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for (q, n, k), want in RANK_GRID:
-        ctx = field_new(q)
-        fam = SubspaceFamily.from_bases(ctx, enumerate_bases(ctx, n, k))
-        M = incidence_matrix(fam)
-        t_fast = time.perf_counter()
-        r_fast = exact_rank(M)
-        t_fast = time.perf_counter() - t_fast
-        t_bar = time.perf_counter()
-        r_bar = _bareiss_rank(M)
-        t_bar = time.perf_counter() - t_bar
-        good = r_fast == r_bar == want == gaussian_binomial(n, 1, q)
-        ok = ok and good
-        details[f"{q},{n},{k}"] = {
-            "rank_fast": r_fast,
-            "rank_bareiss": r_bar,
-            "expected": want,
-            "fast_s": round(t_fast, 3),
-            "bareiss_s": round(t_bar, 3),
-        }
-    details["targets"] = "informational: <5s fast total, <60s bareiss total"
-    return _result(1, "full incidence rank grid", t0, ok, details)
+    ctx = field_new(q)
+    fam = SubspaceFamily.from_bases(ctx, enumerate_bases(ctx, n, k))
+    M = incidence_matrix(fam)
+    t_fast = time.perf_counter()
+    r_fast = exact_rank(M)
+    t_fast = time.perf_counter() - t_fast
+    t_bar = time.perf_counter()
+    r_bar = _bareiss_rank(M)
+    t_bar = time.perf_counter() - t_bar
+    return r_fast == r_bar == want == gaussian_binomial(n, 1, q), {
+        "rank_fast": r_fast,
+        "rank_bareiss": r_bar,
+        "expected": want,
+        "fast_s": round(t_fast, 3),
+        "bareiss_s": round(t_bar, 3),
+    }
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "gram closed form grid",
+            {f"{q},{n},{k}": (q, n, k) for (q, n, k), _ in RANK_GRID})
+def criterion_2(q, n, k):
     """Gram matrix closed form holds entrywise on the grid."""
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for (q, n, k), _ in RANK_GRID:
-        good = verify_gram(field_new(q), n, k)
-        ok = ok and good
-        details[f"{q},{n},{k}"] = good
-    return _result(2, "gram closed form grid", t0, ok, details)
+    good = verify_gram(field_new(q), n, k)
+    return good, good
 
 
-def criterion_3() -> CriterionResult:
+# the criterion text quotes 33880 vertices for (3,6,2); [6 2]_3 is
+# actually 11011 (33880 counts 3-subspaces) — both size and full
+# verification are checked against the true vertex set
+@_criterion(3, "spread construction resolving",
+            {"2,6,2": (2, 6, 2, 63), "3,6,2": (3, 6, 2, 364)}, note="[6 2]_3 = 11011")
+def criterion_3(q, n, k, want_size):
     """Spread-route families: exact size [n 1]_q and resolving."""
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for q, n, k, want_size in [(2, 6, 2, 63), (3, 6, 2, 364)]:
-        ctx = field_new(q)
-        fam = resolving_from_spread(ctx, n, k)
-        g = GrassmannGraph(ctx, n, k)
-        verdict = is_resolving(fam, g)
-        good = len(fam) == want_size and verdict.resolving
-        ok = ok and good
-        details[f"{q},{n},{k}"] = {
-            "size": len(fam),
-            "expected_size": want_size,
-            "vertices": len(g),
-            "resolving": verdict.resolving,
-        }
-    # the criterion text quotes 33880 vertices for (3,6,2); [6 2]_3 is
-    # actually 11011 (33880 counts 3-subspaces) — both size and full
-    # verification are checked against the true vertex set
-    details["note"] = "[6 2]_3 = 11011"
-    return _result(3, "spread construction resolving", t0, ok, details)
+    ctx = field_new(q)
+    fam = resolving_from_spread(ctx, n, k)
+    g = GrassmannGraph(ctx, n, k)
+    verdict = is_resolving(fam, g)
+    return len(fam) == want_size and verdict.resolving, {
+        "size": len(fam),
+        "expected_size": want_size,
+        "vertices": len(g),
+        "resolving": verdict.resolving,
+    }
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "partition construction, t=1",
+            {"2,4,2": (2, 4, 2, 19), "3,4,2": (3, 4, 2, 49)})
+def criterion_4(q, n, k, want_size):
     """t=1 partition route: exact sizes 19 and 49, both resolving."""
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for q, n, k, want_size in [(2, 4, 2, 19), (3, 4, 2, 49)]:
-        ctx = field_new(q)
-        fam = resolving_from_partition(ctx, n, k)
-        g = GrassmannGraph(ctx, n, k)
-        verdict = is_resolving(fam, g)
-        good = len(fam) == want_size and verdict.resolving
-        ok = ok and good
-        details[f"{q},{n},{k}"] = {
-            "size": len(fam),
-            "expected_size": want_size,
-            "resolving": verdict.resolving,
-        }
-    return _result(4, "partition construction, t=1", t0, ok, details)
+    ctx = field_new(q)
+    fam = resolving_from_partition(ctx, n, k)
+    g = GrassmannGraph(ctx, n, k)
+    verdict = is_resolving(fam, g)
+    return len(fam) == want_size and verdict.resolving, {
+        "size": len(fam),
+        "expected_size": want_size,
+        "resolving": verdict.resolving,
+    }
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "partition construction, t=2")
+def criterion_5():
     """t=2 partition route at (2,5,2): resolving, size within the bound."""
-    t0 = time.perf_counter()
     ctx = field_new(2)
     fam = resolving_from_partition(ctx, 5, 2)
     g = GrassmannGraph(ctx, 5, 2)
     verdict = is_resolving(fam, g)
     cap = gaussian_binomial(8, 1, 2)  # [s + k+1, 1]_q with s=3
-    ok = verdict.resolving and len(fam) <= cap and len(g) == 155
-    details = {"size": len(fam), "cap": cap, "vertices": len(g),
-               "resolving": verdict.resolving}
-    return _result(5, "partition construction, t=2", t0, ok, details)
+    return verdict.resolving and len(fam) <= cap and len(g) == 155, {
+        "size": len(fam), "cap": cap, "vertices": len(g),
+        "resolving": verdict.resolving}
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "greedy rank construction",
+            {f"{q},{n},{k}": (q, n, k) for q, n, k in GREEDY_GRID})
+def criterion_6(q, n, k):
     """Greedy rank construction: exact size, resolving, rank-certified."""
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for q, n, k in GREEDY_GRID:
-        ctx = field_new(q)
-        fam = resolving_greedy_rank(ctx, n, k)
-        want = gaussian_binomial(n, 1, q)
-        g = GrassmannGraph(ctx, n, k)
-        verdict = is_resolving(fam, g)
-        cert = certify_resolving_by_rank(fam)
-        good = len(fam) == want and verdict.resolving and cert.certified
-        ok = ok and good
-        details[f"{q},{n},{k}"] = {
-            "size": len(fam),
-            "expected_size": want,
-            "resolving": verdict.resolving,
-            "rank_certified": cert.certified,
-        }
-    return _result(6, "greedy rank construction", t0, ok, details)
+    ctx = field_new(q)
+    fam = resolving_greedy_rank(ctx, n, k)
+    want = gaussian_binomial(n, 1, q)
+    g = GrassmannGraph(ctx, n, k)
+    verdict = is_resolving(fam, g)
+    cert = certify_resolving_by_rank(fam)
+    return len(fam) == want and verdict.resolving and cert.certified, {
+        "size": len(fam),
+        "expected_size": want,
+        "resolving": verdict.resolving,
+        "rank_certified": cert.certified,
+    }
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "spread axioms",
+            {f"{q},{n},t={t}": (q, n, t, count) for (q, n, t), count in SPREAD_GRID})
+def criterion_7(q, n, t, want_count):
     """Spread axioms, exhaustively: unique cover and trivial intersections.
 
     Scaling keeps a vector in a subspace, so both axioms are statements
     about the [n 1]_q points: each lies in exactly one member (unique
     cover) and in at most one (members pairwise trivial).  One bincount of
     the members' point ordinals counts the members through every point."""
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for (q, n, t), want_count in SPREAD_GRID:
-        ctx = field_new(q)
-        fam = build_spread(ctx, n, t)
-        through = np.bincount(bases_point_ordinals(ctx, fam.bases).ravel(),
-                              minlength=gaussian_binomial(n, 1, q))
-        cover_ok = bool((through == 1).all())
-        pair_ok = bool((through <= 1).all())
-        good = len(fam) == want_count and cover_ok and pair_ok
-        ok = ok and good
-        details[f"{q},{n},t={t}"] = {
-            "members": len(fam),
-            "expected": want_count,
-            "unique_cover": cover_ok,
-            "pairwise_trivial": pair_ok,
-        }
-    return _result(7, "spread axioms", t0, ok, details)
+    ctx = field_new(q)
+    fam = build_spread(ctx, n, t)
+    through = np.bincount(bases_point_ordinals(ctx, fam.bases).ravel(),
+                          minlength=gaussian_binomial(n, 1, q))
+    cover_ok = bool((through == 1).all())
+    pair_ok = bool((through <= 1).all())
+    return len(fam) == want_count and cover_ok and pair_ok, {
+        "members": len(fam),
+        "expected": want_count,
+        "unique_cover": cover_ok,
+        "pairwise_trivial": pair_ok,
+    }
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "bfs distance oracle", {"2,4,2": (2, 4, 2), "2,5,2": (2, 5, 2)})
+def criterion_8(q, n, k):
     """BFS distances equal k - dim(intersection) for every pair; diameter k."""
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for q, n, k in [(2, 4, 2), (2, 5, 2)]:
-        ctx = field_new(q)
-        g = GrassmannGraph(ctx, n, k)
-        rows = g.distance_rows()
-        mismatches = 0
-        diameter = 0
-        for src in range(len(g)):
-            bfs_row = np.array(bfs_distances_from(g, src))
-            mismatches += int(np.count_nonzero(bfs_row != rows[src]))
-            diameter = max(diameter, int(bfs_row.max()))
-        good = mismatches == 0 and diameter == k
-        ok = ok and good
-        details[f"{q},{n},{k}"] = {
-            "pairs": len(g) * (len(g) - 1) // 2,
-            "mismatches": mismatches,
-            "diameter": diameter,
-        }
-    return _result(8, "bfs distance oracle", t0, ok, details)
+    ctx = field_new(q)
+    g = GrassmannGraph(ctx, n, k)
+    rows = g.distance_rows()
+    mismatches = 0
+    diameter = 0
+    for src in range(len(g)):
+        bfs_row = np.array(bfs_distances_from(g, src))
+        mismatches += int(np.count_nonzero(bfs_row != rows[src]))
+        diameter = max(diameter, int(bfs_row.max()))
+    return mismatches == 0 and diameter == k, {
+        "pairs": len(g) * (len(g) - 1) // 2,
+        "mismatches": mismatches,
+        "diameter": diameter,
+    }
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "exact metric dimension oracle")
+def criterion_9():
     """Exact metric dimension of G_2(4,2): bounded, resolving, minimal, and
     equal to the unreduced search (the oracle for the two-landmark one)."""
-    t0 = time.perf_counter()
     ctx = field_new(2)
     g = GrassmannGraph(ctx, 4, 2)
     mu, witness = metric_dimension_exact(g)
@@ -295,8 +276,7 @@ def criterion_9() -> CriterionResult:
         ).resolving
         for i in range(len(witness))
     )
-    ok = in_range and resolving and minimal and mu == mu_unreduced
-    details = {
+    return in_range and resolving and minimal and mu == mu_unreduced, {
         "mu": mu,
         "mu_unreduced": mu_unreduced,
         "range": [lo, 15],
@@ -304,12 +284,11 @@ def criterion_9() -> CriterionResult:
         "witness_minimal": minimal,
         "witness_ordinals": g.ordinals(witness.bases).tolist(),
     }
-    return _result(9, "exact metric dimension oracle", t0, ok, details)
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "bounds table")
+def criterion_10():
     """Pinned bound values at (2,4,2); constructive beats general for k>2."""
-    t0 = time.perf_counter()
     bs, big_m, arg = babai_strong(2, 4, 2)
     bg = babai_general(2, 4, 2)
     lb = lower_bound(2, 4, 2)
@@ -327,8 +306,7 @@ def criterion_10() -> CriterionResult:
         flags[f"{q},{n},{k}"] = rep.constructive_below_general
         if k > 2 and not rep.constructive_below_general:
             flags_ok = False
-    ok = pinned and flags_ok
-    details = {
+    return pinned and flags_ok, {
         "babai_M": big_m,
         "argmax_j": arg,
         "babai_strong": round(bs, 4),
@@ -336,28 +314,23 @@ def criterion_10() -> CriterionResult:
         "lower": lb,
         "constructive_below_general": flags,
     }
-    return _result(10, "bounds table", t0, ok, details)
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "construct determinism",
+            {f"{m} {q},{n},{k}": (m, q, n, k) for m, q, n, k in CONSTRUCT_GRID})
+def criterion_11(method, q, n, k):
     """`construct` emits byte-identical output on consecutive runs."""
     from . import cli
 
-    t0 = time.perf_counter()
-    details = {}
-    ok = True
-    for method, q, n, k in CONSTRUCT_GRID:
-        outs = []
-        for _ in range(2):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(["construct", method, str(q), str(n), str(k)])
-            assert code == 0
-            outs.append(buf.getvalue())
-        same = outs[0] == outs[1] and len(outs[0]) > 0
-        ok = ok and same
-        details[f"{method} {q},{n},{k}"] = "identical" if same else "DIFFERS"
-    return _result(11, "construct determinism", t0, ok, details)
+    outs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["construct", method, str(q), str(n), str(k)])
+        assert code == 0
+        outs.append(buf.getvalue())
+    same = outs[0] == outs[1] and len(outs[0]) > 0
+    return same, "identical" if same else "DIFFERS"
 
 
 ALL_CRITERIA = [

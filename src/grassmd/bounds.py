@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from decimal import Context, Decimal, localcontext
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateBound, InvalidArgs, TooLarge
@@ -31,15 +32,19 @@ from .gfq import factor_prime_power
 from .subspaces import gaussian_binomial
 
 LOG_BASES = ("e", "2", "10")
+_CONTEXT = Context(prec=40)  # every decimal step: 40 significant digits
 
 
-def _log(x, base: str = "e") -> Decimal:
-    v = Decimal(x).ln()
-    if base == "e":
-        return v
-    if base in ("2", "10"):
-        return v / Decimal(base).ln()
-    raise InvalidArgs(f"log base must be one of {LOG_BASES}, got {base!r}")
+@lru_cache(maxsize=16)
+def _ln(x: int) -> Decimal:
+    """ln x, taken once: `compare` asks for ln N three times, and ln 2 or ln 10."""
+    return Decimal(x).ln(_CONTEXT.copy())
+
+
+def _log(x: int, base: str = "e") -> Decimal:
+    if base not in LOG_BASES:
+        raise InvalidArgs(f"log base must be one of {LOG_BASES}, got {base!r}")
+    return _ln(x) if base == "e" else _ln(x) / _ln(int(base))
 
 
 def _finite(value: float, what: str) -> float:
@@ -69,14 +74,14 @@ def log_estimate(q: int, n: int, k: int) -> float:
     if k < 2:
         raise InvalidArgs(f"need k >= 2, got {k}")
     nv = gaussian_binomial(n, k, q)
-    with localcontext(Context(prec=40)):
+    with localcontext(_CONTEXT):
         return _finite(float(_log(nv) / _log(k)), "log estimate")
 
 
 def babai_general(q: int, n: int, k: int, log_base: str = "e") -> float:
     """4 * sqrt(N) * log N with N = [n k]_q."""
     nv = gaussian_binomial(n, k, q)
-    with localcontext(Context(prec=40)):
+    with localcontext(_CONTEXT):
         return _finite(float(4 * Decimal(nv).sqrt() * _log(nv, log_base)),
                        "general upper bound")
 
@@ -99,7 +104,7 @@ def babai_strong(q: int, n: int, k: int, log_base: str = "e") -> tuple:
             big_m, arg = term, j
     if big_m >= nv:
         raise DegenerateBound(f"M={big_m} >= N={nv}")
-    with localcontext(Context(prec=40)):
+    with localcontext(_CONTEXT):
         bound = float(2 * k * Decimal(nv) / (nv - big_m) * _log(nv, log_base))
     return _finite(bound, "strong upper bound"), big_m, arg
 

@@ -2,12 +2,12 @@
 
 Plain text: a header line ``q n k m``, then m blocks of k lines, each line
 n element encodings (the RREF rows of one subspace), every number an ASCII
-``-?[0-9]+`` between spaces.  Lines starting with ``#`` and blank lines are
-comments.  Every block must already be a reduced row echelon basis and
-blocks must be pairwise distinct; the writer emits exactly this shape, so
-construct -> file -> verify round-trips byte-identically.  Both directions
-work on the family's (m, k, n) basis array; the reader checks all blocks
-at once and reports the first offending one.
+``-?[0-9]+`` between U+0020 spaces; lines of spaces, or whose first other
+character is ``#``, are comments.  Every block must already be an RREF
+basis and blocks must be pairwise distinct; the writer emits exactly this
+shape, so construct -> file -> verify round-trips byte-identically.  Both
+directions work on the family's (m, k, n) basis array; the reader checks
+all blocks at once and reports the first offending one.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import InvalidArgs
 from .gfq import field_new
 from .subspaces import SubspaceFamily, is_rref
 
-# int() alone would also read "+1", "0_1" and non-ASCII digits
-_FOREIGN = re.compile(r"[^-0-9\s]")
+# a data line: int() and split() would also take "+1", "0_1", U+0661 or a tab
+_DATA_LINE = re.compile(r"-?[0-9]+( +-?[0-9]+)*")
 
 
 def format_family(q: int, n: int, k: int, family: SubspaceFamily, comments=()) -> str:
@@ -41,14 +41,14 @@ def parse_family(text: str) -> tuple:
     """Returns (ctx, n, k, SubspaceFamily)."""
     data = []
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+        line = raw.strip(" ")
         if not line or line.startswith("#"):
             continue
         try:
-            if _FOREIGN.search(line):
+            if not _DATA_LINE.fullmatch(line):
                 raise ValueError
             data.append([int(tok) for tok in line.split()])
-        except ValueError:
+        except ValueError:  # int() also refuses a token of over 4300 digits
             raise InvalidArgs(f"line {ln}: non-integer token in {raw!r}")
     if not data:
         raise InvalidArgs("empty family file")

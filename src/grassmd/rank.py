@@ -227,30 +227,19 @@ def gram_closed_form(ctx: FieldCtx, n: int, k: int) -> tuple:
 def gram_table(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
     """M^T M of the full incidence matrix M, an (N, N) int64 array: entry
     (i, j) counts the k-subspaces through points i and j.  Per block of
-    vertices, `np.unique` counts each pair i < j of their points into the
-    upper triangle and a bincount the points; the lower triangle is then
-    mirrored a block of rows at a time.  Its N^2 cells are checked against
-    the table ceiling before anything is listed."""
+    vertices, one scatter-add counts every ordered pair of their points,
+    each point with itself on the diagonal.  Its N^2 cells are checked
+    against the table ceiling before anything is listed."""
     N = gaussian_binomial(n, 1, ctx.q)
     check_budget(N * N, "Gram cells", cells=True)
     bases = enumerate_bases(ctx, n, k)
     points = gaussian_binomial(k, 1, ctx.q)
-    first, second = np.triu_indices(points, 1)
     gram = np.zeros((N, N), dtype=np.int64)
-    diagonal = np.zeros(N, dtype=np.int64)
-    # about 2^17 pairs per block, whatever N is
+    # about 2^18 pairs per block, whatever N is
     step = max(1, (1 << 18) // points**2)
     for lo in range(0, len(bases), step):
-        ords = np.sort(bases_point_ordinals(ctx, bases[lo:lo + step]), axis=1)
-        pairs = ords[:, first] * N
-        pairs += ords[:, second]
-        cells, counts = np.unique(pairs, return_counts=True)
-        gram.reshape(-1)[cells] += counts
-        diagonal += np.bincount(ords.ravel(), minlength=N)
-    rows = max(1, (1 << 18) // N)
-    for lo in range(0, N, rows):
-        gram[lo:lo + rows, :lo + rows] += gram[:lo + rows, lo:lo + rows].T
-    np.fill_diagonal(gram, diagonal)
+        ords = bases_point_ordinals(ctx, bases[lo:lo + step])
+        np.add.at(gram.reshape(-1), (ords[:, :, None] * N + ords[:, None, :]).ravel(), 1)
     return gram
 
 
@@ -261,11 +250,9 @@ def verify_gram(ctx: FieldCtx, n: int, k: int) -> bool:
     diag, offdiag = gram_closed_form(ctx, n, k)
     gram = gram_table(ctx, n, k)
     N = len(gram)
-    if not (gram.diagonal() == diag).all():
-        return False
-    np.fill_diagonal(gram, offdiag)
     a, b = offdiag, diag - offdiag
-    return bool((gram == offdiag).all()) and b != 0 and b + N * a != 0
+    gram[np.diag_indices(N)] -= b  # gram = a*J + b*I iff gram - b*I = a*J
+    return bool((gram == a).all()) and b != 0 and b + N * a != 0
 
 
 class RankCertificate(NamedTuple):

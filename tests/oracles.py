@@ -328,17 +328,21 @@ def gram_float_product(ctx, n: int, k: int) -> np.ndarray:
 
 def parse_family_by_block(text: str) -> tuple:
     """(ctx, n, k, SubspaceFamily) of a family file, checked block by
-    block: `MatGFq` checks the row lengths and entries, a Python RREF the
-    RREF form, and a list lookup the distinctness."""
+    block: each token between U+0020 spaces must match `-?[0-9]+`, `MatGFq`
+    checks the row lengths and entries, a Python RREF the RREF form, and a
+    list lookup the distinctness."""
     data = []
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+        line = raw.strip(" ")
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if not all(re.fullmatch("-?[0-9]+", tok) for tok in tokens):
+        tokens = [tok for tok in line.split(" ") if tok]
+        try:
+            if not all(re.fullmatch("-?[0-9]+", tok) for tok in tokens):
+                raise ValueError
+            data.append([int(tok) for tok in tokens])  # or past int()'s digit limit
+        except ValueError:
             raise InvalidArgs(f"line {ln}: non-integer token in {raw!r}")
-        data.append([int(tok) for tok in tokens])
     if not data:
         raise InvalidArgs("empty family file")
     header = data[0]

@@ -7,6 +7,7 @@ values the suite is expected to produce.  Wall-clock timings are recorded in
 the details for inspection but are not asserted — they depend on the host.
 """
 
+import hashlib
 import json
 from functools import lru_cache
 from importlib.resources import files
@@ -182,3 +183,20 @@ def test_accept_payload_validates_against_shipped_schema():
     }
     jsonschema.validate(payload, schema)
     assert payload["passed"] is True
+
+
+# SHA-256 of the whole accept document less its timings, as the grid
+# printed it before its criteria shared one runner
+ACCEPT_DIGEST = "7c97fb04e7b484d2bf0aa52c0e2a7f8b8337ac019c3125f2501b55ab40a7d695"
+
+
+def test_accept_document_is_pinned():
+    # every key, value and order of every criterion, not only the values the
+    # tests above pick; json round-trips so the cached results stay whole
+    doc = json.loads(json.dumps([result(i).to_json() for i in range(1, 12)]))
+    for criterion in doc:
+        del criterion["elapsed"]
+    for entry in doc[0]["details"].values():
+        if isinstance(entry, dict):
+            del entry["fast_s"], entry["bareiss_s"]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == ACCEPT_DIGEST

@@ -54,7 +54,8 @@ def test_namespace_is_pinned():
 
 
 # What the benchmark harness (perfbench/) reads of the package; tier-1 does
-# not run the harness, so only this test notices when one of them goes.
+# not run the harness, so only these tests notice when one of them goes or
+# when the harness starts reading another (`harness_names` reads its source).
 BENCHMARK_NAMES = {
     "grassmd": ["GrassmannGraph", "Subspace", "SubspaceFamily", "certify_resolving_by_rank",
                 "distance", "enumerate_k_subspaces", "field_new", "format_family",
@@ -80,6 +81,46 @@ def test_benchmark_names_resolve():
     fam = grassmd.SubspaceFamily(grassmd.enumerate_k_subspaces(grassmd.field_new(2), 4, 2))
     M = grassmd.rank.incidence_matrix(fam)
     assert (M.m, M.N) == (35, 15)
+
+
+HARNESS = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED_MODULES = ("cli", "constructions", "grassmann", "rank")
+
+
+def harness_names() -> dict:
+    """{module: names} that perfbench/*.py reads of grassmd, from its AST:
+    `grassmd.X` chains, `from grassmd... import X`, and in trace_child.py
+    the attributes read on the four modules `install` imports by name."""
+    package = Path(grassmd.__file__).parent
+
+    def module(node, aliases):
+        # the grassmd module an expression names, or None
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and (parent := module(node.value, aliases)):
+            name = f"{parent}.{node.attr}"
+            sub = package.joinpath(*name.split(".")[1:])
+            return name if sub.with_suffix(".py").is_file() else None
+        return None
+
+    names = {}
+    for path in sorted(HARNESS.glob("*.py")):
+        aliases = {"grassmd": "grassmd"}
+        if path.name == "trace_child.py":
+            aliases.update({m: f"grassmd.{m}" for m in TRACED_MODULES})
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "grassmd":
+                names.setdefault(node.module, set()).update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and (parent := module(node.value, aliases)) and not module(node, aliases)):
+                names.setdefault(parent, set()).add(node.attr)
+    return names
+
+
+def test_benchmark_names_are_what_the_harness_reads():
+    # a name the harness starts or stops reading shows here, not by hand
+    assert (HARNESS / "trace_child.py").is_file()
+    assert harness_names() == {module: set(names) for module, names in BENCHMARK_NAMES.items()}
 
 
 def test_cli_names_are_the_package_names():

@@ -167,6 +167,15 @@ def test_construct_malformed_file_round_trip(tmp_path):
     assert rc == 2 and "error:" in err
 
 
+def test_token_past_the_int_digit_limit_exits_2():
+    # a 5000-digit entry matches the token grammar but int() refuses it;
+    # it is a malformed file (exit 2), not a collision or INCONCLUSIVE (1)
+    text = "2 4 2 1\n1 0 0 0\n0 1 0 " + "1" * 5000 + "\n"
+    for argv in (["verify", "2", "4", "2", "-f", "-"], ["rank", "-f", "-"]):
+        rc, out, err = run(argv, stdin_text=text)
+        assert rc == 2 and out == "" and "line 3: non-integer" in err
+
+
 @pytest.mark.parametrize("case", ["verify-dir", "rank-binary", "construct-to-dir"])
 def test_unusable_paths_exit_2_with_an_error_line(tmp_path, case):
     # OS and decoding failures are usage errors (exit 2), not the exit 1

@@ -62,6 +62,8 @@ def test_format_rejects_mismatched_family():
         ("2 3 2 1\n1 0 0\n0 1 0\n1 0 0\n0 0 1\n", "expected"),  # trailing rows
         ("2 3 2 1\n1 0 2\n0 1 0\n", "entry"),  # 2 is not a GF(2) element
         ("2 3 1 1\n1 0 99999999999999999999\n", "entry"),  # beyond int64, too
+        pytest.param("2 3 1 1\n1 0 " + "1" * 5000 + "\n", "line 2: non-integer",
+                     id="5000-digit entry"),  # past int()'s digit limit
         ("2 3 2 1\n0 1 0\n1 0 0\n", "echelon"),  # not in canonical form
         ("2 3 2 2\n1 0 0\n0 1 0\n1 0 0\n0 1 0\n", "duplicate"),
         # tokens int() reads but the format never writes
@@ -69,6 +71,11 @@ def test_format_rejects_mismatched_family():
         ("2 3 2 1\n1 0 +0\n0 1 0\n", "line 2: non-integer"),
         ("2 3 2 1\n1 0 \u0660\n0 1 0\n", "line 2: non-integer"),  # ARABIC-INDIC ZERO
         ("2 3 2 \uff11\n1 0 0\n0 1 0\n", "line 1: non-integer"),  # FULLWIDTH ONE
+        # numbers are separated by U+0020 spaces alone
+        ("2 3 2 1\n1\t0 0\n0 1 0\n", "line 2: non-integer"),
+        ("2 3 2 1\n1 0 0\n0 1 0\t\n", "line 3: non-integer"),
+        ("2 3 2 1\n1 0 0\n\t\n0 1 0\n", "line 3: non-integer"),
+        ("2 3 1 1\n1\u00a00 0\n", "line 2: non-integer"),  # NO-BREAK SPACE
         # negative values are tokens that the value checks refuse
         ("2 3 2 1\n1 0 -1\n0 1 0\n", "entry -1 is not"),
         ("2 3 -2 1\n", "bad header"),
@@ -151,7 +158,8 @@ def parse_outcome(parse, text):
 @example("2 3 1 3\n1 0 0\n-1 1 0\n1 0 0\n")  # an entry, then a repeat
 @example("2 3 2 1\n1 0 +1\n0 1 0_0\n")  # tokens int() reads but the format does not
 @example("2 3 1 1\n1 0 \uff10\n")  # a non-ASCII digit
-@example("2 3 1 1\n1\u00a00 0\n")  # a non-ASCII separator
+@example("2 3 1 1\n1\u00a00 0\n")  # a non-ASCII separator: both refuse it
+@example("2 3 1 1\n1 0 " + "1" * 5000 + "\n")  # a token past int()'s digit limit
 def test_parse_matches_the_block_by_block_oracle(text):
     # the array parser accepts the same texts, returns equal families and
     # refuses the rest with the same error, first offending block first
