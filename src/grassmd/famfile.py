@@ -22,6 +22,8 @@ from .subspaces import SubspaceFamily, is_rref
 
 # a data line: int() and split() would also take "+1", "0_1", U+0661 or a tab
 _DATA_LINE = re.compile(r"-?[0-9]+( +-?[0-9]+)*")
+# the line ends text-mode open() reads; str.splitlines also breaks at U+000B, U+000C, ...
+_NEWLINE = re.compile(r"\r\n?|\n")
 
 
 def format_family(q: int, n: int, k: int, family: SubspaceFamily, comments=()) -> str:
@@ -40,7 +42,7 @@ def format_family(q: int, n: int, k: int, family: SubspaceFamily, comments=()) -
 def parse_family(text: str) -> tuple:
     """Returns (ctx, n, k, SubspaceFamily)."""
     data = []
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(_NEWLINE.split(text), 1):
         line = raw.strip(" ")
         if not line or line.startswith("#"):
             continue
@@ -65,8 +67,12 @@ def parse_family(text: str) -> tuple:
     # the blocks before the first one holding a row of another length
     whole = next((i // k for i, row in enumerate(body) if len(row) != n), m)
     # entries clipped to [-1, q]: a token beyond int64 is outside the field like any other
-    blocks = np.array([[min(max(x, -1), q) for x in row] for row in body[:whole * k]],
-                      dtype=np.int64).reshape(whole, k, n)
+    rows = np.array([[min(max(x, -1), q) for x in row] for row in body[:whole * k]],
+                    dtype=np.int64)
+    try:
+        blocks = rows.reshape(whole, k, n)
+    except ValueError:  # no complete block, and no array is k x n: an empty family's shape
+        blocks = rows.reshape(0, 0, 0)
     outside = (blocks < 0) | (blocks >= q)
     bad = np.flatnonzero(outside.any(axis=(1, 2)) | ~is_rref(blocks))
     # a block repeating an earlier one is the first fault if no bad block precedes it

@@ -2,24 +2,25 @@
 
 One numpy kernel, `_pivot_columns`, row-reduces a 0/1 matrix mod a prime
 p < 2^31 (so every product of two residues fits in int64) and lists its
-pivot columns.  Rank mod p never exceeds rational rank, and the
-multi-modular certificate closes the gap exactly.  Let R be the largest
-rank mod p over the primes used and w the largest row weight.  A nonzero
-(R+1)-minor would be divisible by every prime used, yet Hadamard's
-inequality bounds it by w^((R+1)/2); so once the product of the primes
-squared exceeds w^(R+1), the rational rank is R.  The comparison is one
-exact integer comparison.  All-zero columns are dropped first, since
-rational rank never exceeds the number of nonzero columns; a matrix that
-reaches min(rows, nonzero columns) mod the first prime needs no second
-one.  A family inside one hyperplane H has zero columns at every point
-outside H, so at most [n-1 1]_q columns remain; when it has full rank on
-them, the first prime decides.
+pivot columns.  `row_rank_profile` is the one multi-modular loop: it runs
+the kernel on the transpose, whose pivot columns are the rows that raise
+the rank, and adds primes until every prefix's rational rank is settled.
+Rank mod p never exceeds rational rank.  Let R be the largest rank mod p
+over the primes used and w the smaller of the largest row and column
+weights.  A nonzero (R+1)-minor would be divisible by every prime used, yet
+Hadamard's inequality, on its rows or its columns, bounds it by
+w^((R+1)/2); so once the product of the primes squared exceeds w^(R+1),
+one exact integer comparison, the rational rank is R.  Once every row has
+raised the rank mod some prime, every prefix has full rank.
 
-`exact_rank` runs the kernel on the matrix; `row_rank_profile` runs it on
-the transpose, whose pivot columns are the rows that raise the rank, and
-serves the greedy construction that keeps exactly those rows.  Fraction-free
-Bareiss elimination on arbitrary-precision integers, `BareissEliminator`,
-stays as the oracle that tests and `accept` run by name.
+`exact_rank` is the length of that profile on the nonzero columns, in
+whichever orientation has fewer rows: rational rank never exceeds the
+number of nonzero columns, and a matrix and its transpose have the same
+rank.  So a matrix that reaches min(rows, nonzero columns) mod the first
+prime needs no second one, nor does a family inside a hyperplane of full
+rank on its [n-1 1]_q points, the only nonzero columns.  Fraction-free Bareiss
+elimination on arbitrary-precision integers, `BareissEliminator`, is the
+oracle that tests and `accept` run by name.
 
 The closed-form certificate: for the full incidence matrix M of all
 k-subspaces against all points, M^T M = a·J + b·I with a = [n-2 k-2]_q
@@ -177,18 +178,10 @@ def incidence_matrix(family: SubspaceFamily) -> IncidenceMatrix:
 
 
 def exact_rank(M: IncidenceMatrix) -> int:
-    """Rank over the rationals: primes are added until one reaches
-    min(m, nonzero columns) or the Hadamard bound rules out a larger
-    rational rank."""
+    """Rank over the rationals: the length of the row rank profile of the
+    nonzero columns, in whichever orientation has fewer rows."""
     rows = M.rows[:, M.rows.any(axis=0)]
-    target = min(rows.shape)
-    w = _max_row_weight(rows)
-    best, modulus = 0, 1
-    for p in modular_primes():
-        best = max(best, len(_pivot_columns(rows, p)))
-        modulus *= p
-        if best == target or modulus * modulus > w ** (best + 1):
-            return best
+    return len(row_rank_profile(rows if len(rows) <= rows.shape[1] else rows.T))
 
 
 def row_rank_profile(rows: np.ndarray) -> list:
@@ -197,12 +190,13 @@ def row_rank_profile(rows: np.ndarray) -> list:
 
     The prefix ranks mod p come from the pivot columns of the transpose.
     Each prefix's rational rank is the largest of its ranks over the primes
-    once their product squared exceeds w^e, e = min(R + 1, m, N) with R the
-    largest final rank: a prefix whose largest rank R_j is short of its
-    full rank needs w^(R_j + 1), and R_j + 1 <= e.
+    used once every row has raised the rank mod one of them, or once their
+    product squared exceeds w^e, e = min(R + 1, N) with R < m the largest
+    final rank: a prefix whose largest rank R_j is short of its full rank
+    needs w^(R_j + 1), and R_j + 1 <= e.
     """
     m, N = rows.shape
-    w = _max_row_weight(rows)
+    w = min(_max_row_weight(rows), _max_row_weight(rows.T))
     prefix = np.zeros(m, dtype=np.int64)
     modulus = 1
     for p in modular_primes():
@@ -211,7 +205,7 @@ def row_rank_profile(rows: np.ndarray) -> list:
         prefix = np.maximum(prefix, np.cumsum(grows))
         modulus *= p
         final = int(prefix[-1]) if m else 0
-        if modulus * modulus > w ** min(final + 1, m, N):
+        if final == m or modulus * modulus > w ** min(final + 1, N):
             return np.flatnonzero(np.diff(prefix, prepend=0)).tolist()
 
 

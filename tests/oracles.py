@@ -24,6 +24,7 @@ in mpmath at 96 bits (`log_estimate_mpmath`, `babai_general_mpmath`,
 checked against.
 """
 
+import io
 import re
 from functools import lru_cache
 
@@ -330,9 +331,10 @@ def parse_family_by_block(text: str) -> tuple:
     """(ctx, n, k, SubspaceFamily) of a family file, checked block by
     block: each token between U+0020 spaces must match `-?[0-9]+`, `MatGFq`
     checks the row lengths and entries, a Python RREF the RREF form, and a
-    list lookup the distinctness."""
+    list lookup the distinctness.  Lines end where text-mode `open()` ends
+    them: at LF, CR LF and CR."""
     data = []
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(io.StringIO(text, newline=None).read().split("\n"), 1):
         line = raw.strip(" ")
         if not line or line.startswith("#"):
             continue

@@ -176,6 +176,7 @@ CLI_MODULES = [
     (["verify", "2", "6", "2", "-f", "{fam}"], {"famfile", "grassmann"}, 0),
     (["rank", "-f", "{fam}"], {"famfile", "rank"}, 0),
     (["metricdim", "greedy", "2", "4", "2", "--json"], {"grassmann", "search"}, 0),
+    (["metricdim", "greedy", "2", "4", "2"], {"grassmann", "search", "famfile"}, 0),
     (["construct", "partition", "2", "5", "2", "-o", "{fam}"], {"famfile", "constructions"}, 0),
     (["construct", "greedy", "2", "4", "2", "-o", "{fam}"], {"famfile", "rank", "constructions"}, 0),
     # a 2-spread of V(4,2) is not resolving for G_2(4,2)
@@ -202,6 +203,23 @@ def test_cli_import_skips_mpmath_and_acceptance(tmp_path):
         loaded = run_python("-c", CLI_PROBE.format(argv=argv)).splitlines()[-1]
         expected = CLI_BASE_MODULES | {f"grassmd.{m}" for m in extra}
         assert loaded == f"{code} {sorted(expected)}", argv[0]
+
+
+def test_readme_start_up_table_quotes_each_line_total():
+    # the `lines` column of README's start-up table holds the newline count
+    # of each CLI_MODULES row's modules with `cli`, and no other number
+    src = Path(grassmd.__file__).parent
+
+    def lines(module):
+        return (src / f"{module.partition('.')[2] or '__init__'}.py").read_text().count("\n")
+
+    totals = {sum(map(lines, CLI_BASE_MODULES | {"grassmd.cli"} | {f"grassmd.{m}" for m in extra}))
+              for _, extra, _ in CLI_MODULES}
+    readme = (src.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | grassmd modules it loads | lines |\n")[1].split("\n\n")[0]
+    quoted = {int(number.replace(",", "")) for row in table.splitlines()[1:]
+              for number in re.findall(r"[0-9][0-9,]*", row.rsplit("|", 2)[1])}
+    assert quoted == totals
 
 
 def test_no_module_imports_mpmath():

@@ -176,6 +176,17 @@ def test_token_past_the_int_digit_limit_exits_2():
         assert rc == 2 and out == "" and "line 3: non-integer" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("2 3000000000 3000000000 0\n", "empty family"),
+    ("2 1000000000000000000000 2 1\n1 0\n0 1\n",
+     "block 0: data shape does not match 2x1000000000000000000000"),
+])
+def test_headers_no_array_can_hold_exit_2(text, message):
+    # k x n is past numpy's limits; only complete blocks may shape an array
+    rc, out, err = run(["rank", "-f", "-"], stdin_text=text)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("case", ["verify-dir", "rank-binary", "construct-to-dir"])
 def test_unusable_paths_exit_2_with_an_error_line(tmp_path, case):
     # OS and decoding failures are usage errors (exit 2), not the exit 1

@@ -87,6 +87,27 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value).lower()
 
 
+# the characters other than LF and CR at which str.splitlines breaks a line
+FOREIGN_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", FOREIGN_LINE_BREAKS)
+def test_only_lf_and_cr_end_a_line(char):
+    # inside a data line the character is a foreign token; a comment keeps it
+    with pytest.raises(InvalidArgs, match=r"^line 2: non-integer token in '1 0 0"):
+        parse_family(f"2 3 2 1\n1 0 0{char}0 1 0\n")
+    ctx, n, k, fam = parse_family(f"# a{char}0 1 0\n2 3 2 1\n1 0 0\n0 1 0\n")
+    assert (n, k, len(fam)) == (3, 2, 1)
+
+
+def test_crlf_and_cr_files_parse_as_lf_files():
+    text = "# note\n2 3 2 2\n1 0 0\n0 1 0\n\n1 0 0\n0 0 1\n"
+    expected = parse_family(text)
+    for newline in ("\r\n", "\r"):
+        assert parse_family(text.replace("\n", newline)) == expected
+        assert parse_family_by_block(text.replace("\n", newline)) == expected
+
+
 def test_parse_rejects_non_prime_power_field():
     with pytest.raises(NotPrimePower):
         parse_family("6 3 2 1\n1 0 0\n0 1 0\n")
@@ -160,6 +181,8 @@ def parse_outcome(parse, text):
 @example("2 3 1 1\n1 0 \uff10\n")  # a non-ASCII digit
 @example("2 3 1 1\n1\u00a00 0\n")  # a non-ASCII separator: both refuse it
 @example("2 3 1 1\n1 0 " + "1" * 5000 + "\n")  # a token past int()'s digit limit
+@example("2 3000000000 3000000000 0\n")  # no member, and no array is k x n
+@example("2 1000000000000000000000 2 1\n1 0\n0 1\n")  # rows short of an n past int64
 def test_parse_matches_the_block_by_block_oracle(text):
     # the array parser accepts the same texts, returns equal families and
     # refuses the rest with the same error, first offending block first

@@ -1,10 +1,12 @@
 """Exact integer rank: Bareiss elimination, the multi-modular certificate,
 the row rank profile behind the greedy construction, Gram identity."""
 
+import ast
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,42 @@ def test_row_profile_takes_the_largest_prefix_rank_over_primes(tiny_primes):
     used = tiny_primes([3, 2, 5])
     assert row_rank_profile(deficient) == [0, 1, 2]
     assert used == [3, 2]
+
+
+def test_column_weights_bound_the_minors_too(tiny_primes):
+    # rank 2 with largest row weight 2 but largest column weight 1: every
+    # minor is at most 1, so the first prime settles it (2^2 > 1^3), where
+    # the row weight alone would need 2^3 = 8 < (2·3)^2, a second prime
+    used = tiny_primes([2, 3])
+    assert exact_rank(as_matrix([[0, 0, 0], [0, 0, 0], [0, 1, 1], [1, 0, 0]])) == 2
+    assert used == [2]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 0, 0, 1], [0, 1, 1, 1, 0], [1, 0, 1, 0, 1]],  # wide: 3 rows, 5 columns
+    [[1, 1, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 1]],  # tall: 5 rows, 3 columns
+], ids=["wide", "tall"])
+def test_full_rank_stops_after_one_prime(tiny_primes, rows):
+    # min(rows, nonzero columns) mod the first prime ends the loop, though
+    # 2^2 alone is short of the Hadamard bound
+    used = tiny_primes([2, 3, 5])
+    assert exact_rank(as_matrix(rows)) == 3
+    assert used == [2]
+
+
+def test_one_function_iterates_the_primes():
+    # the multi-modular loop lives in `row_rank_profile` alone
+    loops = set()
+    for path in Path(rank_mod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, (ast.For, ast.comprehension))
+                            and isinstance(node.iter, ast.Call)
+                            and getattr(node.iter.func, "id", None) == "modular_primes"):
+                        loops.add(f"{path.stem}.{fn.name}")
+    assert loops == {"rank.row_rank_profile"}
 
 
 @pytest.mark.parametrize("seed", range(4))
