@@ -14,7 +14,7 @@ import contextlib
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,13 +73,12 @@ CONSTRUCT_GRID = [
 ]
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     num: int
     title: str
     passed: bool
     elapsed: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json(self) -> dict:
         return {

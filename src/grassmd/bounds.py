@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateBound, InvalidArgs, TooLarge
 from .gfq import factor_prime_power
-from .subspaces import gaussian_binomial
+from .subspaces import check_graph_shape, gaussian_binomial
 
 LOG_BASES = ("e", "2", "10")
 _CONTEXT = Context(prec=40)  # every decimal step: 40 significant digits
@@ -139,6 +139,7 @@ def compare(q: int, n: int, k: int, log_base: str = "e") -> BoundsReport:
     route, which always stops at exactly [n 1]_q.
     """
     factor_prime_power(q)  # NotPrimePower when there is no field GF(q), TooLarge above 10^12
+    check_graph_shape(n, k)  # the domain of log_estimate (k >= 2) and babai_strong (k <= n-k)
     nv = gaussian_binomial(n, k, q)
     cons = gaussian_binomial(n, 1, q)
     estimate = log_estimate(q, n, k)

@@ -2,13 +2,15 @@
 
 Conventions: diagnostics go to stderr, data (files, tables, JSON) to
 stdout; exit 0 on success, 1 when a verification-style command finds a
-negative answer, 2 on bad usage or out-of-budget requests.  `-f -` reads
-the family from stdin so constructions pipe straight into `verify`.
+negative answer, 2 on bad usage or out-of-budget requests, 141 when
+stdout's reader stops early.  `-f -` reads the family from stdin so
+constructions pipe straight into `verify`.  `_report` prints every result:
+one JSON object, "command" first, under `--json`, otherwise its text.
 
 At start-up this module imports only the standard library and `errors`;
 each subcommand imports the modules it runs, so `binom` loads `gfq` and
 `subspaces`, and `verify` adds `famfile` and `grassmann` (and `linalg`
-when it prints a colliding pair).
+when its verdict holds a colliding pair).
 Commands read the package's public names through `_lookup`, so a name rebound
 on this module wins.  `run()` is the entry point of both the `grassmd` command
 and `python -m grassmd.cli`; `main(argv)` serves callers in the same process.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from itertools import chain
@@ -37,6 +40,11 @@ def __getattr__(name):
 def _lookup(name):
     """A public name as this module binds it: rebound, or the package's."""
     return globals()[name] if name in globals() else __getattr__(name)
+
+
+def _report(args, text, **doc) -> None:
+    """Print a result: under --json its JSON object, "command" first, else text."""
+    print(json.dumps({"command": args.cmd, **doc}) if args.json else text)
 
 
 def _emit(chunks, path: str | None):
@@ -64,11 +72,7 @@ def _cmd_binom(args) -> int:
     from .subspaces import gaussian_binomial
 
     value = gaussian_binomial(args.n, args.k, args.q)
-    if args.json:
-        print(json.dumps({"command": "binom", "n": args.n, "k": args.k,
-                          "q": args.q, "value": value}))
-    else:
-        print(value)
+    _report(args, str(value), n=args.n, k=args.k, q=args.q, value=value)
     return 0
 
 
@@ -140,29 +144,22 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .famfile import format_rows
+
     ctx, n, k, fam = _read_family_arg(args.family)
     if (ctx.q, n, k) != (args.q, args.n, args.k):
-        raise GrassmdError(
-            f"family file is for q={ctx.q} n={n} k={k}, "
-            f"arguments say q={args.q} n={args.n} k={args.k}")
+        raise GrassmdError(f"family file is for q={ctx.q} n={n} k={k}, "
+                           f"arguments say q={args.q} n={args.n} k={args.k}")
     g = _lookup("GrassmannGraph")(ctx, n, k)
     verdict = _lookup("is_resolving")(fam, g)
-    if args.json:
-        print(json.dumps({
-            "command": "verify", "q": args.q, "n": args.n, "k": args.k,
-            "family_size": len(fam), "resolving": verdict.resolving,
-            "collision": list(verdict.ordinals) if verdict.ordinals else None,
-        }))
-    elif verdict.resolving:
-        print("RESOLVING")
-    else:
+    text = "RESOLVING"
+    if not verdict.resolving:
         i, j = verdict.ordinals
-        print(f"COLLISION {i} {j}")
-        a, b = verdict.pair
-        print(f"# vertex {i}")
-        print(a.to_text())
-        print(f"# vertex {j}")
-        print(b.to_text())
+        text = "\n".join([f"COLLISION {i} {j}", f"# vertex {i}", format_rows(g.bases[i]),
+                          f"# vertex {j}", format_rows(g.bases[j])])
+    _report(args, text, q=args.q, n=args.n, k=args.k, family_size=len(fam),
+            resolving=verdict.resolving,
+            collision=list(verdict.ordinals) if verdict.ordinals else None)
     return 0 if verdict.resolving else 1
 
 
@@ -182,14 +179,9 @@ def _cmd_rank(args) -> int:
         return 2
     cert = certify_resolving_by_rank(fam)
     m, N = len(fam), cert.required
-    if args.json:
-        print(json.dumps({
-            "command": "rank", "mode": "all" if args.all else "family",
-            "rank": cert.rank, "required": cert.required, "certified": cert.certified,
-            "m": m, "N": N,
-        }))
-    else:
-        print(f"{cert.status.upper()} rank={cert.rank} required={cert.required} shape={m}x{N}")
+    _report(args, f"{cert.status.upper()} rank={cert.rank} required={N} shape={m}x{N}",
+            mode="all" if args.all else "family", rank=cert.rank, required=N,
+            certified=cert.certified, m=m, N=N)
     return 0 if cert.certified else 1
 
 
@@ -200,12 +192,8 @@ def _cmd_gram(args) -> int:
     ctx = field_new(args.q)
     ok = verify_gram(ctx, args.n, args.k)
     diag, offdiag = gram_closed_form(ctx, args.n, args.k)
-    if args.json:
-        print(json.dumps({"command": "gram", "q": args.q, "n": args.n,
-                          "k": args.k, "ok": ok, "diag": diag,
-                          "offdiag": offdiag}))
-    else:
-        print(f"{'GRAM-OK' if ok else 'GRAM-MISMATCH'} diag={diag} offdiag={offdiag}")
+    _report(args, f"{'GRAM-OK' if ok else 'GRAM-MISMATCH'} diag={diag} offdiag={offdiag}",
+            q=args.q, n=args.n, k=args.k, ok=ok, diag=diag, offdiag=offdiag)
     return 0 if ok else 1
 
 
@@ -228,28 +216,23 @@ def _cmd_bounds(args) -> int:
             raise InvalidArgs("bounds: give q n k or --grid, not both")
         # every report is built before any is printed: a bad entry prints nothing
         reports = [compare(q, n, k, args.log_base) for q, n, k in _parse_grid(args.grid)]
-        if args.json:
-            print(json.dumps({"command": "bounds", "grid": [r.to_json() for r in reports]}))
-        else:
-            print("\n".join([CSV_HEADER, *map(csv_row, reports)]))
+        _report(args, "\n".join([CSV_HEADER, *map(csv_row, reports)]),
+                grid=[r.to_json() for r in reports])
         return 0
     if None in (args.q, args.n, args.k):
         print("bounds: need q n k or --grid", file=sys.stderr)
         return 2
     rep = compare(args.q, args.n, args.k, args.log_base)
-    if args.json:
-        print(json.dumps({"command": "bounds", **rep.to_json()}))
-    else:
-        print(f"G_{rep.q}({rep.n},{rep.k}): {rep.num_vertices} vertices")
-        print(f"lower bound (m + D^m >= N): {rep.lower_bound}")
-        print(f"estimate (log_k N):         {rep.lower_log:.4f}")
-        print(f"upper, general:             {rep.babai_general:.4f}")
-        print(f"upper, strong (M={rep.babai_M}, j={rep.babai_argmax_j}): "
-              f"{rep.babai_strong:.4f}")
-        print(f"upper, constructive:        {rep.constructive_bound}")
-        for name, size in rep.construction_sizes.items():
-            print(f"  construction size [{name}]: {size}")
-        print(f"log base: {rep.log_base}")
+    _report(args, "\n".join([
+        f"G_{rep.q}({rep.n},{rep.k}): {rep.num_vertices} vertices",
+        f"lower bound (m + D^m >= N): {rep.lower_bound}",
+        f"estimate (log_k N):         {rep.lower_log:.4f}",
+        f"upper, general:             {rep.babai_general:.4f}",
+        f"upper, strong (M={rep.babai_M}, j={rep.babai_argmax_j}): {rep.babai_strong:.4f}",
+        f"upper, constructive:        {rep.constructive_bound}",
+        *(f"  construction size [{name}]: {m}" for name, m in rep.construction_sizes.items()),
+        f"log base: {rep.log_base}",
+    ]), **rep.to_json())
     return 0
 
 
@@ -269,20 +252,14 @@ def _cmd_metricdim(args) -> int:
         fam = _lookup("metric_dimension_greedy")(g)
         mu = None
     elapsed = time.perf_counter() - t0
-    if args.json:
-        print(json.dumps({
-            "command": "metricdim", "method": args.method,
-            "q": args.q, "n": args.n, "k": args.k,
-            "size": len(fam), "mu": mu,
-            "witness": fam.bases.tolist(),
-        }))
+    if args.json:  # the text is a family file, which -o may take
+        _report(args, None, method=args.method, q=args.q, n=args.n, k=args.k,
+                size=len(fam), mu=mu, witness=fam.bases.tolist())
         return 0
-    stats = (f"method={args.method} size={len(fam)} "
-             f"vertices={len(g)} elapsed={elapsed:.2f}s")
+    stats = f"method={args.method} size={len(fam)} vertices={len(g)} elapsed={elapsed:.2f}s"
     if mu is not None:
         stats = f"mu={mu} " + stats
-    _emit([_lookup("format_family")(args.q, args.n, args.k, fam), f"# {stats}\n"],
-          args.output)
+    _emit([_lookup("format_family")(args.q, args.n, args.k, fam), f"# {stats}\n"], args.output)
     return 0
 
 
@@ -290,23 +267,17 @@ def _cmd_accept(args) -> int:
     from .acceptance import run_all
 
     results = run_all()
-    if args.json:
-        print(json.dumps({
-            "command": "accept",
-            "passed": all(r.passed for r in results),
-            "criteria": [r.to_json() for r in results],
-        }))
-    else:
-        width = max(len(r.title) for r in results)
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"{r.num:>2}  {r.title:<{width}}  {mark}  {r.elapsed:7.2f}s")
-            if not r.passed:
-                print(f"    details: {r.details}", file=sys.stderr)
-        total = sum(r.elapsed for r in results)
-        good = sum(1 for r in results if r.passed)
-        print(f"{good}/{len(results)} criteria passed ({total:.1f}s)")
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    width = max(len(r.title) for r in results)
+    table = [f"{r.num:>2}  {r.title:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.elapsed:7.2f}s"
+             for r in results]
+    good, total = sum(r.passed for r in results), sum(r.elapsed for r in results)
+    _report(args, "\n".join([*table, f"{good}/{len(results)} criteria passed ({total:.1f}s)"]),
+            passed=passed, criteria=[r.to_json() for r in results])
+    for r in results:
+        if not (args.json or r.passed):
+            print(f"{r.num:>2}  details: {r.details}", file=sys.stderr)
+    return 0 if passed else 1
 
 
 COMMANDS = ("binom", "graph", "spread", "partition", "construct", "verify", "rank",
@@ -409,7 +380,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a reader that stopped early shows here, not at exit
+        return rc
+    except BrokenPipeError:  # no input was wrong: stop as SIGPIPE would
+        return 141
     except (GrassmdError, OSError) as e:  # BudgetExceeded is a GrassmdError
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -418,8 +393,10 @@ def main(argv=None) -> int:
 def run() -> int:
     """`main()` for the `grassmd` command and `python -m grassmd.cli`; what is
     still alive then lives until exit, so it is frozen and shutdown's
-    collections skip it."""
+    collections skip it.  After a broken pipe, exit flushes to the null device."""
     rc = main()
+    if rc == 141:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     return rc
 

@@ -26,6 +26,11 @@ _DATA_LINE = re.compile(r"-?[0-9]+( +-?[0-9]+)*")
 _NEWLINE = re.compile(r"\r\n?|\n")
 
 
+def format_rows(rows: np.ndarray) -> str:
+    """One data line of element encodings per row of an (..., n) basis array."""
+    return "\n".join(" ".join(map(str, row)) for row in rows.reshape(-1, rows.shape[-1]).tolist())
+
+
 def format_family(q: int, n: int, k: int, family: SubspaceFamily, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"{q} {n} {k} {len(family)}")
@@ -35,7 +40,7 @@ def format_family(q: int, n: int, k: int, family: SubspaceFamily, comments=()) -
             raise InvalidArgs(f"family member has shape {dim}x{cols}, header says {k}x{n}")
         if family.ctx.q != q:
             raise InvalidArgs(f"family member is over GF({family.ctx.q}), header says {q}")
-        lines.extend(" ".join(map(str, row)) for row in family.bases.reshape(-1, n).tolist())
+        lines.append(format_rows(family.bases))
     return "\n".join(lines) + "\n"
 
 

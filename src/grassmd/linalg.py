@@ -109,10 +109,6 @@ class Subspace:
         basis = gf_rref(ctx, as_array(gens)[None])[0]
         return cls._from_rref(ctx, n, tuple(map(tuple, basis[basis.any(axis=1)].tolist())))
 
-    def to_text(self) -> str:
-        """dim lines of n space-separated element encodings."""
-        return "\n".join(" ".join(map(str, row)) for row in self.basis.data)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -60,14 +60,13 @@ def enumeration_budget() -> int:
     return value
 
 
-def check_budget(count: int, what: str = "", cells: bool = False) -> None:
+def check_budget(count: int, what: str, cells: bool = False) -> None:
     """Refuse `count` things, named by `what`, over the enumeration budget,
     or with cells=True over DISTANCE_TABLE_FACTOR times it: the one place
     that reads either ceiling and raises BudgetExceeded."""
     limit = enumeration_budget() * (DISTANCE_TABLE_FACTOR if cells else 1)
     if count > limit:
-        subject = f"{count} {what} exceed" if what else f"{count} exceeds"
-        raise BudgetExceeded(f"{subject} {'ceiling' if cells else 'budget'} {limit}")
+        raise BudgetExceeded(f"{count} {what} exceed {'ceiling' if cells else 'budget'} {limit}")
 
 
 def check_graph_shape(n: int, k: int) -> None:
@@ -162,7 +161,7 @@ def enumerate_bases(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
         raise InvalidArgs(f"need 1 <= k <= n, got n={n} k={k}")
     q = ctx.q
     count = gaussian_binomial(n, k, q)
-    check_budget(count)
+    check_budget(count, f"{k}-subspaces")
     out = np.zeros((count, k, n), dtype=np.uint8)
     lo = 0
     for pivots in combinations(range(n), k):

@@ -168,7 +168,7 @@ except SystemExit as e:
 
 # what every subcommand loads, what each loads beyond that, and its exit
 # code; the rows share one family file, so those that overwrite it come
-# after its readers.  Only printing a colliding pair loads `linalg`.
+# after its readers.  Only a verdict's colliding pair loads `linalg`.
 CLI_BASE_MODULES = {"grassmd", "grassmd.errors", "grassmd.gfq", "grassmd.subspaces"}
 CLI_MODULES = [
     (["binom", "6", "3", "2"], set(), 0),
@@ -203,6 +203,13 @@ def test_cli_import_skips_mpmath_and_acceptance(tmp_path):
         loaded = run_python("-c", CLI_PROBE.format(argv=argv)).splitlines()[-1]
         expected = CLI_BASE_MODULES | {f"grassmd.{m}" for m in extra}
         assert loaded == f"{code} {sorted(expected)}", argv[0]
+
+
+def test_acceptance_records_are_not_dataclasses():
+    # CriterionResult is a NamedTuple, as the result records are elsewhere
+    out = run_python("-c", "import sys, grassmd.acceptance\n"
+                     "print('dataclasses' in sys.modules)\n")
+    assert out.split() == ["False"]
 
 
 def test_readme_start_up_table_quotes_each_line_total():

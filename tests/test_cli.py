@@ -187,7 +187,8 @@ def test_headers_no_array_can_hold_exit_2(text, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("case", ["verify-dir", "rank-binary", "construct-to-dir"])
+@pytest.mark.parametrize("case", ["verify-dir", "rank-binary", "construct-to-dir",
+                                  "export-to-full-device"])
 def test_unusable_paths_exit_2_with_an_error_line(tmp_path, case):
     # OS and decoding failures are usage errors (exit 2), not the exit 1
     # of a negative verdict, and print one line instead of a traceback
@@ -197,6 +198,8 @@ def test_unusable_paths_exit_2_with_an_error_line(tmp_path, case):
         "verify-dir": ["verify", "2", "4", "2", "-f", str(tmp_path)],
         "rank-binary": ["rank", "-f", str(binary)],
         "construct-to-dir": ["construct", "spread", "2", "6", "2", "-o", str(tmp_path)],
+        # a failed write is an OSError like a broken pipe, but still exit 2
+        "export-to-full-device": ["graph", "export", "2", "4", "2", "-o", "/dev/full"],
     }[case]
     rc, out, err = run(argv)
     assert rc == 2 and out == ""
@@ -351,7 +354,10 @@ def test_bounds_grid_excludes_positionals(qnk):
     (["--grid", "2:4:2,6:4:2"], "6 is not a prime power"),
     (["--grid", "2:4:2,6:4:2", "--json"], "6 is not a prime power"),
     # every report is built before the CSV header is printed
-    (["--grid", "2:4:2,2:4:3"], "need k <= n-k, got n=4 k=3"),
+    (["--grid", "2:4:2,2:4:3"], "need 2 <= k <= n/2, got n=4 k=3"),
+    # a shape outside 2 <= k <= n/2 is named as it was given
+    (["2", "0", "0"], "need 2 <= k <= n/2, got n=0 k=0"),
+    (["2", "4", "1", "--json"], "need 2 <= k <= n/2, got n=4 k=1"),
 ])
 def test_bounds_refusals_print_nothing(argv, err):
     assert run(["bounds", *argv]) == (2, "", f"error: {err}\n")
@@ -362,6 +368,25 @@ def test_bounds_log_base():
     payload = json.loads(out)
     assert payload["log_base"] == "2"
     assert payload["lower_log"] == pytest.approx(5.1293, abs=1e-3)
+
+
+# --- accept ---------------------------------------------------------------
+
+
+def test_accept_reports_a_failed_criterion(monkeypatch):
+    from grassmd import acceptance
+
+    results = [acceptance.CriterionResult(1, "first", True, 0.5, {}),
+               acceptance.CriterionResult(2, "second check", False, 1.25, {"why": "no"})]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    assert run(["accept"]) == (1, " 1  first         PASS     0.50s\n"
+                                  " 2  second check  FAIL     1.25s\n"
+                                  "1/2 criteria passed (1.8s)\n",
+                               " 2  details: {'why': 'no'}\n")
+    rc, out, err = run(["accept", "--json"])
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {"command": "accept", "passed": False,
+                               "criteria": [r.to_json() for r in results]}
 
 
 # --- metricdim ------------------------------------------------------------
@@ -493,6 +518,17 @@ def test_distance_table_budget_exits_2(monkeypatch):
         assert rc == 2 and out == "" and "exceed" in err
 
 
+@pytest.mark.parametrize("argv,budget,err", [
+    (["verify", "2", "4", "2", "-f", "{hyperplane}"], "10", "35 2-subspaces exceed budget 10"),
+    (["rank", "--all", "2", "40", "2"], "1000000",
+     "201487636601888439970475 2-subspaces exceed budget 1000000"),
+])
+def test_budget_messages_name_what_they_count(tmp_path, monkeypatch, argv, budget, err):
+    hyperplane = write_hyperplane_family(tmp_path / "hyperplane.txt")
+    monkeypatch.setenv("GRASSMANN_BUDGET", budget)
+    assert run([a.format(hyperplane=hyperplane) for a in argv]) == (2, "", f"error: {err}\n")
+
+
 # --- spread / partition export -------------------------------------------
 
 
@@ -583,6 +619,42 @@ def test_family_exports_and_all_vertex_rank_are_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 and exit code of results printed while each handler held its own
+# `--json` branch and verify printed a collision through `Subspace.to_text`;
+# {spread} is `construct spread 2 6 2`'s family, {hyperplane} the colliding
+# family of write_hyperplane_family
+@pytest.mark.parametrize("argv,code,digest", [
+    (["binom", "4", "2", "2"], 0, "90d7ec0f0acef104d8b6252794295f661a0149634868d02a1ae0c358099638f5"),
+    (["binom", "6", "2", "3", "--json"], 0,
+     "0a530c6205ffa661c394f775879bf2a57ca1b4eb4dcdac976252c99af7efab38"),
+    (["verify", "2", "6", "2", "-f", "{spread}"], 0,
+     "b3dd9a00ba694f6e7a60e44723e7dea589735a8007a3cc65c66644d583d8a705"),
+    (["verify", "2", "4", "2", "-f", "{hyperplane}"], 1,
+     "980259ffa430bfeec919ef363fbc6ba907c0f414145506511fb04f93f803564f"),
+    (["verify", "2", "4", "2", "-f", "{hyperplane}", "--json"], 1,
+     "3bf0241df6f2905b1b9e5289546be347f9baa9c0963bbf8aa9b105fa2c5457e6"),
+    (["rank", "-f", "{hyperplane}"], 1, "4dd35a58a71927fd51c6d105db4b2786a90dbdaddc80b7f80e90a4d96533c356"),
+    (["rank", "-f", "{spread}", "--json"], 0,
+     "9ebe0c1c38334ead93873d8df89eb150d72fc02d237900f7eac1eeb1292ae09e"),
+    (["rank", "--all", "3", "4", "2"], 0, "1c925f21b57f9c6e22cfe7327bf1dc48203e1c6ea6507c7b4db5248008913193"),
+    (["rank", "--all", "2", "5", "2", "--json"], 0,
+     "92b925af87cabe9db5949cbc44bff11126fe375bb1798f525cf3255769a622aa"),
+    (["gram", "3", "5", "2"], 0, "0846456b9e422d656d453bbd1dac4ab0fc946d7aae631f8c216d2e2a67cf192f"),
+    (["gram", "2", "6", "3", "--json"], 0,
+     "e352ce8ec63484441114b81065c57e7abb37fc92183f6a54655bcfa723f416c6"),
+    (["bounds", "2", "4", "2"], 0, "03077358810ffc59f105b2d63e51944a6231d9d21a901681bb802461b40728d3"),
+    (["bounds", "4", "7", "3", "--log-base", "10"], 0,
+     "2f3265590019311e525c0379347a3e27334ddb4ec105164dea5961668be70c94"),
+])
+def test_results_are_pinned(tmp_path, argv, code, digest):
+    spread = tmp_path / "spread.txt"
+    spread.write_text(run(["construct", "spread", "2", "6", "2"])[1])
+    hyperplane = write_hyperplane_family(tmp_path / "hyperplane.txt")
+    rc, out, _ = run([a.format(spread=spread, hyperplane=hyperplane) for a in argv])
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_construct_partition_2_10_2_is_pinned():
     # 1279 = [10 1]_2 + 2^8 [1 1]_2 members, built over GF(2^9) and GF(2^3)
     rc, out, _ = run(["construct", "partition", "2", "10", "2"])
@@ -633,13 +705,17 @@ def test_partition_command():
 # --- the command as a process ------------------------------------------------
 
 
+def child_env():
+    """The environment of a child process that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def run_process(argv, entry=("-m", "grassmd.cli")):
     """`python ENTRY ARGV` in a child process, on this checkout; ENTRY is
     `-m grassmd.cli` unless given."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, *entry, *argv], env=env,
+    return subprocess.run([sys.executable, *entry, *argv], env=child_env(),
                           capture_output=True, text=True)
 
 
@@ -702,6 +778,33 @@ def test_process_exit_1_prints_the_whole_json_line(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, "")
     assert proc.stdout == run(argv)[1]
     assert proc.stdout.endswith("}\n") and json.loads(proc.stdout)["resolving"] is False
+
+
+def test_a_reader_that_stops_early_gets_exit_141():
+    # 248031 edges fill the pipe long before the reader closes it; the
+    # broken pipe is no input error (exit 2) and prints nothing
+    proc = subprocess.Popen([sys.executable, "-m", "grassmd.cli", "graph", "export", "2", "7", "2"],
+                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["edges"] == 248031
+    proc.stdout.close()
+    assert (proc.wait(), proc.stderr.read()) == (141, b"")
+    proc.stderr.close()
+
+
+def test_one_function_prints_json():
+    # every --json document is printed by _report; graph export's header
+    # line is the one other JSON text
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "json.dumps"}
+    assert callers == {"_report", "_cmd_graph"}
+    # famfile.format_rows is the one writer of basis rows as text
+    sources = Path(cli.__file__).parent.glob("*.py")
+    assert not [(path.name, node.name) for path in sources
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "to_text" for f in node.body)]
 
 
 def test_process_exit_2_prints_an_error_line():
