@@ -72,7 +72,8 @@ def build_spread(ctx: FieldCtx, n: int, t: int) -> SubspaceFamily:
         raise InvalidArgs(f"need 1 <= t <= n, got n={n} t={t}")
     if n % t != 0:
         raise NotDivisor(f"t={t} does not divide n={n}")
-    count = (ctx.q**n - 1) // (ctx.q**t - 1)
+    # [n 1]_q / [t 1]_q members, counted under the Gaussian binomial's digit guard
+    count = gaussian_binomial(n, 1, ctx.q) // gaussian_binomial(t, 1, ctx.q)
     check_budget(count, f"members of a {t}-spread of V({n},{ctx.q})")
     powers = power_basis_matrices(ctx, t)
     # (R, n/t, t): the GF(q)-coordinates of each big coordinate of each point
@@ -147,8 +148,10 @@ def resolving_from_partition(ctx: FieldCtx, n: int, k: int) -> SubspaceFamily:
     """k-subspaces of every W_i and every X_j + Z, deduplicated in first-seen
     order; for t = 1 the size is exactly [n 1]_q + q^(n-k) [k-1 1]_q."""
     q, s = ctx.q, _partition_shape(n, k)[0]
-    # [k+1 k]_q k-subspaces in each W_i and each X_j + Z, before dedup
-    blocks = (q**s - 1) // (q ** (k + 1) - 1) + q**s
+    # [k+1 k]_q k-subspaces in each W_i and each X_j + Z, before dedup; the
+    # digit guard of [s 1]_q comes before q^s = (q-1)[s 1]_q + 1 is formed
+    points = gaussian_binomial(s, 1, q)
+    blocks = points // gaussian_binomial(k + 1, 1, q) + (q - 1) * points + 1
     check_budget(blocks * gaussian_binomial(k + 1, 1, q), f"{k}-subspaces before dedup")
     part = build_mixed_partition(ctx, n, k)
     # X_j meets V(s,q) trivially and Z, the first k-t+1 rows of W_1, sits

@@ -169,7 +169,8 @@ def power_basis_matrices(ctx: FieldCtx, t: int) -> np.ndarray:
     companion matrix of the modulus and matrix j its j-th power."""
     if t < 1:
         raise NotPrimePower(f"extension degree must be >= 1, got {t}")
-    if ctx.q**t > EXTENSION_MAX_ORDER:
+    # q^t >= 2^t, so a t of the ceiling's bit length or more is refused before the power
+    if t >= EXTENSION_MAX_ORDER.bit_length() or ctx.q**t > EXTENSION_MAX_ORDER:
         raise TooLarge(f"extension order {ctx.q}^{t} exceeds ceiling {EXTENSION_MAX_ORDER}")
     modulus = _smallest_irreducible(ctx, t)
     # y·y^i = y^(i+1) below the top, and y^t = -(m_0 + m_1 y + ... + m_(t-1) y^(t-1))

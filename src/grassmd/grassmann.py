@@ -7,17 +7,17 @@ distance vector ("code") against S.
 
 A graph is its sorted (V, k, n) uint8 array of RREF bases from
 `subspaces.enumerate_bases`, which every method reads: an ordinal is a
-binary search of a basis's byte key (`subspaces.basis_keys`), and
-`vertex(i)` builds a `Subspace` object (through `linalg`, imported then)
-only for a verdict's colliding pair or on request.  One gather kernel fills
-every code table, one (S, m) uint8 array, and with the family set to all
-vertices the read-only all-pairs distance table.  Two k-subspaces meeting
-in dimension j share exactly [j 1]_q points, so the shared-point count of
-a vertex A and a member U is the sum of U's 0/1 incidence over the point
-ordinals of A (`subspaces.bases_point_ordinals`, which the rank
-certificate also uses), and a lookup turns each count into k - j.  Counts
-are summed in the smallest unsigned dtype that holds [k 1]_q, one block of
-about CELLS_PER_BLOCK cells at a time.
+binary search of a basis's byte key (`subspaces.basis_keys`), and only a
+verdict's colliding pair is built as `Subspace` objects (through `linalg`,
+imported then).  One gather kernel fills every code table, one (S, m)
+uint8 array, and with the family set to all vertices the read-only
+all-pairs distance table.  Two k-subspaces meeting in dimension j share
+exactly [j 1]_q points, so the shared-point count of a vertex A and a
+member U is the sum of U's 0/1 incidence over the point ordinals of A
+(`subspaces.bases_point_ordinals`, which the rank certificate also uses),
+and a lookup turns each count into k - j.  Counts are summed in the
+smallest unsigned dtype that holds [k 1]_q, one block of about
+CELLS_PER_BLOCK cells at a time.
 
 `is_resolving` keeps a 16-byte digest of each vertex's row of counts (which
 determines its code), not the row.  Rows with equal digests are recomputed
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GrassmdError, InvalidArgs
-from .gfq import FieldCtx, gf_matmul
+from .gfq import FieldCtx, gf_matmul, gf_rref
 from .subspaces import (
     SubspaceFamily,
     bases_incidence_block,
@@ -58,7 +58,7 @@ class GrassmannGraph:
     """The vertex array plus lazily built tables; 2 <= k <= n/2 enforced.
 
     `bases` is the read-only (V, k, n) uint8 array of RREF bases in public
-    order; `vertex(i)` builds one `Subspace` from its row."""
+    order, vertex i's basis in row i."""
 
     __slots__ = ("ctx", "n", "k", "bases", "_dist_rows", "_adj")
 
@@ -76,12 +76,6 @@ class GrassmannGraph:
 
     def __len__(self):
         return len(self.bases)
-
-    def vertex(self, i: int):
-        """Vertex i as a `Subspace`, built from its array row alone."""
-        from .linalg import subspaces_from_bases
-
-        return subspaces_from_bases(self.ctx, self.bases[i:i + 1])[0]
 
     def ordinals(self, bases: np.ndarray) -> np.ndarray:
         """Ordinals of the vertices with the given (S, k, n) RREF bases, by
@@ -121,25 +115,21 @@ class GrassmannGraph:
             reps = np.array(list(point_reps(q, n - k + 1)), dtype=np.uint8)
             check_budget(len(self) * len(coeffs) * len(reps), "adjacency candidates", cells=True)
             degree = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
-            add, neg = ctx.add_array, ctx.neg_array
             adj = np.empty((len(self), degree), dtype=np.int32 if len(self) < 2**31 else np.intp)
             step = max(1, CELLS_PER_BLOCK // (len(coeffs) * len(reps)))
             for lo in range(0, len(self), step):
                 a = self.bases[lo:lo + step]
                 # the hyperplanes H of the block's vertices, M = B·K of them
                 h = gf_matmul(ctx, coeffs, a[:, None]).reshape(-1, k - 1, n)
-                # p: the reps written into H's free columns, (M, P, n), led at column lead
+                # p: the reps written into H's free columns, (M, P, n)
                 taken = ((h != 0).argmax(axis=2)[:, :, None] == np.arange(n)).any(axis=1)
                 free = np.argsort(taken, axis=1, kind="stable")[:, :n - k + 1]
                 p = np.zeros((len(h), len(reps), n), dtype=np.uint8)
                 p[np.arange(len(h))[:, None], :, free] = reps.T
-                lead = free[:, (reps != 0).argmax(axis=1)]
-                # RREF of H + <p>: column lead cleared from H's rows, rows ordered by pivot
-                f = np.take_along_axis(h, lead[:, None], axis=2).swapaxes(1, 2)  # (M, P, k-1)
-                cleared = add[h[:, None], gf_matmul(ctx, neg[f][..., None], p[:, :, None])]
-                rows = np.concatenate([cleared, p[:, :, None]], axis=2).reshape(-1, k, n)
-                order = np.argsort((rows != 0).argmax(axis=2), axis=1)
-                ords = self.ordinals(rows[np.arange(len(rows))[:, None], order]).reshape(len(a), -1)
+                # H + <p> as the RREF of the stacked [H; p]
+                stacked = np.concatenate([np.broadcast_to(h[:, None], (*p.shape[:2], k - 1, n)),
+                                          p[:, :, None]], axis=2)
+                ords = self.ordinals(gf_rref(ctx, stacked.reshape(-1, k, n))).reshape(len(a), -1)
                 # own ordinal marked -1 and sorted first: the row is right when
                 # its last degree + 1 entries are -1 then strictly ascending
                 tail = np.sort(np.where(ords == np.arange(lo, lo + len(a))[:, None], -1, ords),
@@ -224,7 +214,7 @@ def _family_points(family: SubspaceFamily, ctx: FieldCtx, n: int, k: int) -> np.
     if not len(family):
         raise InvalidArgs("empty family")
     if family.ctx != ctx or family.bases.shape[1:] != (k, n):
-        raise InvalidArgs(f"{family[0]!r} is not a vertex of G_{ctx.q}({n},{k})")
+        raise InvalidArgs(f"basis {family.bases[0].tolist()} is not a vertex of G_{ctx.q}({n},{k})")
     return np.ascontiguousarray(bases_incidence_block(ctx, family.bases).T)
 
 
@@ -304,8 +294,9 @@ def is_resolving(family: SubspaceFamily, g: GrassmannGraph) -> ResolvingVerdict:
     best = _first_collision(digests, lambda idx: _codes(g.ctx, g.bases[idx], fam_t))
     if best is None:
         return ResolvingVerdict(True)
-    a, b = best
-    return ResolvingVerdict(False, best, (g.vertex(a), g.vertex(b)))
+    from .linalg import subspaces_from_bases
+
+    return ResolvingVerdict(False, best, tuple(subspaces_from_bases(g.ctx, g.bases[list(best)])))
 
 
 def bfs_distances_from(g: GrassmannGraph, src: int) -> list:

@@ -2,8 +2,8 @@
 
 Production code keeps subspaces as uint8 basis arrays and imports this
 module only inside the functions that take or hand out objects
-(`SubspaceFamily` construction through `bases_of`, its iteration and
-indexing, `enumerate_k_subspaces`, `GrassmannGraph.vertex`).
+(`SubspaceFamily` construction through `bases_of`, its iteration,
+`enumerate_k_subspaces`, and `is_resolving` for a colliding pair).
 A `Subspace` holds its RREF basis as a `MatGFq`, so subspace comparisons
 are tuple equality; `as_array` hands a `MatGFq` to the `gfq` kernels.
 `distance`, the rank of two stacked bases from one `gf_rref`, is a graph

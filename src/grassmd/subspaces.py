@@ -8,9 +8,9 @@ a counter, and sorts the bases by their byte keys (`basis_keys`), so the
 order (lexicographic in the flattened basis) is a stable public contract.
 Every array row is a distinct subspace, so no rejection or hashing is
 needed.  A `SubspaceFamily` is its field and one (m, d, n) array of RREF
-bases.  Building a family from `Subspace` objects, iterating or indexing
-it and `enumerate_k_subspaces` cross to objects through `linalg`, which
-they import when they run.  `is_rref` is the one RREF test.
+bases.  Building a family from `Subspace` objects, iterating it and
+`enumerate_k_subspaces` cross to objects through `linalg`, which they
+import when they run.  `is_rref` is the one RREF test.
 
 Projective points (1-subspaces) are numbered by their normalized
 representatives (first nonzero coordinate scaled to 1), in ascending
@@ -98,8 +98,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 class SubspaceFamily:
     """Ordered, duplicate-free family of same-shape subspaces: the field
     `ctx` and `bases`, the read-only (m, d, n) uint8 array of their RREF
-    bases, which kernels read in place; iteration and indexing build
-    `Subspace` objects.  No members give no field and shape (0, 0, 0)."""
+    bases, which kernels read in place; iteration builds `Subspace`
+    objects.  No members give no field and shape (0, 0, 0)."""
 
     __slots__ = ("ctx", "bases")
 
@@ -127,7 +127,7 @@ class SubspaceFamily:
             first = np.unique(basis_keys(bases), return_index=True)[1]
             if len(first) < len(bases):
                 repeat = np.setdiff1d(np.arange(len(bases)), first)[0]
-                raise InvalidArgs(f"duplicate family member {self[repeat]!r}")
+                raise InvalidArgs(f"duplicate family member {bases[repeat].tolist()}")
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceFamily is immutable")
@@ -139,11 +139,6 @@ class SubspaceFamily:
         from .linalg import subspaces_from_bases
 
         return iter(subspaces_from_bases(self.ctx, self.bases))
-
-    def __getitem__(self, i):
-        from .linalg import subspaces_from_bases
-
-        return subspaces_from_bases(self.ctx, self.bases[i][None])[0]
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceFamily) and len(self) == len(other) and (

@@ -148,6 +148,11 @@ def vertices(g) -> list:
     return subspaces_from_bases(g.ctx, g.bases)
 
 
+def vertex(g, i: int) -> Subspace:
+    """Vertex i of g as a `Subspace`, built from its array row alone."""
+    return subspaces_from_bases(g.ctx, g.bases[i:i + 1])[0]
+
+
 def ordinal(g, s: Subspace) -> int:
     """The ordinal of the vertex s of g, by `GrassmannGraph.ordinals`."""
     return int(g.ordinals(np.array([s.basis.data], dtype=np.uint8))[0])
@@ -367,7 +372,7 @@ def parse_family_by_block(text: str) -> tuple:
             raise InvalidArgs(f"block {b}: {e}")
         sub = subspace(ctx, n, rows)
         if sub in members:
-            raise InvalidArgs(f"duplicate blocks: duplicate family member {sub!r}")
+            raise InvalidArgs(f"duplicate blocks: duplicate family member {list(map(list, rows))}")
         members.append(sub)
     return ctx, n, k, SubspaceFamily(members)
 

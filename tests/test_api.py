@@ -168,7 +168,8 @@ except SystemExit as e:
 
 # what every subcommand loads, what each loads beyond that, and its exit
 # code; the rows share one family file, so those that overwrite it come
-# after its readers.  Only a verdict's colliding pair loads `linalg`.
+# after its readers.  Only a verdict's colliding pair loads `linalg`; a
+# repeated member is named by its basis rows.
 CLI_BASE_MODULES = {"grassmd", "grassmd.errors", "grassmd.gfq", "grassmd.subspaces"}
 CLI_MODULES = [
     (["binom", "6", "3", "2"], set(), 0),
@@ -182,6 +183,7 @@ CLI_MODULES = [
     # a 2-spread of V(4,2) is not resolving for G_2(4,2)
     (["spread", "2", "4", "2", "-o", "{fam}"], {"famfile", "constructions"}, 0),
     (["verify", "2", "4", "2", "-f", "{fam}"], {"famfile", "grassmann", "linalg"}, 1),
+    (["verify", "2", "4", "2", "-f", "{dup}"], {"famfile"}, 2),
 ]
 
 
@@ -197,9 +199,10 @@ def test_cli_import_skips_mpmath_and_acceptance(tmp_path):
                      "print([m for m in sys.modules if m.startswith(('grassmd', 'numpy'))])\n")
     assert out.split() == ["['grassmd']"]
     # each subcommand loads its own modules and no others
-    fam = str(tmp_path / "fam.txt")
+    fam, dup = str(tmp_path / "fam.txt"), tmp_path / "dup.txt"
+    dup.write_text("2 4 2 2\n1 0 0 0\n0 1 0 0\n1 0 0 0\n0 1 0 0\n")
     for argv, extra, code in CLI_MODULES:
-        argv = [a.format(fam=fam) for a in argv]
+        argv = [a.format(fam=fam, dup=dup) for a in argv]
         loaded = run_python("-c", CLI_PROBE.format(argv=argv)).splitlines()[-1]
         expected = CLI_BASE_MODULES | {f"grassmd.{m}" for m in extra}
         assert loaded == f"{code} {sorted(expected)}", argv[0]
@@ -402,15 +405,15 @@ def test_one_rref_one_product_one_table_form():
 
 
 def test_gfq_alone_reads_the_product_tables():
-    # outside `gfq`, products and inverses are `gf_matmul` and `gf_rref`
-    # calls; no table is converted to lists for a Python loop, and the
-    # polynomial trial division and the three-rank intersection dimension
-    # are the tests' oracles
+    # outside `gfq`, sums, negations, products and inverses are `gf_matmul`
+    # and `gf_rref` calls; no table is converted to lists for a Python
+    # loop, and the polynomial trial division and the three-rank
+    # intersection dimension are the tests' oracles
     tables = {"add_array", "mul_array", "neg_array", "inv_array"}
     readers, listers, defined = set(), set(), set()
     for path in Path(grassmd.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("mul_array", "inv_array"):
+            if isinstance(node, ast.Attribute) and node.attr in tables:
                 readers.add(path.stem)
             if isinstance(node, ast.stmt) and not hasattr(node, "body"):  # a simple statement
                 attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
@@ -443,18 +446,25 @@ def test_families_stay_arrays():
     # run, and no other module reads a `Subspace`'s basis or dimension
     edge = {"Subspace", "subspaces_from_bases", "bases_of", "distance", "MatGFq",
             "as_array", "mat_mul"}
-    importers, homes, readers = set(), {}, set()
+    importers, homes, readers, sites = set(), {}, set(), []
     for path in src.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "linalg":
                 importers.add(path.stem)
         for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                sites += [(path.stem, node.name) for n in ast.walk(node)
+                          if isinstance(n, ast.ImportFrom) and n.module == "linalg"]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in edge:
                 homes.setdefault(node.name, set()).add(path.stem)
             if isinstance(node, ast.Attribute) and node.attr in ("basis", "dim"):
                 readers.add(path.stem)
     assert importers == set()
+    # building a family, iterating it, `enumerate_k_subspaces` and a
+    # verdict's colliding pair; no error message loads it
+    assert sorted(sites) == [("grassmann", "is_resolving"), ("subspaces", "__init__"),
+                             ("subspaces", "__iter__"), ("subspaces", "enumerate_k_subspaces")]
     assert homes == {name: {"linalg"} for name in edge}
     assert readers == {"linalg"}
     assert not hasattr(grassmd.subspaces, "basis_array")
@@ -462,6 +472,7 @@ def test_families_stay_arrays():
     # object helpers only the tests use live in tests/oracles.py
     assert not hasattr(grassmd.linalg.Subspace, "contains")
     assert not hasattr(grassmd.linalg.Subspace, "pivots")
-    for name in ("vertices", "_vertices", "ordinal"):
+    for name in ("vertex", "vertices", "_vertices", "ordinal"):
         assert not hasattr(grassmd.grassmann.GrassmannGraph, name), name
+    assert not hasattr(grassmd.subspaces.SubspaceFamily, "__getitem__")
     assert not hasattr(grassmd.grassmann, "edge_list")

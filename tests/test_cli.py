@@ -537,6 +537,8 @@ def test_budget_messages_name_what_they_count(tmp_path, monkeypatch, argv, budge
     ["construct", "spread", "2", "30", "2"],
     ["partition", "2", "31", "2"],
     ["construct", "partition", "2", "31", "2"],
+    # the extension degree is checked before q^s is formed
+    ["partition", "2", "3000000001", "2"],
 ])
 def test_oversized_constructions_exit_2_promptly(argv):
     t0 = time.perf_counter()
@@ -549,14 +551,19 @@ def test_oversized_constructions_exit_2_promptly(argv):
     ["binom", "200000", "100000", "2"],
     ["bounds", "16", "4000", "1000"],
     ["bounds", "2", "200000", "3"],
+    ["spread", "2", "20000", "1"],
+    ["construct", "partition", "2", "100000001", "2"],
+    ["spread", "2", "3000000000", "3000000000"],
+    ["construct", "partition", "2", "3000000001", "2"],
 ])
 def test_astronomical_binomials_exit_2_promptly(argv):
     # refused from the digit estimate k(n-k) log10 q before any product is
-    # formed; the last one used to end in a traceback printing the value
+    # formed, so no count too long to print and no power of q with n in the
+    # billions is computed
     t0 = time.perf_counter()
     rc, out, err = run(argv)
     assert rc == 2 and out == ""
-    assert err.startswith("error:") and "digits" in err
+    assert err.startswith("error:") and "digits" in err and err.count("\n") == 1
     assert time.perf_counter() - t0 < 5
 
 

@@ -30,6 +30,7 @@ from oracles import (
     intersect_dim,
     ordinal,
     rref_rows,
+    vertex,
     vertices,
 )
 from strategies import rref_vertex_pairs
@@ -79,7 +80,7 @@ def test_graph_vertex_count_and_ordinals(q, n, k):
     g = graph(q, n, k)
     assert len(g) == gaussian_binomial(n, k, q)
     for i in (0, 1, len(g) - 1):
-        assert ordinal(g, g.vertex(i)) == i
+        assert ordinal(g, vertex(g, i)) == i
     assert np.array_equal(g.ordinals(g.bases), np.arange(len(g)))
 
 
@@ -178,8 +179,8 @@ def test_codes_table_rejects_empty_family():
 
 def test_code_of_matches_distance():
     g = graph(2, 5, 2)
-    fam = SubspaceFamily([g.vertex(0), g.vertex(10), g.vertex(100)])
-    w = g.vertex(42)
+    fam = SubspaceFamily([vertex(g, 0), vertex(g, 10), vertex(g, 100)])
+    w = vertex(g, 42)
     assert code_of(w, fam) == tuple(distance(w, m) for m in fam)
 
 
@@ -192,7 +193,7 @@ def test_full_vertex_set_is_resolving():
 
 def test_single_member_collision_is_lexicographically_first():
     g = graph(2, 4, 2)
-    fam = SubspaceFamily([g.vertex(0)])
+    fam = SubspaceFamily([vertex(g, 0)])
     verdict = is_resolving(fam, g)
     assert not verdict.resolving and not bool(verdict)
     # recompute the first colliding pair by brute force over all codes
@@ -214,7 +215,7 @@ def test_single_member_collision_is_lexicographically_first():
 def test_verdict_truth_is_its_answer():
     # a NamedTuple of three fields would be truthy by its length
     g = graph(2, 4, 2)
-    a, b = g.vertex(0), g.vertex(1)
+    a, b = vertex(g, 0), vertex(g, 1)
     assert bool(ResolvingVerdict(False, (0, 1), (a, b))) is False
     assert bool(ResolvingVerdict(True)) is True
 
@@ -240,15 +241,15 @@ def test_code_against_all_vertices_has_one_zero():
     g = graph(2, 4, 2)
     fam = SubspaceFamily(vertices(g))
     for i in (0, 9, 34):
-        dists = code_of(g.vertex(i), fam)
+        dists = code_of(vertex(g, i), fam)
         assert dists.count(0) == 1 and dists[i] == 0
 
 
 def test_resolving_monotone_under_superset():
     g = graph(2, 4, 2)
-    base = [g.vertex(i) for i in (0, 1, 2, 7, 9, 11)]
+    base = [vertex(g, i) for i in (0, 1, 2, 7, 9, 11)]
     assert is_resolving(SubspaceFamily(base), g).resolving
-    bigger = base + [g.vertex(20)]
+    bigger = base + [vertex(g, 20)]
     assert is_resolving(SubspaceFamily(bigger), g).resolving
 
 
@@ -262,7 +263,7 @@ def test_is_resolving_rejects_bad_input():
     with pytest.raises(InvalidArgs):
         is_resolving(SubspaceFamily([foreign]), g)
     with pytest.raises(InvalidArgs):  # a later member of the wrong shape
-        is_resolving(SubspaceFamily([g.vertex(0), foreign]), g)
+        is_resolving(SubspaceFamily([vertex(g, 0), foreign]), g)
 
 
 def test_graph_budget(monkeypatch):
@@ -286,7 +287,7 @@ def test_bfs_matches_algebraic_distance():
     rows = g.distance_rows()
     for src in range(len(g)):
         assert bfs_distances_from(g, src) == list(rows[src])
-    a, b = g.vertex(0), g.vertex(34)
+    a, b = vertex(g, 0), vertex(g, 34)
     assert bfs_distance(g, a, b) == distance(a, b)
 
 
@@ -325,7 +326,7 @@ def test_distance_table_build_peak_memory():
 
 def test_verdict_builds_no_vertex_objects(monkeypatch):
     g = graph(3, 4, 2)
-    fam = SubspaceFamily([g.vertex(0), g.vertex(50)])
+    fam = SubspaceFamily([vertex(g, 0), vertex(g, 50)])
     built = []
     build = linalg_mod.subspaces_from_bases
 
@@ -333,14 +334,13 @@ def test_verdict_builds_no_vertex_objects(monkeypatch):
         built.append(len(bases))
         return build(ctx, bases)
 
-    # `vertex` imports it from `linalg` when it runs, so the patch is seen
+    # `is_resolving` imports it from `linalg` when it runs, so the patch is seen
     monkeypatch.setattr(linalg_mod, "subspaces_from_bases", counted)
     verdict = is_resolving(fam, g)
-    assert built == [1, 1]  # only the two colliding vertices were built
+    assert built == [2]  # only the two colliding vertices were built, in one call
     i, j = verdict.ordinals
     vs = vertices(g)
     assert verdict.pair == (vs[i], vs[j])
-    assert [g.vertex(i) for i in range(len(g))] == vs
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (2, 6, 3)])
@@ -421,7 +421,7 @@ def test_adjacency_comes_from_the_definition(monkeypatch, q, n, k):
     for i in range(0, len(g), max(1, len(g) // 15)):
         for j in adj[i]:
             assert i in adj[j]
-            assert code_of(g.vertex(i), [g.vertex(j)]) == (1,)
+            assert code_of(vertex(g, i), [vertex(g, j)]) == (1,)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 4, 2), (5, 4, 2),
