@@ -29,9 +29,9 @@ is immutable and safe to share; it is passed explicitly wherever elements
 are combined.
 
 The ceilings DEFAULT_MAX_ORDER (for GF(q)), EXTENSION_MAX_ORDER (for
-GF(q^t)) and FACTOR_MAX_ORDER (for `factor_prime_power`, whose trial
-division then takes at most 10^6 steps) are fixed; larger orders raise
-TooLarge.
+GF(q^t)) and FACTOR_MAX_ORDER (for `factor_prime_power`, which tests q's
+integer roots with `is_prime`, a Miller-Rabin test exact below 2.15 * 10^12)
+are fixed; larger orders raise TooLarge.
 """
 
 from __future__ import annotations
@@ -44,33 +44,37 @@ from .errors import NotPrimePower, TooLarge
 
 DEFAULT_MAX_ORDER = 16
 EXTENSION_MAX_ORDER = 4096
-FACTOR_MAX_ORDER = 10**12
+FACTOR_MAX_ORDER = 10**12  # below 2,152,302,898,747, where is_prime stops being exact
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: bases 2, 3, 5, 7 and 11 are exact below
+    2,152,302,898,747, which covers FACTOR_MAX_ORDER and every modular prime."""
+    bases = (2, 3, 5, 7, 11)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    # b shows n composite unless b^d = 1 or b^(d 2^i) = -1 for some i < s
+    return not any(pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(s))
+                   for b in bases)
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, or raise NotPrimePower; refuses q above
-    FACTOR_MAX_ORDER before any trial division."""
+    FACTOR_MAX_ORDER before any root is taken.  For e = 1, 2, ..., r is the
+    integer e-th root of q by Newton's method from above, with no float."""
     if q < 2:
         raise NotPrimePower(f"field order must be >= 2, got {q}")
     if q > FACTOR_MAX_ORDER:
         raise TooLarge(f"field order {q} exceeds ceiling {FACTOR_MAX_ORDER}")
-    p = None
-    for d in range(2, q + 1):
-        if d * d > q:
-            p = q  # q itself is prime
-            break
-        if q % d == 0:
-            p = d
-            break
-    assert p is not None
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise NotPrimePower(f"{q} is not a prime power")
-    return p, e
+    for e in range(1, q.bit_length()):
+        r = 1 << -(-q.bit_length() // e)  # 2^ceil(bits/e) > q^(1/e)
+        while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
+            r = s
+        if r**e == q and is_prime(r):
+            return r, e
+    raise NotPrimePower(f"{q} is not a prime power")
 
 
 # Candidate moduli are tried this many codes at a time, smallest first:
@@ -110,7 +114,7 @@ class FieldCtx:
     """GF(p^e) with table-driven arithmetic.  Immutable after construction."""
 
     def __init__(self, q: int):
-        # the ceiling first, before factor_prime_power's trial division
+        # the ceiling first, before factor_prime_power
         if q > DEFAULT_MAX_ORDER:
             raise TooLarge(f"field order {q} exceeds ceiling {DEFAULT_MAX_ORDER}")
         p, e = factor_prime_power(q)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgs
-from .gfq import FieldCtx
+from .gfq import FieldCtx, is_prime
 from .subspaces import (
     SubspaceFamily,
     bases_incidence_block,
@@ -96,34 +96,11 @@ class BareissEliminator:
         return len(self.pivot_rows)
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; bases 2, 7, 61 are exact below 4759123141."""
-    if n < 2:
-        return False
-    for b in (2, 7, 61):
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in (2, 7, 61):
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def modular_primes():
     """The primes below 2^31, largest first."""
     n = 2**31 - 1
     while True:
-        if _is_prime(n):
+        if is_prime(n):
             yield n
         n -= 2
 

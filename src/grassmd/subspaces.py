@@ -66,7 +66,17 @@ def check_budget(count: int, what: str, cells: bool = False) -> None:
     that reads either ceiling and raises BudgetExceeded."""
     limit = enumeration_budget() * (DISTANCE_TABLE_FACTOR if cells else 1)
     if count > limit:
-        raise BudgetExceeded(f"{count} {what} exceed {'ceiling' if cells else 'budget'} {limit}")
+        raise BudgetExceeded(f"{_decimal(count)} {what} exceed "
+                             f"{'ceiling' if cells else 'budget'} {_decimal(limit)}")
+
+
+def _decimal(x: int) -> str:
+    """x in decimal, or its order of magnitude past Python's limit on the
+    digits of an int it converts to a string (4300 by default)."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"about 10^{math.log10(x):.0f}"
 
 
 def check_graph_shape(n: int, k: int) -> None:

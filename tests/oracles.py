@@ -1,7 +1,8 @@
 """Independent oracles that the tests check the production kernels against.
 
 Nothing in `grassmd` calls these.  Each computes its answer by a route of
-its own: Gaussian binomials by the Pascal recurrence, point incidence by
+its own: Gaussian binomials by the Pascal recurrence, prime powers by
+trial division for the smallest factor, point incidence by
 membership tests (reduction against a `Subspace`'s RREF basis), codes by
 stacked ranks, graph distance by BFS, a graph's edges from its distance
 table, adjacency by one tuple RREF per candidate neighbour, row reduction
@@ -25,6 +26,7 @@ checked against.
 """
 
 import io
+import math
 import re
 from functools import lru_cache
 
@@ -101,6 +103,18 @@ def gaussian_binomial_pascal(n: int, k: int, q: int) -> int:
     for m in range(1, n + 1):
         prev = [1] + [prev[j - 1] + q**j * prev[j] for j in range(1, m)] + [1]
     return prev[k]
+
+
+def prime_power_by_trial_division(q: int):
+    """(p, e) with q = p^e, p the smallest factor of q by trial division, or
+    None when q < 2 or a second prime divides q."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q, e = q // p, e + 1
+    return (p, e) if q == 1 else None
 
 
 class PointIndex:

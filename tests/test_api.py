@@ -272,6 +272,20 @@ def test_trace_child_records_each_layer(tmp_path):
         assert {span["name"] for span in json.loads(spans.read_text())} == names, argv[0]
 
 
+@pytest.mark.parametrize("name,make,attr", [
+    ("GrassmannGraph", lambda ctx: grassmd.GrassmannGraph(ctx, 4, 2), "bases"),
+    ("SubspaceFamily", lambda ctx: grassmd.SubspaceFamily.from_bases(ctx, [[[1, 0, 0]]]), "bases"),
+    ("Subspace", lambda ctx: grassmd.Subspace.from_rows(ctx, 3, [[1, 1, 0]]), "basis"),
+    ("MatGFq", lambda ctx: grassmd.MatGFq(ctx, 1, 2, [[1, 0]]), "data"),
+])
+def test_held_attributes_cannot_be_reassigned(name, make, attr):
+    obj = make(grassmd.field_new(2))
+    held = getattr(obj, attr)
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        setattr(obj, attr, held)
+    assert getattr(obj, attr) is held
+
+
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         grassmd.no_such_name

@@ -207,7 +207,7 @@ def test_unusable_paths_exit_2_with_an_error_line(tmp_path, case):
 
 
 def test_verify_huge_field_order_exits_promptly(tmp_path):
-    # the order ceiling is checked before q is factored by trial division
+    # the order ceiling is checked before q is factored
     target = tmp_path / "fam.txt"
     target.write_text("1000000000000000003 4 2 0\n")
     t0 = time.perf_counter()
@@ -281,6 +281,19 @@ def test_gram_refuses_k_equal_to_n():
     for argv in (["2", "3", "3"], ["3", "4", "4", "--json"]):
         rc, out, err = run(["gram", *argv])
         assert (rc, out) == (2, "") and "need 2 <= k < n" in err
+
+
+@pytest.mark.parametrize("n,budget,err", [
+    # N^2 for N = [10000 1]_2 has 6021 digits, past the 4300 Python prints
+    ("10000", None, "about 10^6021 Gram cells exceed ceiling 10000000"),
+    # a 4300-digit budget makes a 4301-digit ceiling
+    ("7200", "9" * 4300, "about 10^4335 Gram cells exceed ceiling about 10^4301"),
+])
+def test_budget_refusals_past_the_digits_python_prints(monkeypatch, n, budget, err):
+    if budget is not None:
+        monkeypatch.setenv("GRASSMANN_BUDGET", budget)
+    proc = run_process(["gram", "2", n, "2"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {err}\n")
 
 
 def test_gram_plain_and_json():
@@ -573,8 +586,8 @@ def test_astronomical_binomials_exit_2_promptly(argv):
     ["bounds", "--grid", f"2:4:2,{2**61 - 1}:4:2"],
 ])
 def test_huge_field_orders_exit_2_promptly(argv):
-    # a q above gfq.FACTOR_MAX_ORDER is refused before trial division
-    # looks for its prime, which took minutes for 2^61 - 1
+    # a q above gfq.FACTOR_MAX_ORDER is refused before it is factored;
+    # the trial division that once factored q took minutes for 2^61 - 1
     t0 = time.perf_counter()
     rc, out, err = run(argv)
     assert rc == 2 and out == "" and "exceeds ceiling" in err

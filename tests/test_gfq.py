@@ -3,9 +3,11 @@
 The power-basis matrices of GF(q^t) are checked against `ExtensionField`,
 the polynomial-product arithmetic kept in the test oracles."""
 
+import ast
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from grassmd.gfq import (
     factor_prime_power,
     field_new,
     gf_matmul,
+    is_prime,
     power_basis_matrices,
 )
-from oracles import ExtensionField, smallest_irreducible
+from oracles import ExtensionField, prime_power_by_trial_division, smallest_irreducible
 
 
 def field_pow(ctx, a, e):
@@ -66,10 +69,64 @@ def test_factor_rejects_non_prime_powers(q):
 
 
 def test_factor_ceiling():
-    # trial division stops at 10^6 steps: a larger q is refused before it
+    # is_prime is exact a little past 10^12: a larger q is refused before any root is taken
     assert factor_prime_power(999999999989) == (999999999989, 1)  # the largest prime <= 10^12
     with pytest.raises(TooLarge):
         factor_prime_power(FACTOR_MAX_ORDER + 1)
+
+
+def factor_or_none(q):
+    try:
+        return factor_prime_power(q)
+    except NotPrimePower:
+        return None
+
+
+def test_factor_matches_trial_division_below_2e5():
+    assert [q for q in range(200000) if factor_or_none(q) != prime_power_by_trial_division(q)] == []
+
+
+def test_factor_matches_trial_division_on_prime_powers_up_to_the_ceiling():
+    primes = [p for p in range(1000) if prime_power_by_trial_division(p) == (p, 1)]
+    assert len(primes) == 168
+    for p in primes:
+        e = 1
+        while p**e <= FACTOR_MAX_ORDER:
+            assert factor_prime_power(p**e) == prime_power_by_trial_division(p**e) == (p, e)
+            e += 1
+
+
+@pytest.mark.parametrize("q,want", [
+    (999999999989, (999999999989, 1)),  # the largest prime <= 10^12
+    (999983**2, (999983, 2)),  # the square of the largest prime below 10^6
+    (999983 * 999979, None),  # the product of the two largest primes below 10^6
+    (10**12, None),
+    (2**39, (2, 39)),
+    (3215031751, None),  # 151 * 751 * 28351, which only base 11 shows composite
+])
+def test_factor_matches_trial_division_near_the_ceiling(q, want):
+    assert factor_or_none(q) == prime_power_by_trial_division(q) == want
+
+
+def test_is_prime_matches_a_sieve_below_10_6():
+    sieve = np.ones(10**6, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 1000):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert [n for n in range(10**6) if is_prime(n) != sieve[n]] == []
+
+
+def test_one_primality_test():
+    # is_prime is the one primality test: factor_prime_power and
+    # modular_primes call it, and no other function is named for primes
+    src = Path(factor_prime_power.__code__.co_filename).parent
+    named = set()
+    for path in src.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and "prime" in fn.name.lower():
+                named.add(f"{path.stem}.{fn.name}")
+    assert named == {"gfq.is_prime", "gfq.factor_prime_power", "rank.modular_primes"}
 
 
 def test_order_ceiling():

@@ -30,7 +30,13 @@ from grassmd.rank import (
 from grassmd.constructions import resolving_greedy_rank
 from grassmd.linalg import Subspace
 from grassmd.subspaces import SubspaceFamily, enumerate_k_subspaces, gaussian_binomial
-from oracles import PointIndex, contains, gram_float_product, incidence_vector
+from oracles import (
+    PointIndex,
+    contains,
+    gram_float_product,
+    incidence_vector,
+    prime_power_by_trial_division,
+)
 
 
 def fraction_rank(rows):
@@ -96,17 +102,13 @@ def test_try_add_reports_rank_growth():
     assert b.rank == 2
 
 
-def is_prime_by_trial_division(n):
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
 def test_modular_primes_are_distinct_primes_below_2_31():
     primes = list(itertools.islice(modular_primes(), 12))
     assert len(set(primes)) == len(primes)
     assert all(p < 2**31 for p in primes)
     # every product of two residues, and a residue minus it, fits in int64
     assert all(p * p < 2**62 for p in primes)
-    assert all(is_prime_by_trial_division(p) for p in primes)
+    assert all(prime_power_by_trial_division(p) == (p, 1) for p in primes)
 
 
 def as_matrix(rows):
